@@ -104,7 +104,7 @@ def _parse_caps(entries) -> Caps:
     try:
         return caps.with_overrides(**overrides) if overrides else caps
     except KeyError as exc:
-        raise CapExceededError(exc.args[0], 0, 0) from exc
+        raise DocumentError(exc.args[0]) from exc
 
 
 def _load_document(path: str):

@@ -589,6 +589,10 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
                 mor_index[(a, b, legs)] = len(mor_defs)
                 mor_defs.append((a, b, legs))
     caps.check("max_morphisms", len(mor_defs))
+    # one object per spec: refuse before the composition and tensor tables,
+    # where nearly all the work lies; checked after max_morphisms so that
+    # an input over both caps still names the one it always named
+    caps.check("max_objects", len(specs))
 
     def compose_cocones(kb: int, ka: int) -> int:
         # each composite leg depends only on the factorisation of its own

@@ -1,14 +1,18 @@
 """Finite posets, semilattices, quantales and their downset completions.
 
 Everything here is index-based: a poset holds a tuple of element labels
-and a boolean matrix ``leq``.  Meets and joins are computed by scan;
-absence of a bound is a first-class result (``None``), not an error.
+and a boolean matrix ``leq``, from which the constructor derives each
+element's up-set and down-set as an int bitmask.  A join is the element
+whose up-mask is the AND of the up-masks of its arguments, a meet the
+dual; each poset caches its binary ``join_table`` and ``meet_table``.
+Absence of a bound is a first-class result (``None``), not an error.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, MalformedTableError
@@ -18,27 +22,55 @@ from .errors import BuildError, MalformedTableError
 # posets
 
 
+def _mask(subset) -> int:
+    mask = 0
+    for i in subset:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FinPoset:
+    """A finite poset on indices ``0..n-1``.
+
+    The constructor derives, for each element ``i``, the bitmasks ``up[i]``
+    (bit ``j`` set iff ``i <= j``) and ``down[i]`` (bit ``j`` set iff
+    ``j <= i``); the order laws, joins and meets are read off these.
+    """
+
     elements: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.elements)
         if len(self.leq) != n or any(len(row) != n for row in self.leq):
             raise MalformedTableError("leq matrix shape does not match elements")
+        up = [sum(1 << j for j, v in enumerate(row) if v) for row in self.leq]
+        down = [sum(1 << i for i in range(n) if self.leq[i][j]) for j in range(n)]
         for i in range(n):
-            if not self.leq[i][i]:
+            if not up[i] >> i & 1:
                 raise BuildError(f"leq not reflexive at {self.elements[i]}")
+        # the first offender in (i, j) order, as a scan over (i, j, k) finds it:
+        # for each j above i, i is not above j and everything above j is above i
         for i in range(n):
-            for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
+            for j in _bits(up[i]):
+                if i != j and up[j] >> i & 1:
                     raise BuildError(
                         f"leq not antisymmetric on {self.elements[i]}, {self.elements[j]}")
-                for k in range(n):
-                    if self.leq[i][j] and self.leq[j][k] and not self.leq[i][k]:
-                        raise BuildError(
-                            f"leq not transitive via {self.elements[j]}")
+                if up[j] & ~up[i]:
+                    raise BuildError(f"leq not transitive via {self.elements[j]}")
+        object.__setattr__(self, "up", tuple(up))
+        object.__setattr__(self, "down", tuple(down))
 
     @staticmethod
     def from_pairs(elements, pairs) -> "FinPoset":
@@ -76,22 +108,43 @@ class FinPoset:
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]
 
-    def upper_bounds(self, subset) -> list[int]:
-        return [u for u in range(len(self)) if all(self.leq[i][u] for i in subset)]
+    @cached_property
+    def _by_up(self) -> dict[int, int]:
+        return {mask: i for i, mask in enumerate(self.up)}
 
-    def lower_bounds(self, subset) -> list[int]:
-        return [u for u in range(len(self)) if all(self.leq[u][i] for i in subset)]
+    @cached_property
+    def _by_down(self) -> dict[int, int]:
+        return {mask: i for i, mask in enumerate(self.down)}
 
     def join(self, subset) -> int | None:
-        """Least upper bound of a set of indices, or None."""
-        ubs = self.upper_bounds(subset)
-        least = [u for u in ubs if all(self.leq[u][v] for v in ubs)]
-        return least[0] if least else None
+        """Least upper bound of a set of indices, or None.
+
+        The common upper bounds of ``subset`` are the AND of its up-masks;
+        the least of them is the element whose own up-mask is exactly that.
+        """
+        common = (1 << len(self)) - 1
+        for i in subset:
+            common &= self.up[i]
+        return self._by_up.get(common)
 
     def meet(self, subset) -> int | None:
-        lbs = self.lower_bounds(subset)
-        greatest = [u for u in lbs if all(self.leq[v][u] for v in lbs)]
-        return greatest[0] if greatest else None
+        """Greatest lower bound of a set of indices, or None; dual to join."""
+        common = (1 << len(self)) - 1
+        for i in subset:
+            common &= self.down[i]
+        return self._by_down.get(common)
+
+    @cached_property
+    def join_table(self) -> tuple[tuple[int | None, ...], ...]:
+        """``join_table[i][j]`` is the join of i and j, or None."""
+        by_up, up = self._by_up, self.up
+        return tuple(tuple(by_up.get(ui & uj) for uj in up) for ui in up)
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int | None, ...], ...]:
+        """``meet_table[i][j]`` is the meet of i and j, or None."""
+        by_down, down = self._by_down, self.down
+        return tuple(tuple(by_down.get(di & dj) for dj in down) for di in down)
 
     def bottom(self) -> int | None:
         return self.join(())
@@ -100,16 +153,18 @@ class FinPoset:
         return self.meet(())
 
     def maximal(self, subset) -> list[int]:
-        return [i for i in subset
-                if not any(j != i and self.leq[i][j] for j in subset)]
+        mask = _mask(subset)
+        return [i for i in subset if self.up[i] & mask == 1 << i]
 
     def down_closure(self, subset) -> frozenset[int]:
-        return frozenset(i for i in range(len(self))
-                         if any(self.leq[i][j] for j in subset))
+        closure = 0
+        for j in subset:
+            closure |= self.down[j]
+        return frozenset(_bits(closure))
 
     def is_downset(self, subset) -> bool:
-        sub = set(subset)
-        return all(i in sub for j in sub for i in range(len(self)) if self.leq[i][j])
+        mask = _mask(subset)
+        return all(self.down[j] | mask == mask for j in _bits(mask))
 
     def is_directed(self, subset, include_empty: bool = True) -> bool:
         subset = list(subset)
@@ -119,13 +174,11 @@ class FinPoset:
                    for a in subset for b in subset)
 
     def is_lattice(self) -> bool:
-        n = len(self)
-        if n == 0:
+        if len(self) == 0:
             return False
-        pairs = itertools.combinations_with_replacement(range(n), 2)
         return (self.bottom() is not None and self.top() is not None
-                and all(self.join((i, j)) is not None and self.meet((i, j)) is not None
-                        for i, j in pairs))
+                and all(None not in row for row in self.join_table)
+                and all(None not in row for row in self.meet_table))
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j): i < j with nothing strictly between."""
@@ -152,9 +205,7 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> tuple[int, ...] | None:
         return None
 
     def profile(poset, i):
-        down = sum(poset.leq[j][i] for j in range(len(poset)))
-        up = sum(poset.leq[i][j] for j in range(len(poset)))
-        return (down, up)
+        return (poset.down[i].bit_count(), poset.up[i].bit_count())
 
     p_prof = [profile(p, i) for i in range(n)]
     q_prof = [profile(q, i) for i in range(n)]
@@ -216,21 +267,16 @@ class Semilattice:
 
     @staticmethod
     def from_poset(poset: FinPoset) -> "Semilattice":
-        n = len(poset)
         top = poset.top()
         if top is None:
             raise BuildError("poset has no top element")
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                meet = poset.meet((i, j))
-                if meet is None:
-                    raise BuildError(
-                        f"no meet of {poset.elements[i]} and {poset.elements[j]}")
-                row.append(meet)
-            table.append(tuple(row))
-        return Semilattice(poset, tuple(table), top)
+        table = poset.meet_table
+        for i, row in enumerate(table):
+            if None in row:
+                j = row.index(None)
+                raise BuildError(
+                    f"no meet of {poset.elements[i]} and {poset.elements[j]}")
+        return Semilattice(poset, table, top)
 
     @property
     def elements(self):
@@ -270,15 +316,15 @@ class Quantale:
         # distributivity over all joins reduces, over a finite lattice, to
         # binary joins and the bottom element
         bot = self.poset.bottom()
-        join = self.poset.join
+        join = self.poset.join_table
         for i in range(n):
             if m[i][bot] != bot or m[bot][i] != bot:
                 raise BuildError("multiplication does not preserve bottom")
             for j in range(n):
                 for k in range(n):
-                    if m[i][join((j, k))] != join((m[i][j], m[i][k])):
+                    if m[i][join[j][k]] != join[m[i][j]][m[i][k]]:
                         raise BuildError("left distributivity fails")
-                    if m[join((j, k))][i] != join((m[j][i], m[k][i])):
+                    if m[join[j][k]][i] != join[m[j][i]][m[k][i]]:
                         raise BuildError("right distributivity fails")
         object.__setattr__(
             self, "commutative",
@@ -354,20 +400,27 @@ def downsets(lat: Semilattice | FinPoset, caps: Caps = DEFAULT_CAPS) -> DownsetL
     This is the free completion of a finite semilattice to a frame; the
     result is checked to be a frame and the embedding to preserve finite
     meets and the top.
+
+    The downsets are enumerated directly as bitmasks: taking the elements
+    in a linear extension (by size of down-set), every downset of the
+    elements seen so far is kept, and also extended by the next element
+    when that element's strict down-set lies inside it.  Each downset is
+    produced exactly once, so the work is proportional to their number.
     """
     base = lat.poset if isinstance(lat, Semilattice) else lat
     n = len(base)
     caps.check("max_downset_base", n)
-    all_sets = []
-    for bits in itertools.product((False, True), repeat=n):
-        subset = frozenset(i for i in range(n) if bits[i])
-        if base.is_downset(subset):
-            all_sets.append(subset)
-    all_sets.sort(key=lambda s: (len(s), sorted(s)))
+    masks = [0]
+    for i in sorted(range(n), key=lambda i: base.down[i].bit_count()):
+        below = base.down[i] & ~(1 << i)
+        masks += [m | 1 << i for m in masks if m & below == below]
+    masks.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
+    all_sets = [frozenset(_bits(m)) for m in masks]
     labels = [_downset_label(base, s) for s in all_sets]
-    leq = tuple(tuple(a <= b for b in all_sets) for a in all_sets)
+    leq = tuple(tuple(a & b == a for b in masks) for a in masks)
     poset = FinPoset(tuple(labels), leq)
-    embedding = tuple(all_sets.index(base.down_closure((i,))) for i in range(n))
+    position = {m: k for k, m in enumerate(masks)}
+    embedding = tuple(position[base.down[i]] for i in range(n))
     result = DownsetLattice(base, tuple(all_sets), poset, embedding)
     if not is_frame(poset, caps=caps):
         raise BuildError("downset lattice failed the frame laws")
@@ -463,14 +516,13 @@ def is_distributive(lat: Semilattice | FinPoset) -> bool:
     poset = lat.poset if isinstance(lat, Semilattice) else lat
     if not poset.is_lattice():
         return False
-    n = len(poset)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = poset.meet((x, poset.join((y, z))))
-                rhs = poset.join((poset.meet((x, y)), poset.meet((x, z))))
-                if lhs != rhs:
-                    return False
+    join, meet = poset.join_table, poset.meet_table
+    for meet_x in meet:
+        for y, join_y in enumerate(join):
+            # the law for every z at once, as rows indexed by z
+            join_xy = join[meet_x[y]]
+            if [meet_x[j] for j in join_y] != [join_xy[m] for m in meet_x]:
+                return False
     return True
 
 
@@ -496,14 +548,15 @@ def is_frame_exhaustive(lat: Semilattice | FinPoset,
         return False
     n = len(poset)
     caps.check("max_subunit_family_base", n)
+    meet = poset.meet_table
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             sup = poset.join(subset)
             if sup is None:
                 return False
             for x in range(n):
-                distributed = poset.join(tuple(poset.meet((x, s)) for s in subset))
-                if poset.meet((x, sup)) != distributed:
+                distributed = poset.join(tuple(meet[x][s] for s in subset))
+                if meet[x][sup] != distributed:
                     return False
     return True
 
@@ -517,7 +570,8 @@ def is_preframe(lat: Semilattice | FinPoset, include_empty: bool = True,
     caps.check("max_subunit_family_base", n)
     if poset.top() is None:
         return False
-    if any(poset.meet((i, j)) is None for i in range(n) for j in range(n)):
+    meet = poset.meet_table
+    if any(None in row for row in meet):
         return False
     for size in range(0 if include_empty else 1, n + 1):
         for subset in itertools.combinations(range(n), size):
@@ -527,7 +581,7 @@ def is_preframe(lat: Semilattice | FinPoset, include_empty: bool = True,
             if sup is None:
                 return False
             for x in range(n):
-                distributed = poset.join(tuple(poset.meet((x, s)) for s in subset))
-                if poset.meet((x, sup)) != distributed:
+                distributed = poset.join(tuple(meet[x][s] for s in subset))
+                if meet[x][sup] != distributed:
                     return False
     return True

@@ -10,8 +10,7 @@ element times column element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import jsonschema
+from functools import cache
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import MalformedTableError
@@ -107,12 +106,28 @@ class DocumentError(Exception):
     """Schema-level problem in an input document, with a location."""
 
 
+@cache
+def _validator(name: str):
+    """The validator of one schema, built (and the schema checked against
+    its metaschema) on first use; jsonschema is imported only then."""
+    from jsonschema.validators import validator_for
+    schema = {"category": CATEGORY_SCHEMA, "presheaf": PRESHEAF_SCHEMA}[name]
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(data: object, name: str) -> None:
+    """Raise DocumentError for the error ``jsonschema.validate`` would raise."""
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator(name).iter_errors(data))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise DocumentError(f"at {path}: {error.message}") from error
+
+
 def parse_category_document(data: object) -> CategoryDocument:
-    try:
-        jsonschema.validate(data, CATEGORY_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise DocumentError(f"at {path}: {exc.message}") from exc
+    _validate(data, "category")
     payload = dict(data)
     return CategoryDocument(payload.pop("kind"), payload.pop("name"), payload)
 
@@ -265,11 +280,7 @@ def parse_presheaf_document(data: object, mc: MonoidalCategory):
     """A presheaf document against a built category: values per object
     label, action per morphism label mapping target elements back."""
     from .daycat import Presheaf, check_presheaf
-    try:
-        jsonschema.validate(data, PRESHEAF_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise DocumentError(f"at {path}: {exc.message}") from exc
+    _validate(data, "presheaf")
     obj_index = {mc.obj_label(a): a for a in range(len(mc.objects))}
     values: list[tuple] = [()] * len(mc.objects)
     for label, elems in data["values"].items():

@@ -189,6 +189,13 @@ def test_exit_code_cap_exceeded(capsys, emitted):
     assert "max_objects" in err
 
 
+def test_exit_code_unknown_cap_is_usage_error(capsys, emitted):
+    path = emitted("b2")
+    code, _, err = run_cli(capsys, "--cap", "max_objcts=3", "subunits", path)
+    assert code == 2
+    assert "unknown cap 'max_objcts'" in err
+
+
 def test_env_caps(capsys, emitted, monkeypatch):
     path = emitted("q3")
     monkeypatch.setenv("TTW_MAX_OBJECTS", "2")

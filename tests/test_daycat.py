@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_cached, obj_by_label
+from conftest import boolean_category, build_cached, obj_by_label
 from ttw.daycat import (Presheaf, broad_category, broad_presheaf,
                         check_presheaf, completion_has_no_terminal,
                         coproduct_of_representables, day_tensor, day_tensor_mor,
                         day_unitors, extend_functor, identity_nat, is_natural,
                         make_broad_spec, nat_transformations, presheaf_subunits,
                         presheaves_isomorphic, yoneda)
-from ttw.errors import BuildError
+from ttw.errors import BuildError, CapExceededError
 from ttw.fincat import CatFunctor, from_quantale, identity_functor, objects_isomorphic
 from ttw.gallery import boolean2x2_semilattice
 from ttw.orderkit import (Quantale, Semilattice, directed_downsets, downsets,
@@ -321,6 +321,19 @@ def test_broad_tensor_lemma():
                             pairs.append(values.pop())
                         assert len(set(pairs)) == len(pairs)
                         assert set(pairs) == set(rhs.values[a])
+
+
+def test_b3_completion_caps_name_the_size_that_is_over():
+    mc = boolean_category(3)
+    # 9 directed families times 8 objects: refused before the tables are built
+    with pytest.raises(CapExceededError) as exc:
+        broad_category(mc, "directed")
+    assert (exc.value.cap_name, exc.value.limit, exc.value.actual) == ("max_objects", 64, 72)
+    # 20 families times 8 objects is over max_objects too, but the cocone
+    # sweep, which counts the morphisms, comes first
+    with pytest.raises(CapExceededError) as exc:
+        broad_category(mc, "finite")
+    assert exc.value.cap_name == "max_morphisms"
 
 
 def test_broad_spec_validation(q3):

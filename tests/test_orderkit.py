@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scan_join, scan_meet, shuffled_posets
 from ttw.errors import BuildError
 from ttw.gallery import (b2_semilattice, boolean2x2_semilattice, c3_semilattice,
                          m3_semilattice, q3_quantale, zero_one_monoid)
@@ -204,3 +205,158 @@ def test_directed_downsets_are_empty_or_principal(poset):
             assert poset.down_closure(maxima) == s
         else:
             assert s == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the mask-and-table kernel against scan oracles
+
+
+def scan_is_lattice(poset):
+    n = len(poset)
+    return (n > 0 and scan_join(poset, ()) is not None
+            and scan_meet(poset, ()) is not None
+            and all(scan_join(poset, (i, j)) is not None
+                    and scan_meet(poset, (i, j)) is not None
+                    for i in range(n) for j in range(n)))
+
+
+def scan_is_distributive(poset):
+    n = len(poset)
+    return scan_is_lattice(poset) and all(
+        scan_meet(poset, (x, scan_join(poset, (y, z))))
+        == scan_join(poset, (scan_meet(poset, (x, y)), scan_meet(poset, (x, z))))
+        for x in range(n) for y in range(n) for z in range(n))
+
+
+def scan_is_frame_exhaustive(poset):
+    """The frame law over every subset, on the scan oracles."""
+    if not scan_is_lattice(poset):
+        return False
+    n = len(poset)
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            sup = scan_join(poset, subset)
+            for x in range(n):
+                distributed = scan_join(poset, [scan_meet(poset, (x, s)) for s in subset])
+                if scan_meet(poset, (x, sup)) != distributed:
+                    return False
+    return True
+
+
+def brute_downsets(poset):
+    """Every subset closed downward under ``leq``, in the documented order."""
+    n = len(poset)
+    subsets = [frozenset(i for i in range(n) if bits >> i & 1) for bits in range(1 << n)]
+    found = [s for s in subsets
+             if all(i in s for j in s for i in range(n) if poset.leq[i][j])]
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def scan_order_error(elements, leq):
+    """The message of the first order law broken, checked in (i, j, k)
+    order, or None for a lawful matrix."""
+    n = len(elements)
+    for i in range(n):
+        if not leq[i][i]:
+            return f"leq not reflexive at {elements[i]}"
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return f"leq not antisymmetric on {elements[i]}, {elements[j]}"
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    return f"leq not transitive via {elements[j]}"
+    return None
+
+
+@st.composite
+def closure_lattices(draw):
+    """Intersection-closed families of subsets of {0, 1, 2} that hold the
+    whole set, by inclusion, listed in a shuffled order: lattices, some of
+    them not distributive."""
+    family = {frozenset(range(3))}
+    family |= set(draw(st.lists(st.frozensets(st.integers(0, 2)), max_size=6)))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    sets = draw(st.permutations(sorted(family, key=sorted)))
+    labels = ["s" + "".join(map(str, sorted(s))) for s in sets]
+    return FinPoset.from_pairs(labels, [(labels[i], labels[j])
+                                        for i, a in enumerate(sets)
+                                        for j, b in enumerate(sets) if a < b])
+
+
+any_posets = st.one_of(shuffled_posets(), closure_lattices())
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_posets, st.data())
+def test_joins_and_meets_match_scan(poset, data):
+    n = len(poset)
+    assert poset.bottom() == scan_join(poset, ())
+    assert poset.top() == scan_meet(poset, ())
+    for i in range(n):
+        for j in range(n):
+            assert poset.join_table[i][j] == scan_join(poset, (i, j)) == poset.join((i, j))
+            assert poset.meet_table[i][j] == scan_meet(poset, (i, j)) == poset.meet((i, j))
+    subset = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    assert poset.join(subset) == scan_join(poset, subset)
+    assert poset.meet(subset) == scan_meet(poset, subset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_posets)
+def test_lattice_and_distributivity_match_scan(poset):
+    assert poset.is_lattice() == scan_is_lattice(poset)
+    assert is_distributive(poset) == scan_is_distributive(poset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(closure_lattices(),
+                 shuffled_posets(max_size=3).map(lambda p: downsets(p).poset)))
+def test_is_frame_matches_exhaustive_scan(poset):
+    assert is_frame(poset) == scan_is_frame_exhaustive(poset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_posets())
+def test_downsets_match_brute_force(poset):
+    dl = downsets(poset)
+    want = brute_downsets(poset)
+    assert list(dl.sets) == want
+    assert dl.poset.elements == tuple(
+        "{" + ",".join(poset.elements[i] for i in sorted(s)) + "}" if s else "{}"
+        for s in want)
+    assert dl.poset.leq == tuple(tuple(a <= b for b in want) for a in want)
+    n = len(poset)
+    assert dl.embedding == tuple(
+        want.index(frozenset(i for i in range(n) if poset.leq[i][j])) for j in range(n))
+
+
+@st.composite
+def leq_matrices(draw):
+    """Square boolean matrices near a partial order: the diagonal is
+    mostly set and most pairs are related one way or not at all."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    leq = [[False] * n for _ in range(n)]
+    for i in range(n):
+        leq[i][i] = draw(st.integers(0, 9)) > 0
+        for j in range(i + 1, n):
+            way = draw(st.sampled_from(["", "", "<", ">", "<", ">", "<>"]))
+            leq[i][j], leq[j][i] = "<" in way, ">" in way
+    return tuple(f"e{i}" for i in range(n)), tuple(map(tuple, leq))
+
+
+@settings(max_examples=150, deadline=None)
+@given(leq_matrices())
+def test_malformed_leq_raises_the_scan_order_message(case):
+    elements, leq = case
+    want = scan_order_error(elements, leq)
+    if want is None:
+        FinPoset(elements, leq)
+    else:
+        with pytest.raises(BuildError) as exc:
+            FinPoset(elements, leq)
+        assert str(exc.value) == want

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from conftest import mor_by_label
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import boolean_category, mor_by_label, scan_join, shuffled_posets
 from ttw.errors import BuildError
-from ttw.orderkit import FinPoset
+from ttw.orderkit import FinPoset, downsets
 from ttw.restriction import restricting_subunits
 from ttw.subunits import subunit_semilattice
-from ttw.support import (canonical_support, canonical_support_datum,
+from ttw.support import (_join_failure, canonical_support, canonical_support_datum,
                          support_datum_from_monotone, verify_support_laws)
 
 
@@ -101,6 +105,16 @@ def test_support_laws_on_gallery(gallery_category):
     assert verify_support_laws(mc, datum).holds
 
 
+@pytest.mark.parametrize("atoms", [3, 4])
+def test_support_laws_on_boolean_lattices(atoms):
+    # B3 has 20 downsets of subunits and B4 168: past any sweep over
+    # families of downsets
+    mc = boolean_category(atoms)
+    datum, dl = canonical_support_datum(mc)
+    assert len(dl.sets) == {3: 20, 4: 168}[atoms]
+    assert verify_support_laws(mc, datum).holds
+
+
 def test_supp_of_composites_and_tensors_bounded(gallery_category):
     name, mc = gallery_category
     lat = subunit_semilattice(mc)
@@ -126,3 +140,71 @@ def test_restriction_preorder_functoriality(q3):
         for g in q3.morphisms:
             if table[g.mid] <= table[f.mid]:
                 assert datum.target.leq[datum.value(f.mid)][datum.value(g.mid)]
+
+
+# ---------------------------------------------------------------------------
+# join preservation: the bottom-and-pairs check against the full sweep
+
+FULL_SWEEP_LIMIT = 12  # the max_subunit_family_base cap the sweep once had
+
+
+def full_sweep_join_failure(dl, factor, target):
+    """The first family of downsets, by size and then in ``combinations``
+    order, whose union's image is not the join of its members' images."""
+    n = len(dl.sets)
+    for size in range(n + 1):
+        for family in itertools.combinations(range(n), size):
+            union = frozenset().union(*(dl.sets[k] for k in family))
+            if factor[dl.sets.index(union)] != scan_join(
+                    target, [factor[k] for k in family]):
+                return family
+    return None
+
+
+def gallery_datums(mc):
+    lat = subunit_semilattice(mc)
+    canonical, _ = canonical_support_datum(mc, lat=lat)
+    two = FinPoset.chain(["lo", "hi"])
+    bottom = lat.bottom()
+    collapsed = support_datum_from_monotone(
+        mc, two, [0 if i == bottom else 1 for i in range(len(lat))], lat=lat)
+    return lat, (canonical, collapsed)
+
+
+def test_join_preservation_matches_full_sweep_on_gallery(gallery_category):
+    name, mc = gallery_category
+    lat, datums = gallery_datums(mc)
+    dl = downsets(lat.lattice)
+    assert len(dl.sets) <= FULL_SWEEP_LIMIT
+    for datum in datums:
+        factor = [scan_join(datum.target, [datum.on_subunits[s] for s in d])
+                  for d in dl.sets]
+        assert full_sweep_join_failure(dl, factor, datum.target) is None
+        assert _join_failure(dl, factor, datum.target) is None
+        assert verify_support_laws(mc, datum).holds
+
+
+@st.composite
+def factoring_maps(draw):
+    """A map from the downsets of a small poset into another poset: the
+    join of the images of a random map on elements where that join exists,
+    arbitrary elsewhere, and sometimes one entry moved."""
+    dl = downsets(draw(shuffled_posets(max_size=4)))
+    assume(len(dl.sets) <= 10)
+    target = draw(shuffled_posets(max_size=4))
+    pick = st.integers(0, len(target) - 1)
+    on_base = [draw(pick) for _ in dl.base.elements]
+    factor = []
+    for d in dl.sets:
+        sup = scan_join(target, [on_base[i] for i in d])
+        factor.append(draw(pick) if sup is None else sup)
+    if draw(st.booleans()):
+        factor[draw(st.integers(0, len(factor) - 1))] = draw(pick)
+    return dl, factor, target
+
+
+@settings(max_examples=100, deadline=None)
+@given(factoring_maps())
+def test_join_preservation_matches_full_sweep_on_generated_maps(case):
+    dl, factor, target = case
+    assert _join_failure(dl, factor, target) == full_sweep_join_failure(dl, factor, target)
