@@ -123,15 +123,13 @@ def _build(path: str, caps: Caps) -> tuple[MonoidalCategory, str]:
     return build_category(doc, caps=caps), doc.name
 
 
-def _resolve_subunit(mc: MonoidalCategory, lat: SubunitSemilattice, name: str) -> int:
-    for k, s in enumerate(lat.subunits):
-        if mc.obj_label(s.domain) == name:
-            return k
+def _resolve_subunit(lat: SubunitSemilattice, name: str) -> int:
+    names = lat.lattice.elements
+    if name in names:
+        return names.index(name)
     if name.isdigit() and int(name) < len(lat):
         return int(name)
-    raise UnknownNameError(
-        f"unknown subunit {name!r}; have "
-        f"{[mc.obj_label(s.domain) for s in lat.subunits]}")
+    raise UnknownNameError(f"unknown subunit {name!r}; have {list(names)}")
 
 
 def _resolve_morphism(mc: MonoidalCategory, name: str) -> int:
@@ -148,10 +146,6 @@ def _resolve_morphism(mc: MonoidalCategory, name: str) -> int:
     raise UnknownNameError(f"unknown morphism {name!r}")
 
 
-def _subunit_names(mc: MonoidalCategory, lat: SubunitSemilattice) -> list[str]:
-    return [mc.obj_label(s.domain) for s in lat.subunits]
-
-
 def _report_property(prop) -> dict:
     out = {"holds": prop.holds}
     if prop.witness:
@@ -164,12 +158,12 @@ def _report_property(prop) -> dict:
 def cmd_subunits(args, caps: Caps) -> Report:
     mc, name = _build(args.file, caps)
     lat = subunit_semilattice(mc)
+    names = lat.lattice.elements
     results = {
         "count": len(lat),
-        "subunits": _subunit_names(mc, lat),
-        "top": mc.obj_label(lat.subunits[lat.top].domain),
-        "order": [[mc.obj_label(lat.subunits[i].domain),
-                   mc.obj_label(lat.subunits[j].domain)]
+        "subunits": list(names),
+        "top": names[lat.top],
+        "order": [[names[i], names[j]]
                   for i in range(len(lat)) for j in range(len(lat))
                   if i != j and lat.leq[i][j]],
     }
@@ -209,7 +203,7 @@ def cmd_restrict(args, caps: Caps) -> Report:
     from .restriction import restriction_category
     mc, name = _build(args.file, caps)
     lat = subunit_semilattice(mc)
-    k = _resolve_subunit(mc, lat, args.subunit)
+    k = _resolve_subunit(lat, args.subunit)
     result = restriction_category(mc, lat.subunits[k], caps=caps)
     sub = result.subcategory
     return Report("restrict", name, {
@@ -230,7 +224,7 @@ def cmd_localise(args, caps: Caps) -> Report:
         loc = simple_quotient(mc, caps=caps)
         mode = "simple"
     else:
-        k = _resolve_subunit(mc, lat, args.subunit)
+        k = _resolve_subunit(lat, args.subunit)
         loc = localise(mc, sigma(mc, [lat.subunits[k]], caps=caps), caps=caps)
         mode = f"subunit {args.subunit}"
     cat = loc.category
@@ -254,11 +248,11 @@ def cmd_support(args, caps: Caps) -> Report:
     lat = subunit_semilattice(mc)
     f = _resolve_morphism(mc, args.morphism)
     result = canonical_support(mc, f, lat=lat)
+    names = lat.lattice.elements
     return Report("support", name, {
         "morphism": mc.mor_label(f),
-        "supp": mc.obj_label(lat.subunits[result.supp].domain),
-        "canonical_downset": [mc.obj_label(lat.subunits[i].domain)
-                              for i in sorted(result.canonical)],
+        "supp": names[result.supp],
+        "canonical_downset": [names[i] for i in sorted(result.canonical)],
     })
 
 
@@ -272,7 +266,7 @@ def cmd_complete(args, caps: Caps) -> Report:
         "flavour": args.flavour,
         "objects": len(cat.objects),
         "morphisms": len(cat.morphisms),
-        "subunits": _subunit_names(cat, lat2),
+        "subunits": list(lat2.lattice.elements),
         "embedding": {mc.obj_label(a):
                       cat.obj_label(completion.embedding.on_obj(a))
                       for a in range(len(mc.objects))},

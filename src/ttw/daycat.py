@@ -24,10 +24,11 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, FinCategory, MonoidalCategory, MonoidalData,
                      Morphism, assert_valid, factors_through, terminal_object)
-from .orderkit import (directed_downsets, downsets, finitely_bounded_downsets)
+from .orderkit import (_downset_label, directed_downsets, downsets,
+                       finitely_bounded_downsets)
 from .restriction import restricts_to
 from .subunits import (SubunitSemilattice, _tensor_left, _tensor_right,
-                       is_stiff, subunit_semilattice)
+                       d_diagram, is_stiff, subunit_semilattice)
 
 Triple = tuple[int, int, int, int, int]  # (B, C, h, x-index, y-index)
 
@@ -78,18 +79,24 @@ def presheaf_cap_check(p: Presheaf, caps: Caps) -> None:
         caps.check("max_presheaf_values", p.size(a))
 
 
+def _precomposition_presheaf(mc: MonoidalCategory, values) -> Presheaf:
+    """The presheaf whose values at each object are morphisms out of it,
+    with precomposition as the action; checked functorial."""
+    index = [{m: i for i, m in enumerate(row)} for row in values]
+    action = {}
+    for f in mc.morphisms:
+        action[f.mid] = tuple(index[f.dom][mc.compose(m, f.mid)]
+                              for m in values[f.cod])
+    p = Presheaf(mc, tuple(values), action)
+    check_presheaf(p)
+    return p
+
+
 def yoneda(mc: MonoidalCategory, a: int) -> Presheaf:
     """The representable presheaf of an object: morphisms into it, with
     precomposition as the action."""
-    values = tuple(tuple(mc.hom(b, a)) for b in range(len(mc.objects)))
-    action = {}
-    for f in mc.morphisms:
-        row = values[f.cod]
-        index_dom = {m: i for i, m in enumerate(values[f.dom])}
-        action[f.mid] = tuple(index_dom[mc.compose(m, f.mid)] for m in row)
-    p = Presheaf(mc, values, action)
-    check_presheaf(p)
-    return p
+    return _precomposition_presheaf(
+        mc, [tuple(mc.hom(b, a)) for b in range(len(mc.objects))])
 
 
 def coproduct_of_representables(mc: MonoidalCategory, tags: list[int]) -> Presheaf:
@@ -349,15 +356,8 @@ class Sieve:
 
 
 def sieve_presheaf(mc: MonoidalCategory, sieve: Sieve) -> Presheaf:
-    values = tuple(sieve.at(mc, a) for a in range(len(mc.objects)))
-    index = [{m: i for i, m in enumerate(row)} for row in values]
-    action = {}
-    for f in mc.morphisms:
-        action[f.mid] = tuple(index[f.dom][mc.compose(m, f.mid)]
-                              for m in values[f.cod])
-    p = Presheaf(mc, values, action)
-    check_presheaf(p)
-    return p
+    return _precomposition_presheaf(
+        mc, [sieve.at(mc, a) for a in range(len(mc.objects))])
 
 
 def all_sieves_on_unit(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> list[Sieve]:
@@ -444,16 +444,13 @@ class BroadSpec:
 def make_broad_spec(lat: SubunitSemilattice, family, obj: int, flavour: str,
                     include_empty: bool = True) -> BroadSpec:
     family = tuple(sorted(set(family)))
-    fam = set(family)
-    closed = all(i in fam for j in fam for i in range(len(lat)) if lat.leq[i][j])
-    if not closed:
+    poset = lat.lattice.poset
+    if not poset.is_downset(family):
         raise BuildError("broad family is not downward closed")
     if flavour == "directed":
         if not family and not include_empty:
             raise BuildError("empty family excluded under this convention")
-        if family and not all(
-                any(lat.leq[a][c] and lat.leq[b][c] for c in family)
-                for a in family for b in family):
+        if not poset.is_directed(family):
             raise BuildError("broad family is not directed")
     elif flavour not in ("finite", "all"):
         raise ValueError(f"unknown flavour {flavour!r}")
@@ -470,14 +467,7 @@ def broad_presheaf(mc: MonoidalCategory, lat: SubunitSemilattice,
         values.append(tuple(
             f for f in mc.hom(a, spec.obj)
             if any(restricts_to(mc, f, s) is not None for s in fam)))
-    index = [{m: i for i, m in enumerate(row)} for row in values]
-    action = {}
-    for f in mc.morphisms:
-        action[f.mid] = tuple(index[f.dom][mc.compose(m, f.mid)]
-                              for m in values[f.cod])
-    p = Presheaf(mc, tuple(values), action)
-    check_presheaf(p)
-    return p
+    return _precomposition_presheaf(mc, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,33 +531,15 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
              for fam in sorted(families) for x in range(len(mc.objects))]
     spec_index = {(s.family, s.obj): k for k, s in enumerate(specs)}
 
-    node_obj = {}
-    for spec in specs:
-        node_obj[spec.family, spec.obj] = tuple(
-            mc.tensor_obj(lat.subunits[i].domain, spec.obj)
-            for i in spec.family)
-
-    def diagram_edges(spec: BroadSpec):
-        nodes = node_obj[spec.family, spec.obj]
-        edges = []
-        for ai, i in enumerate(spec.family):
-            six = _tensor_right(mc, lat.subunits[i].rep, spec.obj)
-            for bj, j in enumerate(spec.family):
-                sjx = _tensor_right(mc, lat.subunits[j].rep, spec.obj)
-                for f in mc.hom(nodes[ai], nodes[bj]):
-                    if mc.compose(sjx, f) == six:
-                        edges.append((ai, bj, f))
-        return edges
-
-    edges_cache = {(s.family, s.obj): diagram_edges(s) for s in specs}
+    diagrams = {s: d_diagram(mc, lat, s.family, s.obj) for s in specs}
 
     def hom_cocones(src: BroadSpec, dst: BroadSpec) -> list[tuple[int, ...]]:
-        nodes = node_obj[src.family, src.obj]
+        diagram = diagrams[src]
         fam_dst = [lat.subunits[i] for i in dst.family]
         candidate_legs = []
         count = 1
-        for ai, i in enumerate(src.family):
-            legs = [c for c in mc.hom(nodes[ai], dst.obj)
+        for node in diagram.nodes:
+            legs = [c for c in mc.hom(node, dst.obj)
                     if any(restricts_to(mc, c, t) is not None for t in fam_dst)]
             count *= len(legs)
             candidate_legs.append(legs)
@@ -577,7 +549,7 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
         out = []
         for legs in itertools.product(*candidate_legs):
             if all(mc.compose(legs[bj], f) == legs[ai]
-                   for ai, bj, f in edges_cache[src.family, src.obj]):
+                   for ai, bj, f in diagram.edges):
                 out.append(tuple(legs))
         return out
 
@@ -631,15 +603,13 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
             if a2 != b1:
                 continue
             compose[(kb, ka)] = compose_cocones(kb, ka)
-    cat = FinCategory(tuple(f"{_family_label(mc, lat, s.family)}"
+    cat = FinCategory(tuple(f"{_downset_label(lat.lattice.poset, s.family)}"
                             f"[{mc.obj_label(s.obj)}]" for s in specs),
                       morphisms, tuple(identity), compose)
 
     def tensor_family(fu, fv):
         meets = {lat.meet(i, j) for i in fu for j in fv}
-        closed = {i for i in range(len(lat))
-                  if any(lat.leq[i][j] for j in meets)}
-        return tuple(sorted(closed))
+        return tuple(sorted(lat.lattice.poset.down_closure(meets)))
 
     t_obj_idx = []
     for s1 in specs:
@@ -649,59 +619,17 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
             row.append(spec_index[(fam, mc.tensor_obj(s1.obj, s2.obj))])
         t_obj_idx.append(tuple(row))
 
-    # the leg of the tensor at a family member r factors r through one
-    # meet of the two families, shuffles the middle factors with the
-    # braiding, and applies the two given legs; everything except the
-    # legs depends only on the spec pair, so precompute those prefixes
     prefix_cache: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
-
-    def tensor_prefixes(ks1: int, ks2: int):
-        if (ks1, ks2) in prefix_cache:
-            return prefix_cache[(ks1, ks2)]
-        su, sv = specs[ks1], specs[ks2]
-        src_spec = specs[t_obj_idx[ks1][ks2]]
-        out = []
-        for r in src_spec.family:
-            rsub = lat.subunits[r]
-            chosen = None
-            for ui, i in enumerate(su.family):
-                for vj, j in enumerate(sv.family):
-                    if not lat.leq[r][lat.meet(i, j)]:
-                        continue
-                    meet_mono = mc.tensor_mor(lat.subunits[i].rep,
-                                              lat.subunits[j].rep)
-                    k = factors_through(mc, rsub.rep, meet_mono)
-                    if k is None:
-                        raise ConsistencyError(
-                            "meet factorisation missing", details={"r": r})
-                    shuffle = mc.tensor_mor(
-                        mc.tensor_mor(
-                            mc.identity(lat.subunits[i].domain),
-                            mc.braiding(lat.subunits[j].domain, su.obj)),
-                        mc.identity(sv.obj))
-                    prefix = mc.compose(
-                        shuffle,
-                        _tensor_right(mc, k, mc.tensor_obj(su.obj, sv.obj)))
-                    chosen = (ui, vj, prefix)
-                    break
-                if chosen is not None:
-                    break
-            if chosen is None:
-                raise ConsistencyError("tensor family member above no meet",
-                                       details={"r": r})
-            out.append(chosen)
-        prefixes = tuple(out)
-        prefix_cache[(ks1, ks2)] = prefixes
-        return prefixes
 
     def tensor_cocones(ka: int, kb: int) -> int:
         a_src, a_dst, a_legs = mor_defs[ka]
         b_src, b_dst, b_legs = mor_defs[kb]
-        legs = []
-        for ui, vj, prefix in tensor_prefixes(a_src, b_src):
-            legs.append(mc.compose(mc.tensor_mor(a_legs[ui], b_legs[vj]),
-                                   prefix))
-        key = (t_obj_idx[a_src][b_src], t_obj_idx[a_dst][b_dst], tuple(legs))
+        if (a_src, b_src) not in prefix_cache:
+            prefix_cache[(a_src, b_src)] = _tensor_leg_prefixes(
+                mc, lat, specs[a_src], specs[b_src],
+                specs[t_obj_idx[a_src][b_src]].family)
+        legs = _tensor_legs(mc, prefix_cache[(a_src, b_src)], a_legs, b_legs)
+        key = (t_obj_idx[a_src][b_src], t_obj_idx[a_dst][b_dst], legs)
         if key not in mor_index:
             raise ConsistencyError("tensor of cocones escaped the hom sets",
                                    details={"key": key})
@@ -769,11 +697,54 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
                            tuple(legs for _, _, legs in mor_defs), embedding)
 
 
-def _family_label(mc: MonoidalCategory, lat: SubunitSemilattice, family) -> str:
-    if not family:
-        return "{}"
-    return "{" + ",".join(mc.obj_label(lat.subunits[i].domain)
-                          for i in family) + "}"
+def _tensor_leg_prefixes(mc: MonoidalCategory, lat: SubunitSemilattice,
+                         su: BroadSpec, sv: BroadSpec,
+                         family) -> tuple[tuple[int, int, int], ...]:
+    """The leg formula of the tensor of two cocone morphisms out of su
+    and sv, up to the legs themselves.
+
+    The leg at a member r of the tensor family factors r through the
+    first meet of the two families above it, shuffles the middle factors
+    with the braiding, and applies the given legs at that pair; per r
+    this returns the positions (ui, vj) of the pair and the prefix, which
+    depend only on the two specs.
+    """
+    out = []
+    for r in family:
+        rsub = lat.subunits[r]
+        chosen = None
+        for ui, i in enumerate(su.family):
+            for vj, j in enumerate(sv.family):
+                if not lat.leq[r][lat.meet(i, j)]:
+                    continue
+                meet_mono = mc.tensor_mor(lat.subunits[i].rep,
+                                          lat.subunits[j].rep)
+                k = factors_through(mc, rsub.rep, meet_mono)
+                if k is None:
+                    raise ConsistencyError(
+                        "meet factorisation missing", details={"r": r})
+                shuffle = mc.tensor_mor(
+                    mc.tensor_mor(
+                        mc.identity(lat.subunits[i].domain),
+                        mc.braiding(lat.subunits[j].domain, su.obj)),
+                    mc.identity(sv.obj))
+                prefix = mc.compose(
+                    shuffle,
+                    _tensor_right(mc, k, mc.tensor_obj(su.obj, sv.obj)))
+                chosen = (ui, vj, prefix)
+                break
+            if chosen is not None:
+                break
+        if chosen is None:
+            raise ConsistencyError("tensor family member above no meet",
+                                   details={"r": r})
+        out.append(chosen)
+    return tuple(out)
+
+
+def _tensor_legs(mc: MonoidalCategory, prefixes, a_legs, b_legs) -> tuple[int, ...]:
+    return tuple(mc.compose(mc.tensor_mor(a_legs[ui], b_legs[vj]), prefix)
+                 for ui, vj, prefix in prefixes)
 
 
 def completion_has_no_terminal(completion: BroadCompletion) -> bool:
@@ -785,42 +756,17 @@ def tensor_of_morphisms_by_legs(completion: BroadCompletion, ka: int,
     """Recompute the tensor of two completion morphisms from the leg
     formula, independently of the thin shortcut used when building the
     table; the two must agree."""
-    mc = completion.source
-    lat = completion.lat
     cat = completion.category
+    specs = completion.specs
     index = {(cat.dom(k), cat.cod(k), completion.cocones[k]): k
              for k in range(len(cat.morphisms))}
-    a_src, a_dst = cat.dom(ka), cat.cod(ka)
-    b_src, b_dst = cat.dom(kb), cat.cod(kb)
-    su, sv = completion.specs[a_src], completion.specs[b_src]
-    src_spec = completion.specs[cat.tensor_obj(a_src, b_src)]
-    legs = []
-    for r in src_spec.family:
-        rsub = lat.subunits[r]
-        leg = None
-        for ui, i in enumerate(su.family):
-            for vj, j in enumerate(sv.family):
-                if not lat.leq[r][lat.meet(i, j)]:
-                    continue
-                meet_mono = mc.tensor_mor(lat.subunits[i].rep,
-                                          lat.subunits[j].rep)
-                k = factors_through(mc, rsub.rep, meet_mono)
-                shuffle = mc.tensor_mor(
-                    mc.tensor_mor(mc.identity(lat.subunits[i].domain),
-                                  mc.braiding(lat.subunits[j].domain, su.obj)),
-                    mc.identity(sv.obj))
-                prefix = mc.compose(
-                    shuffle, _tensor_right(mc, k,
-                                           mc.tensor_obj(su.obj, sv.obj)))
-                leg = mc.compose(
-                    mc.tensor_mor(completion.cocones[ka][ui],
-                                  completion.cocones[kb][vj]), prefix)
-                break
-            if leg is not None:
-                break
-        legs.append(leg)
-    return index[(cat.tensor_obj(a_src, b_src), cat.tensor_obj(a_dst, b_dst),
-                  tuple(legs))]
+    a_src, b_src = cat.dom(ka), cat.dom(kb)
+    src = cat.tensor_obj(a_src, b_src)
+    prefixes = _tensor_leg_prefixes(completion.source, completion.lat,
+                                    specs[a_src], specs[b_src], specs[src].family)
+    legs = _tensor_legs(completion.source, prefixes, completion.cocones[ka],
+                        completion.cocones[kb])
+    return index[(src, cat.tensor_obj(cat.cod(ka), cat.cod(kb)), legs)]
 
 
 # ---------------------------------------------------------------------------

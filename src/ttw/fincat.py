@@ -79,10 +79,14 @@ class MonoidalData:
 
 @dataclass(frozen=True, eq=False)
 class MonoidalCategory:
-    """A finite category bundled with strict braided monoidal data."""
+    """A finite category bundled with strict braided monoidal data.
+
+    ``derived`` holds the facts that depend on nothing but the tables
+    (see ``subunits``), each computed once per category object."""
 
     cat: FinCategory
     mon: MonoidalData
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def unit(self) -> int:
@@ -621,21 +625,30 @@ def thin_category_from_poset(poset) -> FinCategory:
     return cat
 
 
-def from_semilattice(lat: Semilattice, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
-    """The thin symmetric monoidal category of a meet-semilattice:
-    one morphism x -> y exactly when x <= y, tensor given by meet."""
-    cat, mor_index = _thin_category(lat.elements, lat.poset.leq)
-    n = len(lat.elements)
-    t_obj = tuple(tuple(lat.meet(a, b) for b in range(n)) for a in range(n))
+def _thin_monoidal(elements, leq, product, unit: int,
+                   caps: Caps) -> MonoidalCategory:
+    """The thin braided monoidal category of a poset with a commutative
+    monotone product table: one morphism x -> y exactly when x <= y,
+    tensor given by the product, braiding by identities."""
+    cat, mor_index = _thin_category(elements, leq)
+    n = len(elements)
+    t_obj = tuple(tuple(product[a][b] for b in range(n)) for a in range(n))
     t_mor = {}
     for f in cat.morphisms:
         for g in cat.morphisms:
-            t_mor[(f.mid, g.mid)] = mor_index[(lat.meet(f.dom, g.dom),
-                                               lat.meet(f.cod, g.cod))]
-    braiding = tuple(tuple(cat.identity[lat.meet(a, b)] for b in range(n))
+            t_mor[(f.mid, g.mid)] = mor_index[(t_obj[f.dom][g.dom],
+                                               t_obj[f.cod][g.cod])]
+    braiding = tuple(tuple(cat.identity[t_obj[a][b]] for b in range(n))
                      for a in range(n))
-    mon = MonoidalData(lat.top, t_obj, t_mor, braiding)
+    mon = MonoidalData(unit, t_obj, t_mor, braiding)
     return assert_valid(MonoidalCategory(cat, mon), caps=caps)
+
+
+def from_semilattice(lat: Semilattice, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
+    """The thin symmetric monoidal category of a meet-semilattice:
+    one morphism x -> y exactly when x <= y, tensor given by meet."""
+    return _thin_monoidal(lat.elements, lat.poset.leq, lat.meet_table, lat.top,
+                          caps)
 
 
 def from_quantale(q: Quantale, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
@@ -643,18 +656,7 @@ def from_quantale(q: Quantale, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
     morphisms from the order, tensor from the multiplication."""
     if not q.commutative:
         raise BuildError("quantale is not commutative, no braiding exists")
-    cat, mor_index = _thin_category(q.elements, q.poset.leq)
-    n = len(q.elements)
-    t_obj = tuple(tuple(q.mult[a][b] for b in range(n)) for a in range(n))
-    t_mor = {}
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            t_mor[(f.mid, g.mid)] = mor_index[(q.mult[f.dom][g.dom],
-                                               q.mult[f.cod][g.cod])]
-    braiding = tuple(tuple(cat.identity[q.mult[a][b]] for b in range(n))
-                     for a in range(n))
-    mon = MonoidalData(q.unit, t_obj, t_mor, braiding)
-    return assert_valid(MonoidalCategory(cat, mon), caps=caps)
+    return _thin_monoidal(q.elements, q.poset.leq, q.mult, q.unit, caps)
 
 
 def from_commutative_monoid(monoid: FinMonoid, mode: str = "one_object",

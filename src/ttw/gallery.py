@@ -34,27 +34,27 @@ class GalleryEntry:
     quantale: Callable[[], Quantale] | None = None
 
 
-def _semilattice(elements, pairs, top) -> Semilattice:
+def _semilattice(elements, pairs) -> Semilattice:
     return Semilattice.from_poset(FinPoset.from_pairs(elements, pairs))
 
 
 def b2_semilattice() -> Semilattice:
-    return _semilattice(["0", "1"], [("0", "1")], "1")
+    return _semilattice(["0", "1"], [("0", "1")])
 
 
 def c3_semilattice() -> Semilattice:
-    return _semilattice(["0", "m", "1"], [("0", "m"), ("m", "1")], "1")
+    return _semilattice(["0", "m", "1"], [("0", "m"), ("m", "1")])
 
 
 def boolean2x2_semilattice() -> Semilattice:
     return _semilattice(["0", "a", "b", "1"],
-                        [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")], "1")
+                        [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
 
 
 def m3_semilattice() -> Semilattice:
     return _semilattice(["0", "a", "b", "c", "1"],
                         [("0", "a"), ("0", "b"), ("0", "c"),
-                         ("a", "1"), ("b", "1"), ("c", "1")], "1")
+                         ("a", "1"), ("b", "1"), ("c", "1")])
 
 
 def q3_quantale() -> Quantale:

@@ -422,7 +422,7 @@ def downsets(lat: Semilattice | FinPoset, caps: Caps = DEFAULT_CAPS) -> DownsetL
     position = {m: k for k, m in enumerate(masks)}
     embedding = tuple(position[base.down[i]] for i in range(n))
     result = DownsetLattice(base, tuple(all_sets), poset, embedding)
-    if not is_frame(poset, caps=caps):
+    if not is_frame(poset):
         raise BuildError("downset lattice failed the frame laws")
     return result
 
@@ -526,7 +526,7 @@ def is_distributive(lat: Semilattice | FinPoset) -> bool:
     return True
 
 
-def is_frame(lat: Semilattice | FinPoset, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_frame(lat: Semilattice | FinPoset) -> bool:
     """Complete lattice in which finite meets distribute over arbitrary
     joins.
 

@@ -624,8 +624,7 @@ def tensor_ideals(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> list[Tenso
     closed under tensoring by arbitrary objects, whose inclusion has a
     right adjoint with monic counit at the unit and invertible
     B (x) counit_I for every member B."""
-    firm = subunit_semilattice(mc)  # enforces firmness
-    del firm
+    subunit_semilattice(mc)  # raises BuildError unless the category is firm
     classes = _iso_classes(mc)
     caps.check("max_ideal_base", len(classes))
     found = []

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ttw
 from ttw import gallery
 from ttw.cli import main
 from ttw.dot import render_dot
@@ -223,3 +228,30 @@ def test_semilattice_shorthand_matches_explicit(capsys, emitted, tmp_path):
     code, out, err = run_cli(capsys, "--format", "json", "subunits", str(path))
     assert code == 0, err
     assert json.loads(out)["results"]["subunits"] == ["0", "1"]
+
+
+def test_json_reports_do_not_depend_on_the_hash_seed(emitted):
+    commands = [
+        ["--format", "json", "check", "characterisation", emitted("q3")],
+        ["--format", "json", "check", "univ-finite", emitted("m3")],
+        ["--format", "json", "complete", "--flavour", "all",
+         emitted("boolean2x2")],
+        ["--format", "json", "localise", "--simple", emitted("q3")],
+    ]
+    # one process per seed, each running every command in-process
+    script = ("import json, sys\n"
+              "from ttw.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n")
+    src = str(pathlib.Path(ttw.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(commands)],
+                              env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0].count(b'"schema_version"') == len(commands)
+    assert outputs[0] == outputs[1]

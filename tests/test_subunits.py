@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import build_cached, obj_by_label, subunit_by_domain
+import ttw.subunits
 from ttw import gallery
+from ttw.daycat import broad_category
 from ttw.errors import BuildError
 from ttw.fincat import (FinCategory, MonoidalCategory, MonoidalData, Morphism,
                         all_cocones, is_iso, is_pushout, subobjects)
 from ttw.orderkit import poset_isomorphism, quantale_subunits
 from ttw.subunits import (_tensor_right, check_characterisation,
-                          d_diagram, down_closure, enumerate_subunits,
-                          family_is_directed, has_universal_directed_joins,
+                          d_diagram, enumerate_subunits,
+                          has_universal_directed_joins,
                           has_universal_finite_joins, idempotent_families,
                           is_firm, is_locale_based, is_stiff, retract_pairs,
                           subunit_leq, subunit_leq_factoring,
@@ -58,11 +63,22 @@ def test_subunits_determined_by_domain(gallery_category):
                 assert mc.dom(s.rep) != mc.dom(t.rep) or s.rep == t.rep
 
 
+def split_epic_subunits(mc) -> list[int]:
+    """Oracle: representatives s of subobjects of the unit for which
+    s (x) S has a section g, (s (x) S) o g = id, instead of an inverse."""
+    out = []
+    for cls in subobjects(mc, mc.unit):
+        cand = _tensor_right(mc, cls.representative, mc.dom(cls.representative))
+        if any(mc.compose(cand, g) == mc.identity(mc.cod(cand))
+               for g in mc.hom(mc.cod(cand), mc.dom(cand))):
+            out.append(cls.representative)
+    return out
+
+
 def test_split_epic_mode_matches_on_gallery(gallery_category):
     name, mc = gallery_category
     invertible = enumerate_subunits(mc)
-    split = enumerate_subunits(mc, mode="split_epic")
-    assert [s.rep for s in invertible] == [s.rep for s in split]
+    assert [s.rep for s in invertible] == split_epic_subunits(mc)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +223,12 @@ def test_constructed_non_firm_category_reports_witness():
     # the witness is replayable: q really is not monic
     from ttw.fincat import is_mono
     assert not is_mono(mc, culprit)
-    # and the semilattice construction refuses the category
-    with pytest.raises(BuildError):
-        subunit_semilattice(mc)
+    # and the semilattice construction refuses the category, on every
+    # call, keeping nothing
+    for _ in range(2):
+        with pytest.raises(BuildError):
+            subunit_semilattice(mc)
+    assert "subunit_semilattice" not in mc.derived
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +313,7 @@ def test_characterisation_m3_witness(m3):
     b = lat.index_of_domain("b")
     c = obj_by_label(m3, "c")
     from ttw.fincat import colimit
-    fam = down_closure(lat, (a, b))
+    fam = tuple(sorted(lat.lattice.poset.down_closure((a, b))))
     col = colimit(m3, d_diagram(m3, lat, fam, c))
     assert m3.obj_label(col.apex) == "0"
 
@@ -318,7 +337,7 @@ def test_idempotent_family_cocones_extend_uniquely():
         mc = build_cached(name)
         lat = subunit_semilattice(mc)
         for family in idempotent_families(lat):
-            closed = down_closure(lat, family)
+            closed = tuple(sorted(lat.lattice.poset.down_closure(family)))
             if closed == family:
                 continue
             for x in range(len(mc.objects)):
@@ -338,7 +357,60 @@ def test_directed_family_predicate(m3):
     a = lat.index_of_domain("a")
     b = lat.index_of_domain("b")
     one = lat.index_of_domain("1")
-    assert not family_is_directed(lat, (a, b))
-    assert family_is_directed(lat, (a, b, one))
-    assert family_is_directed(lat, ())
-    assert not family_is_directed(lat, (), include_empty=False)
+    poset = lat.lattice.poset
+    assert not poset.is_directed((a, b))
+    assert poset.is_directed((a, b, one))
+    assert poset.is_directed(())
+    assert not poset.is_directed((), include_empty=False)
+
+
+# ---------------------------------------------------------------------------
+# the facts kept per category object
+
+
+def count_subobject_sweeps(monkeypatch) -> list[int]:
+    calls = []
+    sweep = ttw.subunits.subobjects
+
+    def counting(mc, a):
+        calls.append(a)
+        return sweep(mc, a)
+    monkeypatch.setattr(ttw.subunits, "subobjects", counting)
+    return calls
+
+
+def test_characterisation_runs_one_subobject_sweep(monkeypatch):
+    calls = count_subobject_sweeps(monkeypatch)
+    check_characterisation(gallery.build("q3"))
+    assert len(calls) == 1
+
+
+def test_clone_of_the_tables_computes_its_own_facts(monkeypatch):
+    mc = gallery.build("q3")
+    subs = enumerate_subunits(mc)
+    calls = count_subobject_sweeps(monkeypatch)
+    assert enumerate_subunits(mc) is subs
+    assert calls == []
+    clone = MonoidalCategory(mc.cat, mc.mon)
+    clone_subs = enumerate_subunits(clone)
+    assert len(calls) == 1
+    assert clone_subs is not subs
+    assert [s.rep for s in clone_subs] == [s.rep for s in subs]
+    assert enumerate_subunits(clone) is clone_subs
+
+
+@pytest.mark.parametrize("completed", [False, True])
+def test_checked_category_is_freed_without_the_cyclic_gc(completed):
+    # a fact that points back at its category would make a cycle through
+    # mc.derived, and every category would then wait for the cyclic GC
+    gc.disable()
+    try:
+        mc = gallery.build("q3")
+        if completed:
+            mc = broad_category(mc, "all").category
+        check_characterisation(mc)
+        ref = weakref.ref(mc)
+        del mc
+        assert ref() is None
+    finally:
+        gc.enable()
