@@ -36,20 +36,33 @@ class Caps:
 
     def with_overrides(self, **kwargs: int) -> "Caps":
         for key in kwargs:
-            if not hasattr(self, key):
+            if key not in self.__dataclass_fields__:
                 raise KeyError(f"unknown cap {key!r}")
         return replace(self, **kwargs)
 
 
+def apply_overrides(base: Caps, entries) -> Caps:
+    """``base`` with ``NAME=N`` overrides applied in order, later entries
+    winning.  Each entry is a pair (origin, text); a text without an
+    integer N raises ValueError naming its origin, an unknown NAME
+    raises KeyError."""
+    overrides = {}
+    for origin, text in entries:
+        name, _, value = text.partition("=")
+        try:
+            overrides[name] = int(value)
+        except ValueError:
+            raise ValueError(f"{origin} {text!r} is not NAME=N") from None
+    return base.with_overrides(**overrides)
+
+
 def caps_from_env(base: Caps | None = None) -> Caps:
     """Apply TTW_MAX_OBJECTS / TTW_MAX_MORPHISMS overrides if set."""
-    caps = base or Caps()
-    overrides = {}
-    if "TTW_MAX_OBJECTS" in os.environ:
-        overrides["max_objects"] = int(os.environ["TTW_MAX_OBJECTS"])
-    if "TTW_MAX_MORPHISMS" in os.environ:
-        overrides["max_morphisms"] = int(os.environ["TTW_MAX_MORPHISMS"])
-    return caps.with_overrides(**overrides) if overrides else caps
+    return apply_overrides(base or Caps(), [
+        (f"{var} as cap override", f"{name}={os.environ[var]}")
+        for var, name in (("TTW_MAX_OBJECTS", "max_objects"),
+                          ("TTW_MAX_MORPHISMS", "max_morphisms"))
+        if var in os.environ])
 
 
 DEFAULT_CAPS = Caps()

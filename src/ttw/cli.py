@@ -24,7 +24,7 @@ import sys
 import tempfile
 
 from . import gallery
-from .caps import DEFAULT_CAPS, Caps, caps_from_env
+from .caps import DEFAULT_CAPS, Caps, apply_overrides, caps_from_env
 from .dot import render_dot
 from .errors import (BuildError, CapExceededError, MalformedTableError,
                      UnknownNameError)
@@ -91,19 +91,10 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _parse_caps(entries) -> Caps:
-    caps = caps_from_env(DEFAULT_CAPS)
-    overrides = {}
-    for entry in entries or ():
-        name, _, value = entry.partition("=")
-        if not value:
-            raise DocumentError(f"cap override {entry!r} is not NAME=N")
-        try:
-            overrides[name] = int(value)
-        except ValueError as exc:
-            raise DocumentError(f"cap override {entry!r} is not NAME=N") from exc
     try:
-        return caps.with_overrides(**overrides) if overrides else caps
-    except KeyError as exc:
+        return apply_overrides(caps_from_env(DEFAULT_CAPS),
+                               [("cap override", entry) for entry in entries or ()])
+    except (KeyError, ValueError) as exc:
         raise DocumentError(exc.args[0]) from exc
 
 

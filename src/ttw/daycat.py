@@ -24,8 +24,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, FinCategory, MonoidalCategory, MonoidalData,
                      Morphism, assert_valid, factors_through, terminal_object)
-from .orderkit import (_downset_label, directed_downsets, downsets,
-                       finitely_bounded_downsets)
+from .orderkit import (_bits, _downset_label, _mask, _unions, directed_downsets,
+                       downsets, finitely_bounded_downsets)
 from .restriction import restricts_to
 from .subunits import (SubunitSemilattice, _tensor_left, _tensor_right,
                        d_diagram, is_stiff, subunit_semilattice)
@@ -363,15 +363,11 @@ def sieve_presheaf(mc: MonoidalCategory, sieve: Sieve) -> Presheaf:
 def all_sieves_on_unit(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> list[Sieve]:
     into_unit = [m.mid for m in mc.morphisms if m.cod == mc.unit]
     caps.check("max_downset_base", len(into_unit))
-    out = []
-    for bits in itertools.product((False, True), repeat=len(into_unit)):
-        subset = frozenset(m for k, m in enumerate(into_unit) if bits[k])
-        closed = all(mc.compose(s, f.mid) in subset
-                     for s in subset for f in mc.morphisms if f.cod == mc.dom(s))
-        if closed:
-            out.append(Sieve(subset))
-    out.sort(key=lambda s: (len(s.members), sorted(s.members)))
-    return out
+    # s o (-) is a sieve, since (s o f) o g = s o (f o g), and a sieve is
+    # the union of the s o (-) of its members s = s o id
+    principal = [_mask(mc.compose(s, f.mid) for f in mc.morphisms
+                       if f.cod == mc.dom(s)) for s in into_unit]
+    return [Sieve(frozenset(_bits(m))) for m in _unions(principal)]
 
 
 def presheaf_subunits(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> list[Sieve]:
@@ -691,7 +687,6 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
                      for i in full_family)
         emb_mor.append(mor_index[(emb_obj[f.dom], emb_obj[f.cod], legs)])
     embedding = CatFunctor(mc, completion, emb_obj, tuple(emb_mor))
-    embedding.check_functor()
     embedding.check_strict_monoidal()
     return BroadCompletion(mc, flavour, lat, completion, tuple(specs),
                            tuple(legs for _, _, legs in mor_defs), embedding)

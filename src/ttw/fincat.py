@@ -629,9 +629,12 @@ def _thin_monoidal(elements, leq, product, unit: int,
                    caps: Caps) -> MonoidalCategory:
     """The thin braided monoidal category of a poset with a commutative
     monotone product table: one morphism x -> y exactly when x <= y,
-    tensor given by the product, braiding by identities."""
-    cat, mor_index = _thin_category(elements, leq)
+    tensor given by the product, braiding by identities.  The caps are
+    checked before any table is built."""
     n = len(elements)
+    caps.check("max_objects", n)
+    caps.check("max_morphisms", sum(map(sum, leq)))
+    cat, mor_index = _thin_category(elements, leq)
     t_obj = tuple(tuple(product[a][b] for b in range(n)) for a in range(n))
     t_mor = {}
     for f in cat.morphisms:
@@ -665,7 +668,7 @@ def from_commutative_monoid(monoid: FinMonoid, mode: str = "one_object",
     elements with tensor given by multiplication, or the thin category
     of the monoid's ideal quantale."""
     if mode == "ideal_quantale":
-        return from_quantale(ideal_quantale(monoid), caps=caps)
+        return from_quantale(ideal_quantale(monoid, caps=caps), caps=caps)
     if mode != "one_object":
         raise ValueError(f"unknown mode {mode!r}")
     if not monoid.is_commutative():

@@ -286,7 +286,6 @@ def localise(mc: MonoidalCategory, sig: SigmaClass,
 
     q_mor = tuple(classify(mc.identity(f.dom), f.mid) for f in mc.morphisms)
     quotient = CatFunctor(mc, loc, tuple(range(len(mc.objects))), q_mor)
-    quotient.check_functor()
     quotient.check_strict_monoidal()
     for s in sig.members:
         if is_iso(loc, q_mor[s]) is None:

@@ -37,6 +37,22 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _unions(principal, check=lambda count: None) -> list[int]:
+    """Every union of the bitmasks ``principal``, the empty one included,
+    by size and then by members in increasing order.
+
+    A union-closed family whose members are unions of principal members
+    is exactly the set of unions of those, so no subset is ever tested
+    for closure.  ``check`` sees the count as it grows, so that a cap
+    fires before the family is built.
+    """
+    found = {0}
+    for p in principal:
+        found |= {m | p for m in found}
+        check(len(found))
+    return sorted(found, key=lambda m: (m.bit_count(), list(_bits(m))))
+
+
 @dataclass(frozen=True)
 class FinPoset:
     """A finite poset on indices ``0..n-1``.
@@ -389,8 +405,6 @@ class DownsetLattice:
 
 
 def _downset_label(base: FinPoset, s: frozenset[int]) -> str:
-    if not s:
-        return "{}"
     return "{" + ",".join(base.elements[i] for i in sorted(s)) + "}"
 
 
@@ -400,21 +414,13 @@ def downsets(lat: Semilattice | FinPoset, caps: Caps = DEFAULT_CAPS) -> DownsetL
     This is the free completion of a finite semilattice to a frame; the
     result is checked to be a frame and the embedding to preserve finite
     meets and the top.
-
-    The downsets are enumerated directly as bitmasks: taking the elements
-    in a linear extension (by size of down-set), every downset of the
-    elements seen so far is kept, and also extended by the next element
-    when that element's strict down-set lies inside it.  Each downset is
-    produced exactly once, so the work is proportional to their number.
     """
     base = lat.poset if isinstance(lat, Semilattice) else lat
     n = len(base)
     caps.check("max_downset_base", n)
-    masks = [0]
-    for i in sorted(range(n), key=lambda i: base.down[i].bit_count()):
-        below = base.down[i] & ~(1 << i)
-        masks += [m | 1 << i for m in masks if m & below == below]
-    masks.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
+    # a union of downsets is a downset, and a downset is the union of
+    # the principal downsets of its elements
+    masks = _unions(base.down)
     all_sets = [frozenset(_bits(m)) for m in masks]
     labels = [_downset_label(base, s) for s in all_sets]
     leq = tuple(tuple(a & b == a for b in masks) for a in masks)
@@ -481,25 +487,26 @@ def quantale_subunits(q: Quantale) -> Semilattice:
     return lat
 
 
-def ideal_quantale(monoid: FinMonoid) -> Quantale:
+def ideal_quantale(monoid: FinMonoid, caps: Caps = DEFAULT_CAPS) -> Quantale:
     """The quantale of ideals of a commutative monoid: subsets closed
     under multiplication by every element, multiplied elementwise, with
-    the whole monoid as unit and unions as joins."""
+    the whole monoid as unit and unions as joins.
+
+    The ideals become the objects of the ideal-quantale category, so
+    ``max_objects`` bounds their number while they are enumerated.
+    """
     if not monoid.is_commutative():
         raise BuildError("monoid is not commutative")
     n = len(monoid.elements)
-    ideals = []
-    for bits in itertools.product((False, True), repeat=n):
-        subset = frozenset(i for i in range(n) if bits[i])
-        if all(monoid.mult[x][m] in subset for x in subset for m in range(n)):
-            ideals.append(subset)
-    ideals.sort(key=lambda s: (len(s), sorted(s)))
-    labels = []
-    for s in ideals:
-        labels.append("{" + ",".join(sorted(monoid.elements[i] for i in s)) + "}"
-                      if s else "{}")
+    # xM is an ideal, since (xm)m' = x(mm'), and an ideal is the union of
+    # the xM of its elements x = x1; unions of ideals are ideals
+    masks = _unions(map(_mask, monoid.mult),
+                    lambda count: caps.check("max_objects", count))
+    ideals = [frozenset(_bits(m)) for m in masks]
+    labels = tuple("{" + ",".join(sorted(monoid.elements[i] for i in s)) + "}"
+                   for s in ideals)
     leq = tuple(tuple(a <= b for b in ideals) for a in ideals)
-    poset = FinPoset(tuple(labels), leq)
+    poset = FinPoset(labels, leq)
     def product(a, b):
         # the elementwise product of ideals of a commutative monoid is
         # itself an ideal, so no generation step is needed

@@ -10,7 +10,6 @@ with monic counit at the unit, and monocoreflective tensor ideals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
@@ -18,6 +17,7 @@ from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, FinCategory, MonoidalCategory, MonoidalData,
                      Morphism, factors_through, is_iso, is_mono,
                      objects_isomorphic, validate)
+from .orderkit import _bits, _mask, _unions
 from .subunits import (PropertyReport, Subunit, _tensor_left, _tensor_right,
                        enumerate_subunits, retract_pairs, subunit_semilattice)
 
@@ -442,20 +442,7 @@ def check_restriction_comonad(data: ComonadData) -> None:
     def fail(law, **details):
         raise BuildError(f"comonad law {law} fails", details)
 
-    for a in range(n_obj):
-        if data.mor_map[mc.identity(a)] != mc.identity(data.obj_map[a]):
-            fail("functor_identity", object=a)
-    for f in mc.morphisms:
-        image = mc.morphisms[data.mor_map[f.mid]]
-        if image.dom != data.obj_map[f.dom] or image.cod != data.obj_map[f.cod]:
-            fail("functor_typing", morphism=f.mid)
-    for f in mc.morphisms:
-        for g in mc.morphisms:
-            if g.dom != f.cod:
-                continue
-            if data.mor_map[mc.compose(g.mid, f.mid)] != \
-                    mc.compose(data.mor_map[g.mid], data.mor_map[f.mid]):
-                fail("functor_composition", pair=(g.mid, f.mid))
+    CatFunctor(mc, mc, data.obj_map, data.mor_map).check_functor()
     for f in mc.morphisms:
         fa, fb = data.mor_map[f.mid], f.mid
         if mc.compose(data.counit[f.cod], fa) != mc.compose(fb, data.counit[f.dom]):
@@ -619,41 +606,45 @@ def _coreflection_into(mc: MonoidalCategory, subset: frozenset[int],
     return None
 
 
+def _tensor_ideal_on(mc: MonoidalCategory,
+                     subset: frozenset[int]) -> TensorIdeal | None:
+    """The tensor ideal on a tensor-absorbing union of iso classes, or
+    None when it is not monocoreflective."""
+    pairs = []
+    for a in range(len(mc.objects)):
+        pairs.append(_coreflection_into(mc, subset, a))
+        if pairs[-1] is None:
+            return None
+    coreflectors, counits = zip(*pairs)
+    eps_unit = counits[mc.unit]
+    if not is_mono(mc, eps_unit) or \
+            any(is_iso(mc, _tensor_left(mc, b, eps_unit)) is None for b in subset):
+        return None
+    return TensorIdeal(subset, coreflectors, counits)
+
+
 def tensor_ideals(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> list[TensorIdeal]:
     """All monocoreflective tensor ideals: full replete subcategories
     closed under tensoring by arbitrary objects, whose inclusion has a
     right adjoint with monic counit at the unit and invertible
-    B (x) counit_I for every member B."""
+    B (x) counit_I for every member B; listed by their iso classes, read
+    as binary numerals with class 0 as the leading digit."""
     subunit_semilattice(mc)  # raises BuildError unless the category is firm
     classes = _iso_classes(mc)
     caps.check("max_ideal_base", len(classes))
+    class_of = {a: k for k, cls in enumerate(classes) for a in cls}
+    # the classes of the a (x) b with b in one class absorb the tensor, as
+    # c (x) (a (x) b) = (c (x) a) (x) b and (x) preserves isos, and an
+    # absorbing union of classes is the union of these for its classes
+    principal = [_mask(class_of[mc.tensor_obj(a, b)]
+                       for a in range(len(mc.objects)) for b in cls)
+                 for cls in classes]
     found = []
-    for bits in itertools.product((False, True), repeat=len(classes)):
-        subset = frozenset(a for k, cls in enumerate(classes) if bits[k]
-                           for a in cls)
-        if not subset:
-            continue
-        if any(mc.tensor_obj(a, b) not in subset
-               for a in range(len(mc.objects)) for b in subset):
-            continue
-        coreflectors = []
-        counits = []
-        ok = True
-        for a in range(len(mc.objects)):
-            pair = _coreflection_into(mc, subset, a)
-            if pair is None:
-                ok = False
-                break
-            coreflectors.append(pair[0])
-            counits.append(pair[1])
-        if not ok:
-            continue
-        eps_unit = counits[mc.unit]
-        if not is_mono(mc, eps_unit):
-            continue
-        if any(is_iso(mc, _tensor_left(mc, b, eps_unit)) is None for b in subset):
-            continue
-        found.append(TensorIdeal(subset, tuple(coreflectors), tuple(counits)))
+    for m in sorted(_unions(principal)[1:],
+                    key=lambda m: [m >> k & 1 for k in range(len(classes))]):
+        ideal = _tensor_ideal_on(mc, frozenset(a for k in _bits(m) for a in classes[k]))
+        if ideal is not None:
+            found.append(ideal)
     return found
 
 

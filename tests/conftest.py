@@ -5,9 +5,12 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
-from ttw import gallery
+from ttw import gallery, restriction
+from ttw.caps import DEFAULT_CAPS
+from ttw.daycat import Sieve
 from ttw.fincat import from_semilattice
-from ttw.orderkit import FinPoset, Semilattice
+from ttw.orderkit import FinMonoid, FinPoset, Semilattice
+from ttw.subunits import subunit_semilattice
 
 _CACHE: dict[str, object] = {}
 
@@ -110,3 +113,104 @@ def shuffled_posets(draw, max_size=7):
     pairs = [(elements[at_rank[i]], elements[at_rank[j]])
              for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
     return FinPoset.from_pairs(elements, pairs)
+
+
+# ---------------------------------------------------------------------------
+# subset-sweep oracles for the principal-union enumerations: every subset
+# of the generators is tested for closure
+
+
+def brute_ideals(monoid):
+    """The ideals of a commutative monoid, by size and then members."""
+    n = len(monoid.elements)
+    ideals = []
+    for bits in itertools.product((False, True), repeat=n):
+        subset = frozenset(i for i in range(n) if bits[i])
+        if all(monoid.mult[x][m] in subset for x in subset for m in range(n)):
+            ideals.append(subset)
+    ideals.sort(key=lambda s: (len(s), sorted(s)))
+    return ideals
+
+
+def brute_sieves_on_unit(mc, caps=DEFAULT_CAPS):
+    into_unit = [m.mid for m in mc.morphisms if m.cod == mc.unit]
+    caps.check("max_downset_base", len(into_unit))
+    out = []
+    for bits in itertools.product((False, True), repeat=len(into_unit)):
+        subset = frozenset(m for k, m in enumerate(into_unit) if bits[k])
+        closed = all(mc.compose(s, f.mid) in subset
+                     for s in subset for f in mc.morphisms if f.cod == mc.dom(s))
+        if closed:
+            out.append(Sieve(subset))
+    out.sort(key=lambda s: (len(s.members), sorted(s.members)))
+    return out
+
+
+def brute_tensor_ideals(mc, caps=DEFAULT_CAPS):
+    subunit_semilattice(mc)
+    classes = restriction._iso_classes(mc)
+    caps.check("max_ideal_base", len(classes))
+    found = []
+    for bits in itertools.product((False, True), repeat=len(classes)):
+        subset = frozenset(a for k, cls in enumerate(classes) if bits[k]
+                           for a in cls)
+        if not subset:
+            continue
+        if any(mc.tensor_obj(a, b) not in subset
+               for a in range(len(mc.objects)) for b in subset):
+            continue
+        ideal = restriction._tensor_ideal_on(mc, subset)
+        if ideal is not None:
+            found.append(ideal)
+    return found
+
+
+_MONOID_FAMILIES = {
+    # size, product, unit; the null monoid is {1, 0, z1, ..., zk} with
+    # zi zj = 0, listed as 0 = 1, 1 = 0 and the z from 2 on
+    "cyclic": lambda k: (k, lambda i, j: (i + j) % k, 0),
+    "truncated": lambda k: (k + 1, lambda i, j: min(i + j, k), 0),
+    "min": lambda k: (k + 1, min, k),
+    "max": lambda k: (k + 1, max, 0),
+    "null": lambda k: (k + 2, lambda i, j: j if i == 0 else i if j == 0 else 1, 0),
+}
+
+
+def _product_monoid(left, right):
+    (m, op_l, unit_l), (n, op_r, unit_r) = left, right
+    return (m * n,
+            lambda p, q: op_l(p // n, q // n) * n + op_r(p % n, q % n),
+            unit_l * n + unit_r)
+
+
+@st.composite
+def commutative_monoids(draw, max_product=10):
+    """Cyclic groups, truncated addition, min and max chains, null monoids
+    and products of two of these (up to ``max_product`` elements), with
+    the elements listed in a shuffled order."""
+    def factor(max_k):
+        family = draw(st.sampled_from(sorted(_MONOID_FAMILIES)))
+        return _MONOID_FAMILIES[family](draw(st.integers(1, max_k)))
+    size, op, unit = factor(5)
+    if draw(st.booleans()):
+        left, right = factor(3), factor(3)
+        if left[0] * right[0] <= max_product:
+            size, op, unit = _product_monoid(left, right)
+    order = draw(st.permutations(range(size)))
+    at = {x: k for k, x in enumerate(order)}
+    mult = tuple(tuple(at[op(x, y)] for y in order) for x in order)
+    return FinMonoid(tuple(f"e{x}" for x in order), mult, at[unit])
+
+
+def null_monoid(zeros: int):
+    """{1, 0, z0, ..., z(zeros-1)} with zi zj = 0: 2^zeros + 2 ideals."""
+    size, op, unit = _MONOID_FAMILIES["null"](zeros)
+    labels = ("1", "0") + tuple(f"z{i}" for i in range(zeros))
+    return FinMonoid(labels, tuple(tuple(op(i, j) for j in range(size))
+                                   for i in range(size)), unit)
+
+
+def max_monoid(n: int):
+    """{0, ..., n-1} under max, with 0 as unit: n + 1 ideals."""
+    return FinMonoid(tuple(f"x{i}" for i in range(n)),
+                     tuple(tuple(max(i, j) for j in range(n)) for i in range(n)), 0)

@@ -199,6 +199,10 @@ def test_exit_code_unknown_cap_is_usage_error(capsys, emitted):
     code, _, err = run_cli(capsys, "--cap", "max_objcts=3", "subunits", path)
     assert code == 2
     assert "unknown cap 'max_objcts'" in err
+    # a method of Caps is no cap either
+    code, _, err = run_cli(capsys, "--cap", "check=3", "subunits", path)
+    assert code == 2
+    assert "unknown cap 'check'" in err
 
 
 def test_env_caps(capsys, emitted, monkeypatch):
@@ -206,6 +210,18 @@ def test_env_caps(capsys, emitted, monkeypatch):
     monkeypatch.setenv("TTW_MAX_OBJECTS", "2")
     code, _, err = run_cli(capsys, "subunits", str(path))
     assert code == 5
+    code, _, err = run_cli(capsys, "--cap", "max_objects=64", "subunits", str(path))
+    assert code == 0
+
+
+@pytest.mark.parametrize("variable", ["TTW_MAX_OBJECTS", "TTW_MAX_MORPHISMS"])
+def test_env_cap_that_is_no_integer_is_usage_error(capsys, emitted, monkeypatch,
+                                                   variable):
+    path = emitted("b2")
+    monkeypatch.setenv(variable, "abc")
+    code, _, err = run_cli(capsys, "subunits", path)
+    assert code == 2
+    assert variable in err
 
 
 def test_shipped_schema_file_matches_embedded():

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_cached, mor_by_label, obj_by_label
-from ttw import gallery
-from ttw.errors import (BuildError, MalformedTableError,
+from conftest import build_cached, max_monoid, mor_by_label, obj_by_label
+from ttw import fincat, gallery
+from ttw.caps import Caps
+from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
                         NonCommutingSquareError)
 from ttw.fincat import (CatFunctor, DiagramSpec, FinCategory, colimit,
-                        factors_through, from_commutative_monoid,
+                        factors_through, from_commutative_monoid, from_semilattice,
                         initial_object, is_colimit, is_iso, is_mono,
                         is_pullback, is_pushout, objects_isomorphic,
                         subobject_leq, subobjects, terminal_object,
                         thin_category_from_poset, validate)
 from ttw.gallery import idem_monoid, zero_one_monoid
-from ttw.orderkit import FinPoset
+from ttw.orderkit import FinPoset, Semilattice
 
 
 def thin_mor(mc, src, dst):
@@ -280,6 +281,25 @@ def test_one_object_mode_rejects_noncommutative():
     mult = ((0, 1, 2), (1, 1, 1), (2, 2, 2))
     with pytest.raises(BuildError):
         from_commutative_monoid(FinMonoid(("1", "x", "y"), mult, 0))
+
+
+def test_thin_constructors_check_caps_before_building_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tables built before the caps were checked")
+    monkeypatch.setattr(fincat, "_thin_category", refuse)
+    chain = [f"c{i}" for i in range(66)]
+    lat = Semilattice.from_poset(FinPoset.from_pairs(chain, list(zip(chain, chain[1:]))))
+    with pytest.raises(CapExceededError) as exc:
+        from_semilattice(lat)
+    assert (exc.value.cap_name, exc.value.actual) == ("max_objects", 66)
+    with pytest.raises(CapExceededError) as exc:
+        from_semilattice(lat, caps=Caps(max_objects=66, max_morphisms=2210))
+    assert (exc.value.cap_name, exc.value.actual) == ("max_morphisms", 66 * 67 // 2)
+    # 25 ideals of a max chain, 325 order pairs
+    with pytest.raises(CapExceededError) as exc:
+        from_commutative_monoid(max_monoid(24), mode="ideal_quantale",
+                                caps=Caps(max_morphisms=324))
+    assert (exc.value.cap_name, exc.value.actual) == ("max_morphisms", 325)
 
 
 def test_gallery_categories_all_validate(gallery_category):

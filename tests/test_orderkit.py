@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scan_join, scan_meet, shuffled_posets
-from ttw.errors import BuildError
+from conftest import max_monoid, null_monoid, scan_join, scan_meet, shuffled_posets
+from ttw.caps import Caps
+from ttw.errors import BuildError, CapExceededError
 from ttw.gallery import (b2_semilattice, boolean2x2_semilattice, c3_semilattice,
                          m3_semilattice, q3_quantale, zero_one_monoid)
 from ttw.orderkit import (FinMonoid, FinPoset, Quantale, Semilattice,
@@ -126,6 +127,24 @@ def test_ideal_quantale_rejects_noncommutative():
     assert not monoid.is_commutative()
     with pytest.raises(BuildError):
         ideal_quantale(monoid)
+
+
+def test_ideal_quantale_caps_the_ideal_count():
+    # the null monoid {1, 0, z0..z5} has the ideals {}, the whole monoid
+    # and {0} with any set of the z: 66 in all
+    assert len(ideal_quantale(null_monoid(6), caps=Caps(max_objects=66))) == 66
+    with pytest.raises(CapExceededError) as exc:
+        ideal_quantale(null_monoid(6), caps=Caps(max_objects=10))
+    assert (exc.value.cap_name, exc.value.limit) == ("max_objects", 10)
+    with pytest.raises(CapExceededError) as exc:
+        ideal_quantale(null_monoid(10))
+    assert exc.value.cap_name == "max_objects"
+
+
+def test_ideal_quantale_of_a_long_max_chain():
+    q = ideal_quantale(max_monoid(24))
+    assert len(q) == 25
+    assert q.elements[1] == "{x23}"
 
 
 def test_is_distributive():
