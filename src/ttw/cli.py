@@ -195,7 +195,7 @@ def cmd_restrict(args, caps: Caps) -> Report:
     mc, name = _build(args.file, caps)
     lat = subunit_semilattice(mc)
     k = _resolve_subunit(lat, args.subunit)
-    result = restriction_category(mc, lat.subunits[k], caps=caps)
+    result = restriction_category(mc, lat.subunits[k])
     sub = result.subcategory
     return Report("restrict", name, {
         "subunit": args.subunit,
@@ -216,7 +216,7 @@ def cmd_localise(args, caps: Caps) -> Report:
         mode = "simple"
     else:
         k = _resolve_subunit(lat, args.subunit)
-        loc = localise(mc, sigma(mc, [lat.subunits[k]], caps=caps), caps=caps)
+        loc = localise(mc, sigma(mc, [lat.subunits[k]]), caps=caps)
         mode = f"subunit {args.subunit}"
     cat = loc.category
     hom_sizes = {}

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
-from .fincat import (CatFunctor, FinCategory, MonoidalCategory, MonoidalData,
-                     Morphism, assert_valid, factors_through, terminal_object)
+from .fincat import (CatFunctor, Cocone, MonoidalCategory, _tabulate,
+                     _tabulate_monoidal, assert_valid, factors_through, is_cocone,
+                     mediating_morphisms, terminal_object)
 from .orderkit import (_bits, _downset_label, _mask, _unions, directed_downsets,
                        downsets, finitely_bounded_downsets)
 from .restriction import restricts_to
@@ -495,7 +496,7 @@ def _flavour_families(lat: SubunitSemilattice, flavour: str,
 
 
 def _restriction_factor(mc: MonoidalCategory, lat: SubunitSemilattice,
-                        family, leg: int, target_obj: int) -> tuple[int, int]:
+                        family, leg: int) -> tuple[int, int]:
     """The least (t, h) with leg = (t (x) target) o h and t in family."""
     for t in family:
         h = restricts_to(mc, leg, lat.subunits[t])
@@ -542,12 +543,8 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
             if count == 0:
                 return []
         caps.check("max_cocones", count)
-        out = []
-        for legs in itertools.product(*candidate_legs):
-            if all(mc.compose(legs[bj], f) == legs[ai]
-                   for ai, bj, f in diagram.edges):
-                out.append(tuple(legs))
-        return out
+        return [legs for legs in itertools.product(*candidate_legs)
+                if is_cocone(mc, diagram, Cocone(dst.obj, legs))]
 
     mor_defs: list[tuple[int, int, tuple[int, ...]]] = []
     mor_index: dict[tuple[int, int, tuple[int, ...]], int] = {}
@@ -586,34 +583,22 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
             new_legs.append(candidates.pop())
         return mor_index[(a_src, b_dst, tuple(new_legs))]
 
-    morphisms = tuple(Morphism(k, a, b, f"c{k}")
-                      for k, (a, b, legs) in enumerate(mor_defs))
-    identity = []
-    for k, spec in enumerate(specs):
-        legs = tuple(_tensor_right(mc, lat.subunits[i].rep, spec.obj)
-                     for i in spec.family)
-        identity.append(mor_index[(k, k, legs)])
-    compose = {}
-    for ka, (a1, b1, _) in enumerate(mor_defs):
-        for kb, (a2, b2, _) in enumerate(mor_defs):
-            if a2 != b1:
-                continue
-            compose[(kb, ka)] = compose_cocones(kb, ka)
-    cat = FinCategory(tuple(f"{_downset_label(lat.lattice.poset, s.family)}"
-                            f"[{mc.obj_label(s.obj)}]" for s in specs),
-                      morphisms, tuple(identity), compose)
+    cat = _tabulate(
+        [f"{_downset_label(lat.lattice.poset, s.family)}[{mc.obj_label(s.obj)}]"
+         for s in specs],
+        [(a, b, f"c{k}") for k, (a, b, _) in enumerate(mor_defs)],
+        [mor_index[(k, k, tuple(_tensor_right(mc, lat.subunits[i].rep, spec.obj)
+                                for i in spec.family))]
+         for k, spec in enumerate(specs)],
+        compose_cocones)
 
     def tensor_family(fu, fv):
         meets = {lat.meet(i, j) for i in fu for j in fv}
         return tuple(sorted(lat.lattice.poset.down_closure(meets)))
 
-    t_obj_idx = []
-    for s1 in specs:
-        row = []
-        for s2 in specs:
-            fam = tensor_family(s1.family, s2.family)
-            row.append(spec_index[(fam, mc.tensor_obj(s1.obj, s2.obj))])
-        t_obj_idx.append(tuple(row))
+    t_obj_idx = [[spec_index[(tensor_family(s1.family, s2.family),
+                              mc.tensor_obj(s1.obj, s2.obj))] for s2 in specs]
+                 for s1 in specs]
 
     prefix_cache: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
 
@@ -634,49 +619,30 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     # in a thin completion a morphism is determined by its endpoints, so
     # the tensor table follows from the object tensor alone; the leg
     # formula stays as the general path and is cross-checked in tests
-    hom_count: dict[tuple[int, int], int] = {}
-    unique_mor: dict[tuple[int, int], int] = {}
-    for k, (a, b, _) in enumerate(mor_defs):
-        hom_count[(a, b)] = hom_count.get((a, b), 0) + 1
-        unique_mor[(a, b)] = k
-    completion_thin = all(v == 1 for v in hom_count.values())
+    def tensor_thin(ka: int, kb: int) -> int:
+        a1, b1, _ = mor_defs[ka]
+        a2, b2, _ = mor_defs[kb]
+        return cat.hom(t_obj_idx[a1][a2], t_obj_idx[b1][b2])[0]
 
-    t_mor = {}
-    for ka, (a1, b1, _) in enumerate(mor_defs):
-        for kb, (a2, b2, _) in enumerate(mor_defs):
-            if completion_thin:
-                t_mor[(ka, kb)] = unique_mor[(t_obj_idx[a1][a2],
-                                              t_obj_idx[b1][b2])]
-            else:
-                t_mor[(ka, kb)] = tensor_cocones(ka, kb)
+    def braiding_cocone(k1: int, k2: int) -> int:
+        s1, s2 = specs[k1], specs[k2]
+        src_idx = t_obj_idx[k1][k2]
+        legs = tuple(
+            mc.compose(_tensor_right(mc, lat.subunits[r].rep,
+                                     mc.tensor_obj(s2.obj, s1.obj)),
+                       _tensor_left(mc, lat.subunits[r].domain,
+                                    mc.braiding(s1.obj, s2.obj)))
+            for r in specs[src_idx].family)
+        key = (src_idx, t_obj_idx[k2][k1], legs)
+        if key not in mor_index:
+            raise ConsistencyError("braiding cocone escaped the hom sets",
+                                   details={"key": key})
+        return mor_index[key]
 
     full_family = tuple(range(len(lat)))
-    unit_idx = spec_index[(full_family, mc.unit)]
-
-    braiding_rows = []
-    for k1, s1 in enumerate(specs):
-        row = []
-        for k2, s2 in enumerate(specs):
-            src_idx = t_obj_idx[k1][k2]
-            dst_idx = t_obj_idx[k2][k1]
-            src_spec = specs[src_idx]
-            legs = []
-            for r in src_spec.family:
-                rsub = lat.subunits[r]
-                leg = mc.compose(
-                    _tensor_right(mc, rsub.rep, mc.tensor_obj(s2.obj, s1.obj)),
-                    _tensor_left(mc, rsub.domain, mc.braiding(s1.obj, s2.obj)))
-                legs.append(leg)
-            key = (src_idx, dst_idx, tuple(legs))
-            if key not in mor_index:
-                raise ConsistencyError("braiding cocone escaped the hom sets",
-                                       details={"key": key})
-            row.append(mor_index[key])
-        braiding_rows.append(tuple(row))
-
-    completion = assert_valid(
-        MonoidalCategory(cat, MonoidalData(unit_idx, tuple(t_obj_idx), t_mor,
-                                           tuple(braiding_rows))),
+    completion = assert_valid(_tabulate_monoidal(
+        cat, spec_index[(full_family, mc.unit)], t_obj_idx,
+        tensor_thin if cat.is_thin() else tensor_cocones, braiding_cocone),
         caps=caps)
 
     emb_obj = tuple(spec_index[(full_family, a)] for a in range(len(mc.objects)))
@@ -830,23 +796,19 @@ def extend_functor(completion: BroadCompletion, functor: CatFunctor,
         w_dst = lat_t.subunits[family_join(dst_spec.family)]
         fx = functor.on_obj(src_spec.obj)
         fy = functor.on_obj(dst_spec.obj)
-        src_apex = target.tensor_obj(w_src.domain, fx)
-        dst_apex = target.tensor_obj(w_dst.domain, fy)
-        constraints = []
+        colim_legs, rhos = [], []
         for pos, i in enumerate(src_spec.family):
             t_idx = image_sub[i]
             incl = factors_through(target, lat_t.subunits[t_idx].rep, w_src.rep)
-            colim_leg = _tensor_right(target, incl, fx)
-            t2, h = _restriction_factor(mc, lat, dst_spec.family, legs[pos],
-                                        dst_spec.obj)
+            colim_legs.append(_tensor_right(target, incl, fx))
+            t2, h = _restriction_factor(mc, lat, dst_spec.family, legs[pos])
             incl2 = factors_through(target, lat_t.subunits[image_sub[t2]].rep,
                                     w_dst.rep)
-            rho = target.compose(_tensor_right(target, incl2, fy),
-                                 functor.on_mor(h))
-            constraints.append((colim_leg, rho))
-        fillers = [u for u in target.hom(src_apex, dst_apex)
-                   if all(target.compose(u, colim_leg) == rho
-                          for colim_leg, rho in constraints)]
+            rhos.append(target.compose(_tensor_right(target, incl2, fy),
+                                       functor.on_mor(h)))
+        fillers = mediating_morphisms(
+            target, Cocone(target.tensor_obj(w_src.domain, fx), tuple(colim_legs)),
+            Cocone(target.tensor_obj(w_dst.domain, fy), tuple(rhos)))
         if len(fillers) != 1:
             raise ConsistencyError(
                 "mediating morphism for the extension not unique",

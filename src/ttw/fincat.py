@@ -194,19 +194,42 @@ def check_structure(cat: FinCategory) -> None:
     for a, i in enumerate(cat.identity):
         if not (0 <= i < n_mor):
             raise MalformedTableError(f"identity of object {a} out of range")
-    composable = {(g.mid, f.mid) for f in cat.morphisms for g in cat.morphisms
-                  if f.cod == g.dom}
-    keys = set(cat.compose_table)
-    missing = composable - keys
-    if missing:
-        raise MalformedTableError(f"compose table missing entry {sorted(missing)[0]}")
-    extra = keys - composable
-    if extra:
+    table = cat.compose_table
+    n_composable = 0
+    missing = None
+    for pair in _composable_pairs(cat.morphisms, n_obj):
+        n_composable += 1
+        if pair not in table and (missing is None or pair < missing):
+            missing = pair
+    if missing is not None:
+        raise MalformedTableError(f"compose table missing entry {missing}")
+    if len(table) != n_composable:
+        mors = cat.morphisms
+        extra = min((g, f) for g, f in table
+                    if not (0 <= g < n_mor and 0 <= f < n_mor
+                            and mors[g].dom == mors[f].cod))
         raise MalformedTableError(
-            f"compose table defined on non-composable pair {sorted(extra)[0]}")
-    for value in cat.compose_table.values():
+            f"compose table defined on non-composable pair {extra}")
+    for value in table.values():
         if not (0 <= value < n_mor):
             raise MalformedTableError("compose table entry out of range")
+
+
+def _outgoing(morphisms, n_obj: int) -> list[list[int]]:
+    """The mids out of each object, in mid order."""
+    out: list[list[int]] = [[] for _ in range(n_obj)]
+    for m in morphisms:
+        out[m.dom].append(m.mid)
+    return out
+
+
+def _composable_pairs(morphisms, n_obj: int):
+    """Every composable pair (g, f) of mids, f outer and g inner, both in
+    mid order, read off each object's outgoing morphisms."""
+    outgoing = _outgoing(morphisms, n_obj)
+    for f in morphisms:
+        for g in outgoing[f.cod]:
+            yield g, f.mid
 
 
 def check_monoidal_structure(cat: FinCategory, mon: MonoidalData) -> None:
@@ -222,8 +245,9 @@ def check_monoidal_structure(cat: FinCategory, mon: MonoidalData) -> None:
         raise MalformedTableError("braiding table has wrong shape")
     if any(not (0 <= x < n_mor) for row in mon.braiding for x in row):
         raise MalformedTableError("braiding entry out of range")
-    needed = {(f.mid, g.mid) for f in cat.morphisms for g in cat.morphisms}
-    if set(mon.tensor_mor) != needed:
+    # n_mor * n_mor distinct keys, each a pair of mids, are all the pairs
+    if len(mon.tensor_mor) != n_mor * n_mor or not all(
+            0 <= f < n_mor and 0 <= g < n_mor for f, g in mon.tensor_mor):
         raise MalformedTableError("tensor_mor table is not total on morphism pairs")
     for value in mon.tensor_mor.values():
         if not (0 <= value < n_mor):
@@ -234,8 +258,8 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
              force_generic: bool = False) -> ValidationReport:
     """Exhaustive law check; the report lists every violated axiom with a
     concrete witness.  An empty report means the tables present a
-    braided strict monoidal category."""
-    check_structure(cat)
+    braided strict monoidal category.  The shape of the category's own
+    tables was checked when it was built."""
     if mon is not None:
         check_monoidal_structure(cat, mon)
     out: list[Violation] = []
@@ -262,18 +286,15 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
             if comp.get((i_cod, f.mid)) != f.mid:
                 out.append(Violation("identity_law", (i_cod, f.mid),
                                      "id o f != f"))
+        outgoing = _outgoing(mors, len(cat.objects))
         for f in mors:
-            for g in mors:
-                if g.dom != f.cod:
-                    continue
-                gf = comp[(g.mid, f.mid)]
-                for h in mors:
-                    if h.dom != g.cod:
-                        continue
-                    hg = comp[(h.mid, g.mid)]
-                    if comp.get((h.mid, gf)) != comp.get((hg, f.mid)):
+            for g in outgoing[f.cod]:
+                gf = comp[(g, f.mid)]
+                for h in outgoing[mors[g].cod]:
+                    hg = comp[(h, g)]
+                    if comp.get((h, gf)) != comp.get((hg, f.mid)):
                         out.append(Violation(
-                            "associativity", (h.mid, g.mid, f.mid),
+                            "associativity", (h, g, f.mid),
                             "h o (g o f) != (h o g) o f"))
 
     if mon is None:
@@ -321,21 +342,15 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
                         out.append(Violation(
                             "strict_assoc_mor", (f.mid, g.mid, h.mid),
                             "tensor on morphisms not associative"))
-        for f1 in mors:
-            for f2 in mors:
-                if f2.dom != f1.cod:
-                    continue
-                ff = comp[(f2.mid, f1.mid)]
-                for g1 in mors:
-                    for g2 in mors:
-                        if g2.dom != g1.cod:
-                            continue
-                        lhs = comp[(t_mor[(f2.mid, g2.mid)], t_mor[(f1.mid, g1.mid)])]
-                        rhs = t_mor[(ff, comp[(g2.mid, g1.mid)])]
-                        if lhs != rhs:
-                            out.append(Violation(
-                                "interchange", (f2.mid, f1.mid, g2.mid, g1.mid),
-                                "(f2 (x) g2) o (f1 (x) g1) != (f2 o f1) (x) (g2 o g1)"))
+        pairs = list(_composable_pairs(mors, n_obj))
+        for f2, f1 in pairs:
+            ff = comp[(f2, f1)]
+            for g2, g1 in pairs:
+                lhs = comp[(t_mor[(f2, g2)], t_mor[(f1, g1)])]
+                if lhs != t_mor[(ff, comp[(g2, g1)])]:
+                    out.append(Violation(
+                        "interchange", (f2, f1, g2, g1),
+                        "(f2 (x) g2) o (f1 (x) g1) != (f2 o f1) (x) (g2 o g1)"))
 
     for a in range(n_obj):
         for b in range(n_obj):
@@ -478,7 +493,6 @@ def all_cocones(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
                 caps: Caps = DEFAULT_CAPS) -> list[Cocone]:
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
     check_diagram(cat, diagram)
-    comp = cat.compose_table
     out: list[Cocone] = []
     for apex in range(len(cat.objects)):
         leg_choices = [cat.hom(node, apex) for node in diagram.nodes]
@@ -491,10 +505,24 @@ def all_cocones(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
             continue
         caps.check("max_cocones", len(out) + count)
         for legs in itertools.product(*leg_choices):
-            if all(comp[(legs[tgt], mid)] == legs[src]
-                   for src, tgt, mid in diagram.edges):
-                out.append(Cocone(apex, legs))
+            cocone = Cocone(apex, legs)
+            if is_cocone(cat, diagram, cocone):
+                out.append(cocone)
     return out
+
+
+def is_cocone(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
+              cocone: Cocone) -> bool:
+    """Each leg runs from its node to the apex and every edge commutes
+    with the legs: exactly membership in ``all_cocones``."""
+    cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
+    legs, mors = cocone.legs, cat.morphisms
+    return (0 <= cocone.apex < len(cat.objects)
+            and len(legs) == len(diagram.nodes)
+            and all(mors[leg].dom == node and mors[leg].cod == cocone.apex
+                    for node, leg in zip(diagram.nodes, legs))
+            and all(cat.compose_table[(legs[tgt], mid)] == legs[src]
+                    for src, tgt, mid in diagram.edges))
 
 
 def mediating_morphisms(mc: MonoidalCategory | FinCategory, source: Cocone,
@@ -596,25 +624,44 @@ def is_pushout(mc: MonoidalCategory | FinCategory, f: int, g: int,
 # constructors
 
 
-def _thin_category(poset_elements, leq, label_sep="->"):
+def _tabulate(objects, morphisms, identity, compose) -> FinCategory:
+    """The category on these objects whose k-th morphism is the k-th
+    (dom, cod, label) triple, with the given identity mids; its
+    composition table holds ``compose(g, f)`` for each composable pair
+    of mids, called once per pair, f outer and g inner."""
+    mors = tuple(Morphism(k, a, b, label)
+                 for k, (a, b, label) in enumerate(morphisms))
+    table = {}
+    for g, f in _composable_pairs(mors, len(objects)):
+        table[(g, f)] = compose(g, f)
+    return FinCategory(tuple(objects), mors, tuple(identity), table)
+
+
+def _tabulate_monoidal(cat: FinCategory, unit: int, tensor_obj,
+                       tensor, braiding) -> MonoidalCategory:
+    """``cat`` with the given unit and object tensor table; the tensor
+    table holds ``tensor(f, g)`` for every pair of mids, f outer, and
+    then the braiding rows ``braiding(a, b)``, a outer.  The caller
+    validates the result."""
+    n_obj, n_mor = len(cat.objects), len(cat.morphisms)
+    t_mor = {}
+    for f in range(n_mor):
+        for g in range(n_mor):
+            t_mor[(f, g)] = tensor(f, g)
+    rows = tuple(tuple(braiding(a, b) for b in range(n_obj)) for a in range(n_obj))
+    return MonoidalCategory(cat, MonoidalData(unit, tuple(map(tuple, tensor_obj)),
+                                              t_mor, rows))
+
+
+def _thin_category(poset_elements, leq):
     objects = tuple(poset_elements)
     n = len(objects)
-    morphisms = []
-    mor_index: dict[tuple[int, int], int] = {}
-    for a in range(n):
-        for b in range(n):
-            if leq[a][b]:
-                mid = len(morphisms)
-                morphisms.append(Morphism(mid, a, b,
-                                          f"{objects[a]}{label_sep}{objects[b]}"))
-                mor_index[(a, b)] = mid
-    identity = tuple(mor_index[(a, a)] for a in range(n))
-    compose = {}
-    for f in morphisms:
-        for g in morphisms:
-            if g.dom == f.cod:
-                compose[(g.mid, f.mid)] = mor_index[(f.dom, g.cod)]
-    cat = FinCategory(objects, tuple(morphisms), identity, compose)
+    pairs = [(a, b) for a in range(n) for b in range(n) if leq[a][b]]
+    mor_index = {pair: k for k, pair in enumerate(pairs)}
+    cat = _tabulate(objects,
+                    [(a, b, f"{objects[a]}->{objects[b]}") for a, b in pairs],
+                    [mor_index[(a, a)] for a in range(n)],
+                    lambda g, f: mor_index[(pairs[f][0], pairs[g][1])])
     return cat, mor_index
 
 
@@ -635,16 +682,13 @@ def _thin_monoidal(elements, leq, product, unit: int,
     caps.check("max_objects", n)
     caps.check("max_morphisms", sum(map(sum, leq)))
     cat, mor_index = _thin_category(elements, leq)
-    t_obj = tuple(tuple(product[a][b] for b in range(n)) for a in range(n))
-    t_mor = {}
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            t_mor[(f.mid, g.mid)] = mor_index[(t_obj[f.dom][g.dom],
-                                               t_obj[f.cod][g.cod])]
-    braiding = tuple(tuple(cat.identity[t_obj[a][b]] for b in range(n))
-                     for a in range(n))
-    mon = MonoidalData(unit, t_obj, t_mor, braiding)
-    return assert_valid(MonoidalCategory(cat, mon), caps=caps)
+    mors = cat.morphisms
+    t_obj = [[product[a][b] for b in range(n)] for a in range(n)]
+    return assert_valid(_tabulate_monoidal(
+        cat, unit, t_obj,
+        lambda f, g: mor_index[(t_obj[mors[f].dom][mors[g].dom],
+                                t_obj[mors[f].cod][mors[g].cod])],
+        lambda a, b: cat.identity[t_obj[a][b]]), caps=caps)
 
 
 def from_semilattice(lat: Semilattice, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
@@ -673,17 +717,12 @@ def from_commutative_monoid(monoid: FinMonoid, mode: str = "one_object",
         raise ValueError(f"unknown mode {mode!r}")
     if not monoid.is_commutative():
         raise BuildError("monoid is not commutative, no braiding exists")
-    n = len(monoid.elements)
-    objects = ("*",)
-    morphisms = tuple(Morphism(i, 0, 0, monoid.elements[i]) for i in range(n))
-    identity = (monoid.unit,)
-    compose = {(g, f): monoid.mult[g][f] for g in range(n) for f in range(n)}
-    cat = FinCategory(objects, morphisms, identity, compose)
-    t_obj = ((0,),)
-    t_mor = {(f, g): monoid.mult[f][g] for f in range(n) for g in range(n)}
-    braiding = ((monoid.unit,),)
-    mon = MonoidalData(0, t_obj, t_mor, braiding)
-    return assert_valid(MonoidalCategory(cat, mon), caps=caps)
+    mult = monoid.mult
+    cat = _tabulate(("*",), [(0, 0, label) for label in monoid.elements],
+                    (monoid.unit,), lambda g, f: mult[g][f])
+    return assert_valid(_tabulate_monoidal(
+        cat, 0, ((0,),), lambda f, g: mult[f][g], lambda a, b: monoid.unit),
+        caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -715,14 +754,10 @@ class CatFunctor:
         for a in range(len(src.objects)):
             if self.mor_map[src.identity(a)] != tgt.identity(self.obj_map[a]):
                 raise BuildError(f"functor breaks identity at object {a}")
-        for f in src.morphisms:
-            for g in src.morphisms:
-                if g.dom != f.cod:
-                    continue
-                lhs = self.mor_map[src.compose(g.mid, f.mid)]
-                rhs = tgt.compose(self.mor_map[g.mid], self.mor_map[f.mid])
-                if lhs != rhs:
-                    raise BuildError(f"functor breaks composition at ({g.mid}, {f.mid})")
+        for g, f in _composable_pairs(src.morphisms, len(src.objects)):
+            if self.mor_map[src.compose(g, f)] != \
+                    tgt.compose(self.mor_map[g], self.mor_map[f]):
+                raise BuildError(f"functor breaks composition at ({g}, {f})")
 
     def check_strict_monoidal(self) -> None:
         """Strict monoidality: the functor commutes with unit, tensor and

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
-from .fincat import (CatFunctor, FinCategory, MonoidalCategory, MonoidalData,
-                     Morphism, assert_valid, is_iso)
+from .fincat import (CatFunctor, MonoidalCategory, _tabulate, _tabulate_monoidal,
+                     assert_valid, is_iso)
 from .subunits import (PropertyReport, Subunit, _tensor_left, _tensor_right,
                        enumerate_subunits)
 
@@ -56,8 +56,8 @@ class LocalisedCategory:
         raise KeyError(span)
 
 
-def sigma(mc: MonoidalCategory, subunit_set: list[Subunit] | None = None,
-          caps: Caps = DEFAULT_CAPS) -> SigmaClass:
+def sigma(mc: MonoidalCategory,
+          subunit_set: list[Subunit] | None = None) -> SigmaClass:
     """The class generated by all s (x) A for s in the given subunit set
     (default: every subunit) plus identities, closed under composition
     and under tensoring with object identities on either side."""
@@ -206,19 +206,17 @@ def localise(mc: MonoidalCategory, sig: SigmaClass,
     span_class: dict[FractionSpan, int] = {}
     classes: list[frozenset[FractionSpan]] = []
     reps: list[FractionSpan] = []
-    mor_defs: list[tuple[int, int, FractionSpan]] = []
     order: list[tuple[tuple[int, int], frozenset]] = []
     for group in raw_classes:
         rep = min(group)
         a, b = mc.cod(rep.denominator), mc.cod(rep.numerator)
         order.append(((a, b), group))
     order.sort(key=lambda item: (item[0], min(item[1])))
-    for (a, b), group in order:
+    for _, group in order:
         k = len(classes)
         classes.append(frozenset(group))
         rep = min(group)
         reps.append(rep)
-        mor_defs.append((a, b, rep))
         for span in group:
             span_class[span] = k
 
@@ -228,14 +226,6 @@ def localise(mc: MonoidalCategory, sig: SigmaClass,
             return span_class[span]
         raise ConsistencyError("span escaped the enumerated quotient",
                                details={"span": span})
-
-    n_loc = len(classes)
-    morphisms = tuple(
-        Morphism(k, a, b, f"[{mc.mor_label(rep.denominator)};"
-                          f"{mc.mor_label(rep.numerator)}]")
-        for k, (a, b, rep) in enumerate(mor_defs))
-    identity = tuple(classify(mc.identity(a), mc.identity(a))
-                     for a in range(len(mc.objects)))
 
     def compose_spans(beta: FractionSpan, alpha: FractionSpan) -> int:
         results = set()
@@ -259,30 +249,21 @@ def localise(mc: MonoidalCategory, sig: SigmaClass,
                                             "classes": sorted(results)})
         return results.pop()
 
-    compose = {}
-    for kf, (a1, b1, rep_f) in enumerate(mor_defs):
-        for kg, (a2, b2, rep_g) in enumerate(mor_defs):
-            if a2 != b1:
-                continue
-            compose[(kg, kf)] = compose_spans(rep_g, rep_f)
-
-    cat = FinCategory(mc.objects, morphisms, identity, compose)
-
-    t_obj = tuple(tuple(mc.tensor_obj(a, b) for b in range(len(mc.objects)))
-                  for a in range(len(mc.objects)))
-    t_mor = {}
-    for kf, (_, _, rf) in enumerate(mor_defs):
-        for kg, (_, _, rg) in enumerate(mor_defs):
-            t_mor[(kf, kg)] = classify(
-                mc.tensor_mor(rf.denominator, rg.denominator),
-                mc.tensor_mor(rf.numerator, rg.numerator))
-    braiding = tuple(
-        tuple(classify(mc.identity(mc.tensor_obj(a, b)), mc.braiding(a, b))
-              for b in range(len(mc.objects)))
-        for a in range(len(mc.objects)))
-    loc = assert_valid(MonoidalCategory(cat, MonoidalData(mc.unit, t_obj,
-                                                          t_mor, braiding)),
-                       caps=caps)
+    cat = _tabulate(
+        mc.objects,
+        [(mc.cod(rep.denominator), mc.cod(rep.numerator),
+          f"[{mc.mor_label(rep.denominator)};{mc.mor_label(rep.numerator)}]")
+         for rep in reps],
+        [classify(mc.identity(a), mc.identity(a)) for a in range(len(mc.objects))],
+        lambda g, f: compose_spans(reps[g], reps[f]))
+    loc = assert_valid(_tabulate_monoidal(
+        cat, mc.unit,
+        [[mc.tensor_obj(a, b) for b in range(len(mc.objects))]
+         for a in range(len(mc.objects))],
+        lambda f, g: classify(mc.tensor_mor(reps[f].denominator, reps[g].denominator),
+                              mc.tensor_mor(reps[f].numerator, reps[g].numerator)),
+        lambda a, b: classify(mc.identity(mc.tensor_obj(a, b)), mc.braiding(a, b))),
+        caps=caps)
 
     q_mor = tuple(classify(mc.identity(f.dom), f.mid) for f in mc.morphisms)
     quotient = CatFunctor(mc, loc, tuple(range(len(mc.objects))), q_mor)
@@ -303,7 +284,7 @@ def is_simple(mc: MonoidalCategory) -> bool:
 def simple_quotient(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> LocalisedCategory:
     """Invert every tensored subunit inclusion at once; the result is
     verified simple."""
-    loc = localise(mc, sigma(mc, caps=caps), caps=caps)
+    loc = localise(mc, sigma(mc), caps=caps)
     if not is_simple(loc.category):
         raise ConsistencyError("simple quotient still has proper subunits",
                                details={"objects": loc.category.objects})
@@ -348,8 +329,8 @@ def restriction_localisation_equivalence(mc: MonoidalCategory, s: Subunit,
     the coreflector inverts them, and the induced factor puts each
     localised hom-set in bijection with the restricted one."""
     from .restriction import restriction_category
-    loc = localise(mc, sigma(mc, [s], caps=caps), caps=caps)
-    rc = restriction_category(mc, s, caps=caps)
+    loc = localise(mc, sigma(mc, [s]), caps=caps)
+    rc = restriction_category(mc, s)
     factored = localisation_factor(loc, rc.coreflector)
     sub = rc.subcategory
     for a in range(len(mc.objects)):

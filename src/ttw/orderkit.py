@@ -183,11 +183,16 @@ class FinPoset:
         return all(self.down[j] | mask == mask for j in _bits(mask))
 
     def is_directed(self, subset, include_empty: bool = True) -> bool:
+        """Every two members have an upper bound among the members.
+
+        A finite nonempty family is directed exactly when it contains its
+        own join, which is then its greatest element: a directed family
+        has a greatest member by induction on its size, a greatest member
+        is the join, and a member join bounds every pair."""
         subset = list(subset)
         if not subset:
             return include_empty
-        return all(any(self.leq[a][c] and self.leq[b][c] for c in subset)
-                   for a in subset for b in subset)
+        return self.join(subset) in subset
 
     def is_lattice(self) -> bool:
         if len(self) == 0:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
-from .fincat import (CatFunctor, FinCategory, MonoidalCategory, MonoidalData,
-                     Morphism, factors_through, is_iso, is_mono,
-                     objects_isomorphic, validate)
+from .fincat import (CatFunctor, MonoidalCategory, _tabulate, _tabulate_monoidal,
+                     factors_through, is_iso, is_mono, objects_isomorphic,
+                     validate)
 from .orderkit import _bits, _mask, _unions
 from .subunits import (PropertyReport, Subunit, _tensor_left, _tensor_right,
                        enumerate_subunits, retract_pairs, subunit_semilattice)
@@ -64,8 +64,7 @@ class RestrictionResult:
     counit: tuple[int, ...]           # ambient components S (x) A -> A
 
 
-def restriction_category(mc: MonoidalCategory, s: Subunit,
-                         caps: Caps = DEFAULT_CAPS) -> RestrictionResult:
+def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
     """The full subcategory of objects A with s (x) A invertible, as a
     strict monoidal category with unit S, together with the inclusion
     and the coreflector A -> S (x) A.
@@ -81,41 +80,35 @@ def restriction_category(mc: MonoidalCategory, s: Subunit,
     obj_index = {a: k for k, a in enumerate(keep)}
     mors = [m for m in mc.morphisms if m.dom in keep and m.cod in keep]
     mor_index = {m.mid: k for k, m in enumerate(mors)}
-    sub_mors = tuple(Morphism(k, obj_index[m.dom], obj_index[m.cod], m.label)
-                     for k, m in enumerate(mors))
-    identity = tuple(mor_index[mc.identity(a)] for a in keep)
-    compose = {(mor_index[g.mid], mor_index[f.mid]):
-               mor_index[mc.compose(g.mid, f.mid)]
-               for f in mors for g in mors if g.dom == f.cod}
-    cat = FinCategory(tuple(mc.obj_label(a) for a in keep), sub_mors,
-                      identity, compose)
+    cat = _tabulate(
+        [mc.obj_label(a) for a in keep],
+        [(obj_index[m.dom], obj_index[m.cod], m.label) for m in mors],
+        [mor_index[mc.identity(a)] for a in keep],
+        lambda g, f: mor_index[mc.compose(mors[g].mid, mors[f].mid)])
     for a in keep:
         for b in keep:
             if mc.tensor_obj(a, b) not in obj_index:
                 raise ConsistencyError(
                     "restriction subcategory is not closed under the tensor",
                     details={"a": a, "b": b})
-    t_obj = tuple(tuple(obj_index[mc.tensor_obj(a, b)] for b in keep) for a in keep)
-    try:
-        t_mor = {(mor_index[f.mid], mor_index[g.mid]):
-                 mor_index[mc.tensor_mor(f.mid, g.mid)]
-                 for f in mors for g in mors}
-        braiding = tuple(tuple(mor_index[mc.braiding(a, b)] for b in keep)
-                         for a in keep)
-    except KeyError as exc:
-        raise ConsistencyError("restriction subcategory tensor escapes it",
-                               details={"missing": exc.args}) from exc
     if s.domain not in obj_index:
         raise ConsistencyError("subunit domain is outside its own restriction",
                                details={"subunit": s.rep})
-    mon = MonoidalData(obj_index[s.domain], t_obj, t_mor, braiding)
-    report = validate(cat, mon)
+    t_obj = [[obj_index[mc.tensor_obj(a, b)] for b in keep] for a in keep]
+    try:
+        sub = _tabulate_monoidal(
+            cat, obj_index[s.domain], t_obj,
+            lambda f, g: mor_index[mc.tensor_mor(mors[f].mid, mors[g].mid)],
+            lambda a, b: mor_index[mc.braiding(keep[a], keep[b])])
+    except KeyError as exc:
+        raise ConsistencyError("restriction subcategory tensor escapes it",
+                               details={"missing": exc.args}) from exc
+    report = validate(sub.cat, sub.mon)
     if not report.ok():
         raise BuildError(
             "restriction of this category is not strictly unital at "
             f"{mc.obj_label(s.domain)}; only strict restrictions are supported",
             report)
-    sub = MonoidalCategory(cat, mon)
 
     # coreflector on ambient objects and morphisms
     cor_obj = tuple(obj_index[mc.tensor_obj(s.domain, a)]
@@ -128,13 +121,13 @@ def restriction_category(mc: MonoidalCategory, s: Subunit,
     coreflector.check_functor()
     counit = tuple(_tensor_right(mc, s.rep, a) for a in range(len(mc.objects)))
 
-    _verify_coreflection(mc, s, keep, obj_index, mor_index, sub, counit)
-    _verify_coreflector_monoidal(mc, s, sub, obj_index, mor_index)
+    _verify_coreflection(mc, s, keep, counit)
+    _verify_coreflector_monoidal(mc, s)
     return RestrictionResult(sub, tuple(keep), tuple(m.mid for m in mors),
                              inclusion, coreflector, counit)
 
 
-def _verify_coreflection(mc, s, keep, obj_index, mor_index, sub, counit):
+def _verify_coreflection(mc, s, keep, counit):
     """The natural bijection C(A, B) = C|s(A, S (x) B) for A in C|s."""
     for a in keep:
         for b in range(len(mc.objects)):
@@ -179,7 +172,7 @@ def _verify_coreflection(mc, s, keep, obj_index, mor_index, sub, counit):
                                 details={"f": f, "v": v})
 
 
-def _verify_coreflector_monoidal(mc, s, sub, obj_index, mor_index):
+def _verify_coreflector_monoidal(mc, s):
     """Strong monoidality of A -> S (x) A: comparison maps
     (S (x) A) (x) (S (x) B) -> S (x) A (x) B are invertible, natural and
     coherent; the unit comparison is the identity at S."""

@@ -25,7 +25,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (Cocone, DiagramSpec, MonoidalCategory, SubobjectClass,
                      all_cocones, colimit, factors_through, initial_object,
-                     is_colimit, is_iso, is_mono, is_pullback, is_pushout,
+                     is_cocone, is_colimit, is_iso, is_mono, is_pullback,
+                     is_pushout,
                      mediating_morphisms, subobjects)
 from .orderkit import FinPoset, Semilattice, is_frame
 
@@ -261,9 +262,11 @@ def _initial_with_zero_tensor(mc: MonoidalCategory,
     arrow = arrows[0]
     if not is_mono(mc, arrow):
         return ini, arrow, "initial arrow to the unit is not monic"
+    empty = DiagramSpec((), ())
+    cocones = all_cocones(mc, empty, caps=caps)
     for x in range(len(mc.objects)):
         xz = mc.tensor_obj(x, zero)
-        if not is_colimit(mc, DiagramSpec((), ()), Cocone(xz, ()), caps=caps):
+        if not is_colimit(mc, empty, Cocone(xz, ()), cocones):
             return ini, arrow, f"X (x) 0 is not initial at X={x}"
     return ini, arrow, ""
 
@@ -431,7 +434,7 @@ def _locale_based_direct(mc: MonoidalCategory, include_empty: bool,
                 legs.append(_tensor_right(mc, inc, x))
             candidate = Cocone(mc.tensor_obj(vs.domain, x), tuple(legs))
             cocones = all_cocones(mc, diag, caps=caps)
-            if candidate not in cocones:
+            if not is_cocone(mc, diag, candidate):
                 raise ConsistencyError(
                     "canonical legs do not form a cocone in a stiff category",
                     details={"family": family, "x": x})
@@ -507,7 +510,7 @@ def _characterisation_conditions(mc: MonoidalCategory, lat: SubunitSemilattice,
         apex = mc.tensor_obj(col_unit.apex, x)
         legs = tuple(_tensor_right(mc, leg, x) for leg in col_unit.legs)
         comparison_target = Cocone(apex, legs)
-        if comparison_target not in all_cocones(mc, diag, caps=caps):
+        if not is_cocone(mc, diag, comparison_target):
             raise ConsistencyError(
                 "tensored colimit legs fail to form a cocone in a stiff category",
                 details={"family": family, "x": x})

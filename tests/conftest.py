@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ttw import gallery, restriction
 from ttw.caps import DEFAULT_CAPS
-from ttw.daycat import Sieve
+from ttw.daycat import Sieve, broad_category
 from ttw.fincat import from_semilattice
 from ttw.orderkit import FinMonoid, FinPoset, Semilattice
 from ttw.subunits import subunit_semilattice
@@ -19,6 +19,15 @@ def build_cached(name: str):
     if name not in _CACHE:
         _CACHE[name] = gallery.build(name)
     return _CACHE[name]
+
+
+def completion_cached(name: str, flavour: str):
+    """The broad completion of a gallery entry, built once per session;
+    for tests that only read it."""
+    key = f"{name}/{flavour}"
+    if key not in _CACHE:
+        _CACHE[key] = broad_category(build_cached(name), flavour)
+    return _CACHE[key]
 
 
 @pytest.fixture(params=gallery.names())
@@ -101,6 +110,14 @@ def scan_meet(poset, subset):
     lbs = [u for u in range(n) if all(poset.leq[u][i] for i in subset)]
     greatest = [u for u in lbs if all(poset.leq[v][u] for v in lbs)]
     return greatest[0] if greatest else None
+
+
+def scan_is_directed(poset, subset, include_empty=True):
+    """Every two members have an upper bound among the members."""
+    if not subset:
+        return include_empty
+    return all(any(poset.leq[a][c] and poset.leq[b][c] for c in subset)
+               for a in subset for b in subset)
 
 
 @st.composite

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import build_cached, mor_by_label
+from conftest import build_cached, completion_cached, mor_by_label
 from ttw import gallery
 from ttw.daycat import (broad_category, completion_has_no_terminal,
                         coproduct_of_representables, day_tensor, day_unitors,
@@ -197,13 +197,13 @@ def test_criterion_10_completions():
                     ("all", downsets),
                     ("finite", finitely_bounded_downsets),
                     ("directed", directed_downsets)):
-                completion = broad_category(mc, flavour)
+                completion = completion_cached(name, flavour)
                 lat2 = subunit_semilattice(completion.category)
                 expected = free_completion(lat.lattice)
                 assert poset_isomorphism(lat2.lattice.poset,
                                          expected.poset) is not None, \
                     (name, flavour)
-            full = broad_category(mc, "all")
+            full = completion_cached(name, "all")
             assert is_locale_based(full.category).holds, name
 
 

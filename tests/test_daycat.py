@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boolean_category, build_cached, obj_by_label
+from conftest import (boolean_category, build_cached, completion_cached,
+                      obj_by_label)
 from ttw.daycat import (Presheaf, broad_category, broad_presheaf,
                         check_presheaf, completion_has_no_terminal,
                         coproduct_of_representables, day_tensor, day_tensor_mor,
@@ -362,7 +363,7 @@ def test_completion_subunit_posets_match_downset_flavours():
                 ("all", downsets),
                 ("finite", finitely_bounded_downsets),
                 ("directed", directed_downsets)):
-            comp = broad_category(mc, flavour)
+            comp = completion_cached(name, flavour)
             lat2 = subunit_semilattice(comp.category)
             expected = completion_fn(lat.lattice)
             assert poset_isomorphism(lat2.lattice.poset,
@@ -389,7 +390,7 @@ def test_completion_hom_sets_match_natural_transformations(q3):
 def test_completion_subunits_are_families(gallery_category):
     # every subunit of the completion is isomorphic to a family spec
     name, mc = gallery_category
-    comp = broad_category(mc, "all")
+    comp = completion_cached(name, "all")
     unit_specs = [k for k, spec in enumerate(comp.specs)
                   if spec.obj == mc.unit]
     for s in enumerate_subunits(comp.category):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,10 @@ from ttw import fincat, gallery
 from ttw.caps import Caps
 from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
                         NonCommutingSquareError)
-from ttw.fincat import (CatFunctor, DiagramSpec, FinCategory, colimit,
-                        factors_through, from_commutative_monoid, from_semilattice,
-                        initial_object, is_colimit, is_iso, is_mono,
+from ttw.fincat import (CatFunctor, Cocone, DiagramSpec, FinCategory, all_cocones,
+                        check_monoidal_structure, colimit, factors_through,
+                        from_commutative_monoid, from_semilattice,
+                        initial_object, is_cocone, is_colimit, is_iso, is_mono,
                         is_pullback, is_pushout, objects_isomorphic,
                         subobject_leq, subobjects, terminal_object,
                         thin_category_from_poset, validate)
@@ -61,6 +63,23 @@ def test_validate_missing_compose_entry_is_structural(b2):
         FinCategory(b2.cat.objects, b2.cat.morphisms, b2.cat.identity, bad)
 
 
+@pytest.mark.parametrize("change", ["missing", "extra", "out_of_range"])
+def test_tensor_table_must_be_total_on_morphism_pairs(b2, change):
+    n_mor = len(b2.morphisms)
+    bad = dict(b2.mon.tensor_mor)
+    if change == "missing":
+        del bad[(0, 1)]
+    elif change == "extra":
+        bad[(n_mor, 0)] = 0
+    else:
+        # still n_mor * n_mor keys, one of them not a pair of mids
+        bad[(n_mor, 0)] = bad.pop((0, 1))
+        assert len(bad) == n_mor * n_mor
+    mon = dataclasses.replace(b2.mon, tensor_mor=bad)
+    with pytest.raises(MalformedTableError, match="not total"):
+        check_monoidal_structure(b2.cat, mon)
+
+
 def test_validate_law_break_in_one_object_category():
     # force a o a = 1 while keeping a o 1 = a: breaks associativity or
     # identity laws, caught by the generic path
@@ -70,6 +89,90 @@ def test_validate_law_break_in_one_object_category():
     cat = FinCategory(mc.cat.objects, mc.cat.morphisms, mc.cat.identity, bad)
     report = validate(cat, mc.mon)
     assert not report.ok()
+
+
+def scan_composable(mors):
+    """Composable pairs (g, f) by a sweep over every pair, f outer."""
+    return [(g.mid, f.mid) for f in mors for g in mors if g.dom == f.cod]
+
+
+def test_compose_table_shape_errors_name_the_least_pair(c3):
+    # c3 is the chain 0 -> 1 -> 2; morphism k is the k-th pair a <= b
+    pairs = scan_composable(c3.morphisms)
+    # two pairs that the f-outer sweep meets in the opposite of sorted order
+    later, least = next((p, q) for i, p in enumerate(pairs) for q in pairs[i:] if q < p)
+    table = dict(c3.cat.compose_table)
+    del table[later], table[least]
+    with pytest.raises(MalformedTableError) as exc:
+        FinCategory(c3.cat.objects, c3.cat.morphisms, c3.cat.identity, table)
+    assert str(exc.value) == f"compose table missing entry {least}"
+    # 0->1 after 1->2, then id_0 after id_1: neither composes
+    table = dict(c3.cat.compose_table)
+    table[(1, 4)] = table[(0, 3)] = 0
+    with pytest.raises(MalformedTableError) as exc:
+        FinCategory(c3.cat.objects, c3.cat.morphisms, c3.cat.identity, table)
+    assert str(exc.value) == "compose table defined on non-composable pair (0, 3)"
+
+
+@st.composite
+def typed_tables(draw):
+    """Braided monoidal tables that are well typed but obey few laws: at
+    least one morphism between any two objects, every composite, tensor
+    and braiding drawn from the right hom-set."""
+    n_obj = draw(st.integers(1, 3))
+    ends = [(a, b) for a in range(n_obj) for b in range(n_obj)]
+    ends += draw(st.lists(st.sampled_from(ends), max_size=2))
+    ends = draw(st.permutations(ends))
+    morphisms = tuple(fincat.Morphism(k, a, b) for k, (a, b) in enumerate(ends))
+    homs = {pair: [k for k, e in enumerate(ends) if e == pair] for pair in ends}
+
+    def pick(a, b):
+        return draw(st.sampled_from(homs[(a, b)]))
+
+    identity = tuple(pick(a, a) for a in range(n_obj))
+    compose = {(g.mid, f.mid): pick(f.dom, g.cod)
+               for f in morphisms for g in morphisms if g.dom == f.cod}
+    cat = FinCategory(tuple(map(str, range(n_obj))), morphisms, identity, compose)
+    # an associative object tensor, so that the hexagons typecheck
+    product, unit = draw(st.sampled_from([(max, 0), (min, n_obj - 1),
+                                          (lambda a, b: (a + b) % n_obj, 0)]))
+    t_obj = tuple(tuple(product(a, b) for b in range(n_obj)) for a in range(n_obj))
+    t_mor = {(f.mid, g.mid): pick(t_obj[f.dom][g.dom], t_obj[f.cod][g.cod])
+             for f in morphisms for g in morphisms}
+    braiding = tuple(tuple(pick(t_obj[a][b], t_obj[b][a]) for b in range(n_obj))
+                     for a in range(n_obj))
+    mon = fincat.MonoidalData(unit, t_obj, t_mor, braiding)
+    return fincat.MonoidalCategory(cat, mon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(typed_tables(), st.data())
+def test_composable_sweeps_match_the_pair_scan(mc, data):
+    cat, t_mor = mc.cat, mc.mon.tensor_mor
+    comp = cat.compose_table
+    pairs = scan_composable(cat.morphisms)
+    report = validate(cat, mc.mon, force_generic=True)
+    assert [v.witness for v in report.violations if v.law == "associativity"] == [
+        (h, g, f) for g, f in pairs for h, g2 in pairs
+        if g2 == g and comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]]
+    assert [v.witness for v in report.violations if v.law == "interchange"] == [
+        (f2, f1, g2, g1) for f2, f1 in pairs for g2, g1 in pairs
+        if comp[(t_mor[(f2, g2)], t_mor[(f1, g1)])] != t_mor[(comp[(f2, f1)],
+                                                              comp[(g2, g1)])]]
+    # an endofunctor that keeps types and identities fails composition at
+    # the first bad pair in the same order
+    mor_map = [data.draw(st.sampled_from(cat.hom(m.dom, m.cod))) for m in cat.morphisms]
+    for i in cat.identity:
+        mor_map[i] = i
+    functor = CatFunctor(mc, mc, tuple(range(len(cat.objects))), tuple(mor_map))
+    bad = [(g, f) for g, f in pairs
+           if mor_map[comp[(g, f)]] != comp[(mor_map[g], mor_map[f])]]
+    if bad:
+        with pytest.raises(BuildError) as exc:
+            functor.check_functor()
+        assert str(exc.value) == f"functor breaks composition at {bad[0]}"
+    else:
+        functor.check_functor()
 
 
 def test_thin_fast_path_agrees_with_generic():
@@ -193,12 +296,30 @@ def test_m3_span_colimit_degenerates(m3):
 def test_colimit_unique_up_to_iso(gallery_category):
     name, mc = gallery_category
     diagram = DiagramSpec((0,), ((0, 0, mc.identity(0)),))
-    from ttw.fincat import all_cocones
     cocones = all_cocones(mc, diagram)
     universal = [c for c in cocones if is_colimit(mc, diagram, c, cocones)]
     for c1 in universal:
         for c2 in universal:
             assert objects_isomorphic(mc, c1.apex, c2.apex) is not None
+
+
+def test_is_cocone_is_membership_in_all_cocones(gallery_category):
+    # every leg tuple into every apex, including legs of the wrong type
+    name, mc = gallery_category
+    n_obj = len(mc.objects)
+    f = next((m for m in mc.morphisms if m.dom != m.cod), mc.morphisms[-1])
+    shapes = [DiagramSpec((), ()), DiagramSpec((f.dom,), ()),
+              DiagramSpec((f.dom, f.cod), ((0, 1, f.mid),)),
+              DiagramSpec((f.cod, f.dom), ((1, 0, f.mid),))]
+    for diagram in shapes:
+        cocones = set(all_cocones(mc, diagram))
+        for apex in range(n_obj):
+            legs_at = [[m for a in range(n_obj) for m in mc.hom(a, apex)]
+                       for _ in diagram.nodes]
+            for legs in itertools.product(*legs_at):
+                cocone = Cocone(apex, legs)
+                assert is_cocone(mc, diagram, cocone) == (cocone in cocones)
+        assert not is_cocone(mc, diagram, Cocone(n_obj, ()))
 
 
 def test_thin_colimit_is_join_or_absent():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_monoid, null_monoid, scan_join, scan_meet, shuffled_posets
+from conftest import (max_monoid, null_monoid, scan_is_directed, scan_join, scan_meet,
+                      shuffled_posets)
 from ttw.caps import Caps
 from ttw.errors import BuildError, CapExceededError
 from ttw.gallery import (b2_semilattice, boolean2x2_semilattice, c3_semilattice,
@@ -323,6 +324,18 @@ def test_joins_and_meets_match_scan(poset, data):
     subset = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
     assert poset.join(subset) == scan_join(poset, subset)
     assert poset.meet(subset) == scan_meet(poset, subset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_posets, st.data())
+def test_is_directed_matches_pairwise_scan(poset, data):
+    n = len(poset)
+    subsets = [data.draw(st.sets(st.integers(0, n - 1))) for _ in range(4)]
+    subsets += [(), range(n), poset.maximal(range(n))]
+    for subset in subsets:
+        for include_empty in (False, True):
+            assert poset.is_directed(subset, include_empty=include_empty) == \
+                scan_is_directed(poset, list(subset), include_empty)
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (brute_ideals, brute_sieves_on_unit, brute_tensor_ideals,
-                      build_cached, commutative_monoids)
+                      build_cached, commutative_monoids, completion_cached)
 from ttw import gallery
-from ttw.daycat import all_sieves_on_unit, broad_category
+from ttw.daycat import all_sieves_on_unit
 from ttw.errors import CapExceededError
 from ttw.orderkit import ideal_quantale
 from ttw.restriction import tensor_ideals
@@ -41,6 +41,6 @@ def _outcome(enumerate_, mc):
 @pytest.mark.parametrize("name", gallery.names())
 def test_sieves_and_tensor_ideals_match_subset_sweeps(name):
     mc = build_cached(name)
-    for cat in (mc, broad_category(mc, "all").category):
+    for cat in (mc, completion_cached(name, "all").category):
         assert _outcome(all_sieves_on_unit, cat) == _outcome(brute_sieves_on_unit, cat)
         assert _outcome(tensor_ideals, cat) == _outcome(brute_tensor_ideals, cat)
