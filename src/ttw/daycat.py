@@ -616,14 +616,6 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
                                    details={"key": key})
         return mor_index[key]
 
-    # in a thin completion a morphism is determined by its endpoints, so
-    # the tensor table follows from the object tensor alone; the leg
-    # formula stays as the general path and is cross-checked in tests
-    def tensor_thin(ka: int, kb: int) -> int:
-        a1, b1, _ = mor_defs[ka]
-        a2, b2, _ = mor_defs[kb]
-        return cat.hom(t_obj_idx[a1][a2], t_obj_idx[b1][b2])[0]
-
     def braiding_cocone(k1: int, k2: int) -> int:
         s1, s2 = specs[k1], specs[k2]
         src_idx = t_obj_idx[k1][k2]
@@ -642,7 +634,7 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     full_family = tuple(range(len(lat)))
     completion = assert_valid(_tabulate_monoidal(
         cat, spec_index[(full_family, mc.unit)], t_obj_idx,
-        tensor_thin if cat.is_thin() else tensor_cocones, braiding_cocone),
+        tensor_cocones, braiding_cocone),
         caps=caps)
 
     emb_obj = tuple(spec_index[(full_family, a)] for a in range(len(mc.objects)))
@@ -715,8 +707,8 @@ def completion_has_no_terminal(completion: BroadCompletion) -> bool:
 def tensor_of_morphisms_by_legs(completion: BroadCompletion, ka: int,
                                 kb: int) -> int:
     """Recompute the tensor of two completion morphisms from the leg
-    formula, independently of the thin shortcut used when building the
-    table; the two must agree."""
+    formula, independently of a thin completion's tensor, which is read
+    off its hom table; the two must agree."""
     cat = completion.category
     specs = completion.specs
     index = {(cat.dom(k), cat.cod(k), completion.cocones[k]): k

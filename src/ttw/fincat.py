@@ -10,6 +10,10 @@ Law checking is exhaustive.  Thin categories (every hom-set has at most
 one element) take a fast path: any equation between parallel morphisms
 holds automatically, so only typing and existence are checked.  The
 fast path is cross-checked against the generic one in the test suite.
+
+A thin category's tensor on morphisms is forced by typing, so the
+derived thin categories keep no table for it: ``MonoidalData.tensor_mor``
+is ``None`` and f (x) g is read off the hom table.
 """
 
 from __future__ import annotations
@@ -71,9 +75,14 @@ class FinCategory:
 
 @dataclass(frozen=True, eq=False)
 class MonoidalData:
+    """Strict braided monoidal tables.  ``tensor_mor`` maps every pair
+    of mids to their tensor, or is ``None`` on a thin category, where
+    f (x) g is the only morphism from dom f (x) dom g to cod f (x) cod g
+    (see ``MonoidalCategory.tensor_mor``)."""
+
     unit: int
     tensor_obj: tuple[tuple[int, ...], ...]
-    tensor_mor: dict[tuple[int, int], int]
+    tensor_mor: dict[tuple[int, int], int] | None
     braiding: tuple[tuple[int, ...], ...]
 
 
@@ -119,7 +128,10 @@ class MonoidalCategory:
         return self.mon.tensor_obj[a][b]
 
     def tensor_mor(self, f: int, g: int) -> int:
-        return self.mon.tensor_mor[(f, g)]
+        table = self.mon.tensor_mor
+        if table is not None:
+            return table[(f, g)]
+        return _forced_tensor(self.cat, self.mon.tensor_obj, f, g)
 
     def braiding(self, a: int, b: int) -> int:
         return self.mon.braiding[a][b]
@@ -245,6 +257,11 @@ def check_monoidal_structure(cat: FinCategory, mon: MonoidalData) -> None:
         raise MalformedTableError("braiding table has wrong shape")
     if any(not (0 <= x < n_mor) for row in mon.braiding for x in row):
         raise MalformedTableError("braiding entry out of range")
+    if mon.tensor_mor is None:
+        if not cat.is_thin():
+            raise MalformedTableError(
+                "tensor_mor table missing on a category that is not thin")
+        return
     # n_mor * n_mor distinct keys, each a pair of mids, are all the pairs
     if len(mon.tensor_mor) != n_mor * n_mor or not all(
             0 <= f < n_mor and 0 <= g < n_mor for f, g in mon.tensor_mor):
@@ -259,7 +276,24 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
     """Exhaustive law check; the report lists every violated axiom with a
     concrete witness.  An empty report means the tables present a
     braided strict monoidal category.  The shape of the category's own
-    tables was checked when it was built."""
+    tables was checked when it was built.
+
+    Without a ``tensor_mor`` table (a thin category) f (x) g is the one
+    morphism of its target hom-set, and it exists for all f and g
+    exactly when the object tensor is monotone in each argument: for
+    every morphism f and object b there are morphisms
+    dom f (x) b -> cod f (x) b and b (x) dom f -> b (x) cod f.  These
+    are the targets of f (x) id_b and id_b (x) f; conversely f (x) g is
+    the composite dom f (x) dom g -> cod f (x) dom g -> cod f (x) cod g.
+    So typing costs one lookup per morphism, object and side, and a
+    failure is reported at (f, id_b) or (id_b, f).  ``force_generic``
+    then runs the generic laws over the forced values, once that typing
+    holds.
+
+    The interchange and braiding-naturality equations compose only
+    well-typed morphisms, and the hexagons also need the object tensor
+    to be associative; each is checked only when the laws it needs hold,
+    so a broken table yields violations, never a failed lookup."""
     if mon is not None:
         check_monoidal_structure(cat, mon)
     out: list[Violation] = []
@@ -315,15 +349,34 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
                     out.append(Violation("strict_assoc_obj", (a, b, c),
                                          "tensor on objects not associative"))
 
-    for f in mors:
-        for g in mors:
-            h = mors[t_mor[(f.mid, g.mid)]]
-            if h.dom != t_obj[f.dom][g.dom] or h.cod != t_obj[f.cod][g.cod]:
-                out.append(Violation("tensor_typing", (f.mid, g.mid),
-                                     "f (x) g has wrong dom/cod"))
+    if t_mor is not None:
+        for f in mors:
+            for g in mors:
+                h = mors[t_mor[(f.mid, g.mid)]]
+                if h.dom != t_obj[f.dom][g.dom] or h.cod != t_obj[f.cod][g.cod]:
+                    out.append(Violation("tensor_typing", (f.mid, g.mid),
+                                         "f (x) g has wrong dom/cod"))
+    else:
+        hom = cat.hom_table
+        untyped = set()
+        for f in mors:
+            for b in range(n_obj):
+                if (t_obj[f.dom][b], t_obj[f.cod][b]) not in hom:
+                    untyped.add((f.mid, cat.identity[b]))
+                if (t_obj[b][f.dom], t_obj[b][f.cod]) not in hom:
+                    untyped.add((cat.identity[b], f.mid))
+        for pair in sorted(untyped):
+            out.append(Violation("tensor_typing", pair,
+                                 "no morphism for f (x) g: the tensor is not monotone"))
+        if not untyped and not thin:
+            t_mor = {(f.mid, g.mid): _forced_tensor(cat, t_obj, f.mid, g.mid)
+                     for f in mors for g in mors}
+
+    def hold(*laws) -> bool:
+        return not any(v.law in laws for v in out)
 
     id_unit = cat.identity[unit]
-    if not thin:
+    if not thin and t_mor is not None:
         for a in range(n_obj):
             for b in range(n_obj):
                 lhs = t_mor[(cat.identity[a], cat.identity[b])]
@@ -342,6 +395,7 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
                         out.append(Violation(
                             "strict_assoc_mor", (f.mid, g.mid, h.mid),
                             "tensor on morphisms not associative"))
+    if not thin and hold("tensor_typing"):
         pairs = list(_composable_pairs(mors, n_obj))
         for f2, f1 in pairs:
             ff = comp[(f2, f1)]
@@ -370,7 +424,7 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
                     out.append(Violation("braiding_invertible", (a, b),
                                          "braiding is not inverted by its swap"))
 
-    if not thin:
+    if not thin and hold("tensor_typing", "braiding_typing"):
         for f in mors:
             for g in mors:
                 lhs = comp[(mon.braiding[f.cod][g.cod], t_mor[(f.mid, g.mid)])]
@@ -378,6 +432,8 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
                 if lhs != rhs:
                     out.append(Violation("braiding_naturality", (f.mid, g.mid),
                                          "braiding square does not commute"))
+    if not thin and hold("identity_typing", "tensor_typing", "braiding_typing",
+                         "strict_assoc_obj"):
         for a in range(n_obj):
             for b in range(n_obj):
                 for c in range(n_obj):
@@ -393,6 +449,13 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
                                              "second hexagon fails"))
 
     return ValidationReport(out)
+
+
+def _forced_tensor(cat: FinCategory, tensor_obj, f: int, g: int) -> int:
+    """f (x) g in a thin category: the one morphism
+    dom f (x) dom g -> cod f (x) cod g."""
+    mf, mg = cat.morphisms[f], cat.morphisms[g]
+    return cat.hom_table[(tensor_obj[mf.dom][mg.dom], tensor_obj[mf.cod][mg.cod])][0]
 
 
 def assert_valid(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
@@ -639,15 +702,15 @@ def _tabulate(objects, morphisms, identity, compose) -> FinCategory:
 
 def _tabulate_monoidal(cat: FinCategory, unit: int, tensor_obj,
                        tensor, braiding) -> MonoidalCategory:
-    """``cat`` with the given unit and object tensor table; the tensor
-    table holds ``tensor(f, g)`` for every pair of mids, f outer, and
-    then the braiding rows ``braiding(a, b)``, a outer.  The caller
-    validates the result."""
+    """``cat`` with the given unit and object tensor table, and then the
+    braiding rows ``braiding(a, b)``, a outer.  A thin ``cat`` gets no
+    tensor table, since typing forces f (x) g, and ``tensor`` is not
+    called; otherwise the table holds ``tensor(f, g)`` for every pair of
+    mids, f outer.  The caller validates the result."""
     n_obj, n_mor = len(cat.objects), len(cat.morphisms)
-    t_mor = {}
-    for f in range(n_mor):
-        for g in range(n_mor):
-            t_mor[(f, g)] = tensor(f, g)
+    t_mor = None
+    if not cat.is_thin():
+        t_mor = {(f, g): tensor(f, g) for f in range(n_mor) for g in range(n_mor)}
     rows = tuple(tuple(braiding(a, b) for b in range(n_obj)) for a in range(n_obj))
     return MonoidalCategory(cat, MonoidalData(unit, tuple(map(tuple, tensor_obj)),
                                               t_mor, rows))
@@ -658,18 +721,16 @@ def _thin_category(poset_elements, leq):
     n = len(objects)
     pairs = [(a, b) for a in range(n) for b in range(n) if leq[a][b]]
     mor_index = {pair: k for k, pair in enumerate(pairs)}
-    cat = _tabulate(objects,
-                    [(a, b, f"{objects[a]}->{objects[b]}") for a, b in pairs],
-                    [mor_index[(a, a)] for a in range(n)],
-                    lambda g, f: mor_index[(pairs[f][0], pairs[g][1])])
-    return cat, mor_index
+    return _tabulate(objects,
+                     [(a, b, f"{objects[a]}->{objects[b]}") for a, b in pairs],
+                     [mor_index[(a, a)] for a in range(n)],
+                     lambda g, f: mor_index[(pairs[f][0], pairs[g][1])])
 
 
 def thin_category_from_poset(poset) -> FinCategory:
     """The thin category of a bare poset, without monoidal data; handy
     for (co)limit questions that need no tensor."""
-    cat, _ = _thin_category(poset.elements, poset.leq)
-    return cat
+    return _thin_category(poset.elements, poset.leq)
 
 
 def _thin_monoidal(elements, leq, product, unit: int,
@@ -681,14 +742,11 @@ def _thin_monoidal(elements, leq, product, unit: int,
     n = len(elements)
     caps.check("max_objects", n)
     caps.check("max_morphisms", sum(map(sum, leq)))
-    cat, mor_index = _thin_category(elements, leq)
-    mors = cat.morphisms
+    cat = _thin_category(elements, leq)
     t_obj = [[product[a][b] for b in range(n)] for a in range(n)]
     return assert_valid(_tabulate_monoidal(
-        cat, unit, t_obj,
-        lambda f, g: mor_index[(t_obj[mors[f].dom][mors[g].dom],
-                                t_obj[mors[f].cod][mors[g].cod])],
-        lambda a, b: cat.identity[t_obj[a][b]]), caps=caps)
+        cat, unit, t_obj, None, lambda a, b: cat.identity[t_obj[a][b]]),
+        caps=caps)
 
 
 def from_semilattice(lat: Semilattice, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:

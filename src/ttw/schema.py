@@ -268,8 +268,10 @@ def category_to_document(mc: MonoidalCategory, name: str) -> dict:
         "tensor_obj": [[mc.obj_label(mc.tensor_obj(a, b))
                         for b in range(len(mc.objects))]
                        for a in range(len(mc.objects))],
-        "tensor_mor": [[mc.mor_label(f), mc.mor_label(g), mc.mor_label(h)]
-                       for (f, g), h in sorted(mc.mon.tensor_mor.items())],
+        "tensor_mor": [[mc.mor_label(f), mc.mor_label(g),
+                        mc.mor_label(mc.tensor_mor(f, g))]
+                       for f in range(len(mc.morphisms))
+                       for g in range(len(mc.morphisms))],
         "braiding": [[mc.mor_label(mc.braiding(a, b))
                       for b in range(len(mc.objects))]
                      for a in range(len(mc.objects))],

@@ -75,6 +75,22 @@ def boolean_category(atoms: int):
     return from_semilattice(Semilattice.from_poset(FinPoset.from_pairs(labels, pairs)))
 
 
+def explicit_tensor(mc) -> dict[tuple[int, int], int]:
+    """The tensor on morphisms as an explicit table over every pair of
+    mids, for tests that read or corrupt single entries; a thin category
+    keeps no such table."""
+    n = range(len(mc.morphisms))
+    return {(f, g): mc.tensor_mor(f, g) for f in n for g in n}
+
+
+def brute_untyped_tensor_pairs(cat, tensor_obj) -> list[tuple[int, int]]:
+    """Every pair (f, g) of mids with no morphism
+    dom f (x) dom g -> cod f (x) cod g, by a sweep over all pairs."""
+    mors = cat.morphisms
+    return [(f.mid, g.mid) for f in mors for g in mors
+            if not cat.hom(tensor_obj[f.dom][g.dom], tensor_obj[f.cod][g.cod])]
+
+
 def mor_by_label(mc, label):
     for m in mc.morphisms:
         if m.label == label:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_cached, max_monoid, mor_by_label, obj_by_label
+from conftest import (brute_untyped_tensor_pairs, build_cached, explicit_tensor,
+                      max_monoid, mor_by_label, obj_by_label, shuffled_posets)
 from ttw import fincat, gallery
 from ttw.caps import Caps
 from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
@@ -66,7 +67,7 @@ def test_validate_missing_compose_entry_is_structural(b2):
 @pytest.mark.parametrize("change", ["missing", "extra", "out_of_range"])
 def test_tensor_table_must_be_total_on_morphism_pairs(b2, change):
     n_mor = len(b2.morphisms)
-    bad = dict(b2.mon.tensor_mor)
+    bad = explicit_tensor(b2)
     if change == "missing":
         del bad[(0, 1)]
     elif change == "extra":
@@ -117,8 +118,8 @@ def test_compose_table_shape_errors_name_the_least_pair(c3):
 @st.composite
 def typed_tables(draw):
     """Braided monoidal tables that are well typed but obey few laws: at
-    least one morphism between any two objects, every composite, tensor
-    and braiding drawn from the right hom-set."""
+    least one morphism between any two objects, any object tensor, and
+    every composite, tensor and braiding drawn from the right hom-set."""
     n_obj = draw(st.integers(1, 3))
     ends = [(a, b) for a in range(n_obj) for b in range(n_obj)]
     ends += draw(st.lists(st.sampled_from(ends), max_size=2))
@@ -133,10 +134,9 @@ def typed_tables(draw):
     compose = {(g.mid, f.mid): pick(f.dom, g.cod)
                for f in morphisms for g in morphisms if g.dom == f.cod}
     cat = FinCategory(tuple(map(str, range(n_obj))), morphisms, identity, compose)
-    # an associative object tensor, so that the hexagons typecheck
-    product, unit = draw(st.sampled_from([(max, 0), (min, n_obj - 1),
-                                          (lambda a, b: (a + b) % n_obj, 0)]))
-    t_obj = tuple(tuple(product(a, b) for b in range(n_obj)) for a in range(n_obj))
+    unit = draw(st.integers(0, n_obj - 1))
+    t_obj = tuple(tuple(draw(st.integers(0, n_obj - 1)) for b in range(n_obj))
+                  for a in range(n_obj))
     t_mor = {(f.mid, g.mid): pick(t_obj[f.dom][g.dom], t_obj[f.cod][g.cod])
              for f in morphisms for g in morphisms}
     braiding = tuple(tuple(pick(t_obj[a][b], t_obj[b][a]) for b in range(n_obj))
@@ -181,6 +181,94 @@ def test_thin_fast_path_agrees_with_generic():
         fast = validate(mc.cat, mc.mon)
         slow = validate(mc.cat, mc.mon, force_generic=True)
         assert fast.ok() and slow.ok()
+
+
+def test_thin_categories_keep_no_tensor_table(gallery_category):
+    name, mc = gallery_category
+    assert (mc.mon.tensor_mor is None) == mc.is_thin()
+
+
+def test_tensor_table_is_required_off_thin_categories(z2):
+    mon = dataclasses.replace(z2.mon, tensor_mor=None)
+    with pytest.raises(MalformedTableError, match="not thin"):
+        check_monoidal_structure(z2.cat, mon)
+    with pytest.raises(MalformedTableError, match="not thin"):
+        validate(z2.cat, mon)
+
+
+def test_non_monotone_object_tensor_is_a_typing_violation(c3):
+    # m (x) m = 1 but m (x) 1 = m: the forced m (x) (m -> 1) would run 1 -> m
+    m, one = obj_by_label(c3, "m"), obj_by_label(c3, "1")
+    rows = [list(r) for r in c3.mon.tensor_obj]
+    rows[m][m] = one
+    mon = dataclasses.replace(c3.mon, tensor_obj=tuple(map(tuple, rows)))
+    witnesses = [v.witness for v in validate(c3.cat, mon).violations
+                 if v.law == "tensor_typing"]
+    f = thin_mor(c3, "m", "1")
+    assert (c3.identity(m), f) in witnesses and (f, c3.identity(m)) in witnesses
+    idents = set(c3.cat.identity)
+    for x, y in witnesses:
+        assert x in idents or y in idents
+        assert not c3.hom(mon.tensor_obj[c3.dom(x)][c3.dom(y)],
+                          mon.tensor_obj[c3.cod(x)][c3.cod(y)])
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_non_associative_object_tensor_is_reported_not_raised(explicit):
+    # three objects and their identities, unit 0, a commutative object
+    # tensor with (1 (x) 1) (x) 2 = 1 but 1 (x) (1 (x) 2) = 2
+    t_obj = ((0, 1, 2), (1, 2, 1), (2, 1, 1))
+    cat = FinCategory(("0", "1", "2"), tuple(fincat.Morphism(k, k, k) for k in range(3)),
+                      (0, 1, 2), {(k, k): k for k in range(3)})
+    t_mor = {(f, g): t_obj[f][g] for f in range(3) for g in range(3)}
+    mon = fincat.MonoidalData(0, t_obj, t_mor if explicit else None, t_obj)
+    assert validate(cat, mon).laws() == {"strict_assoc_obj"}
+    assert validate(cat, mon, force_generic=True).laws() == {
+        "strict_assoc_obj", "strict_assoc_mor"}
+
+
+@st.composite
+def thin_tensors(draw):
+    """The thin category of a random poset with a random commutative
+    object tensor that has a unit, need not be monotone or associative,
+    and whose braiding is the identity; no tensor_mor table."""
+    poset = draw(shuffled_posets(max_size=5))
+    cat = fincat.thin_category_from_poset(poset)
+    n = len(poset)
+    unit = draw(st.integers(0, n - 1))
+    rows = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            value = (b if a == unit else a if b == unit
+                     else draw(st.integers(0, n - 1)))
+            rows[a][b] = rows[b][a] = value
+    t_obj = tuple(map(tuple, rows))
+    braiding = tuple(tuple(cat.identity[x] for x in row) for row in t_obj)
+    return fincat.MonoidalCategory(cat, fincat.MonoidalData(unit, t_obj, None,
+                                                            braiding))
+
+
+@settings(max_examples=150, deadline=None)
+@given(thin_tensors())
+def test_thin_tensor_reduction_matches_the_pair_sweep(mc):
+    cat, mon = mc.cat, mc.mon
+    untyped = brute_untyped_tensor_pairs(cat, mon.tensor_obj)
+    fast = validate(cat, mon)
+    witnesses = [v.witness for v in fast.violations if v.law == "tensor_typing"]
+    assert bool(witnesses) == bool(untyped)
+    assert set(witnesses) <= set(untyped)
+    if untyped:
+        return
+    slow = validate(cat, mon, force_generic=True)
+    assert fast.ok() == slow.ok()
+    objects_only = ("strict_unit_obj", "strict_assoc_obj", "braiding_typing")
+    assert [v for v in fast.violations if v.law in objects_only] == \
+        [v for v in slow.violations if v.law in objects_only]
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            src = cat.objects[mon.tensor_obj[f.dom][g.dom]]
+            dst = cat.objects[mon.tensor_obj[f.cod][g.cod]]
+            assert mc.tensor_mor(f.mid, g.mid) == mor_by_label(mc, f"{src}->{dst}")
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +563,12 @@ def test_every_single_entry_corruption_detected_exhaustively():
                 cat = FinCategory(mc.cat.objects, mc.cat.morphisms,
                                   mc.cat.identity, bad)
                 assert not validate(cat, mc.mon).ok(), (name, key, wrong)
-        for key in mc.mon.tensor_mor:
+        table = explicit_tensor(mc)
+        for key in table:
             for wrong in mids:
-                if wrong == mc.mon.tensor_mor[key]:
+                if wrong == table[key]:
                     continue
-                bad = dict(mc.mon.tensor_mor)
+                bad = dict(table)
                 bad[key] = wrong
                 mon = dataclasses.replace(mc.mon, tensor_mor=bad)
                 assert not validate(mc.cat, mon).ok(), (name, key, wrong)
@@ -515,12 +604,13 @@ def test_single_entry_corruption_is_detected(name, data):
         cat = FinCategory(mc.cat.objects, mc.cat.morphisms, mc.cat.identity, bad)
         report = validate(cat, mc.mon)
     elif table == "tensor_mor":
-        keys = sorted(mc.mon.tensor_mor)
+        table = explicit_tensor(mc)
+        keys = sorted(table)
         key = data.draw(st.sampled_from(keys))
-        old = mc.mon.tensor_mor[key]
+        old = table[key]
         new = data.draw(st.sampled_from(
             [m.mid for m in mc.morphisms if m.mid != old]))
-        bad = dict(mc.mon.tensor_mor)
+        bad = dict(table)
         bad[key] = new
         mon = dataclasses.replace(mc.mon, tensor_mor=bad)
         report = validate(mc.cat, mon)
