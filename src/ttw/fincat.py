@@ -11,6 +11,17 @@ one element) take a fast path: any equation between parallel morphisms
 holds automatically, so only typing and existence are checked.  The
 fast path is cross-checked against the generic one in the test suite.
 
+The same fact turns colimits, pullbacks, pushouts and monos of a thin
+category into order theory on the preorder a <= b iff hom(a, b) is
+nonempty.  A thin category records this preorder once, at
+construction, as one up-set bitmask per object (``FinCategory.up``),
+and ``all_cocones``, ``colimit``, ``is_colimit``, ``is_pullback``,
+``is_pushout`` and ``is_mono`` decide from those masks; each states its
+reduction in its docstring.  Every other category runs the full sweep.
+The reductions take the composition table to be well typed, as
+``validate`` checks, and are cross-checked against the sweeps in the
+test suite.
+
 A thin category's tensor on morphisms is forced by typing, so the
 derived thin categories keep no table for it: ``MonoidalData.tensor_mor``
 is ``None`` and f (x) g is read off the hom table.
@@ -25,7 +36,7 @@ from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (BuildError, MalformedTableError,
                      NonCommutingSquareError)
-from .orderkit import FinMonoid, Quantale, Semilattice, ideal_quantale
+from .orderkit import FinMonoid, Quantale, Semilattice, _bits, ideal_quantale
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,9 @@ class FinCategory:
     identity: tuple[int, ...]
     compose_table: dict[tuple[int, int], int]
     hom_table: dict[tuple[int, int], tuple[int, ...]] = field(repr=False, default=None)
+    # on a thin category, up[a] has bit b set exactly when hom(a, b) is
+    # nonempty; None when some hom-set holds two morphisms
+    up: tuple[int, ...] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         check_structure(self)
@@ -51,6 +65,11 @@ class FinCategory:
             homs.setdefault((m.dom, m.cod), []).append(m.mid)
         table = {key: tuple(v) for key, v in homs.items()}
         object.__setattr__(self, "hom_table", table)
+        if all(len(v) <= 1 for v in homs.values()):
+            up = [0] * len(self.objects)
+            for a, b in homs:
+                up[a] |= 1 << b
+            object.__setattr__(self, "up", tuple(up))
 
     # -- queries ----------------------------------------------------------
 
@@ -67,7 +86,7 @@ class FinCategory:
         return self.morphisms[f].cod
 
     def is_thin(self) -> bool:
-        return all(len(v) <= 1 for v in self.hom_table.values())
+        return self.up is not None
 
     def mor_label(self, f: int) -> str:
         return self.morphisms[f].label or f"m{f}"
@@ -473,9 +492,12 @@ def assert_valid(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> MonoidalCat
 
 
 def is_mono(mc: MonoidalCategory | FinCategory, f: int) -> bool:
-    """Left cancellability, checked against every parallel pair."""
+    """Left cancellability, checked against every parallel pair.  A thin
+    category has no parallel pair g != h, so every morphism is mono."""
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
     dom = cat.dom(f)
+    if cat.up is not None:
+        return True
     comp = cat.compose_table
     for a in range(len(cat.objects)):
         candidates = cat.hom(a, dom)
@@ -552,9 +574,40 @@ def check_diagram(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec) -> N
             raise MalformedTableError("diagram edge morphism has wrong endpoints")
 
 
+def _upper_bounds(cat: FinCategory, diagram: DiagramSpec, caps: Caps) -> int:
+    """The apexes of the cocones over ``diagram`` in the thin ``cat``, as
+    a bitmask: the common upper bounds of its nodes, the AND of their
+    up-sets.  Each apex carries exactly one cocone, since its legs are
+    the only morphisms node -> apex and any two parallel composites are
+    equal, so every edge commutes.  Checks the diagram and the
+    ``max_cocones`` cap as the sweep in ``all_cocones`` does."""
+    check_diagram(cat, diagram)
+    n = len(cat.objects)
+    bounds = (1 << n) - 1
+    for node in diagram.nodes:
+        bounds &= cat.up[node] if 0 <= node < n else 0
+    count = bounds.bit_count()
+    if count:
+        # the sweep checks the running count 1, 2, ... at each apex in
+        # turn, so it refuses with the first count above the limit
+        caps.check("max_cocones", min(count, max(1, caps.max_cocones + 1)))
+    return bounds
+
+
+def _thin_cocone(cat: FinCategory, diagram: DiagramSpec, apex: int) -> Cocone:
+    return Cocone(apex, tuple(cat.hom_table[(node, apex)][0]
+                              for node in diagram.nodes))
+
+
 def all_cocones(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
                 caps: Caps = DEFAULT_CAPS) -> list[Cocone]:
+    """Every cocone over ``diagram``, by apex and then legs.  On a thin
+    category these are one cocone per common upper bound of the nodes
+    (see ``_upper_bounds``)."""
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
+    if cat.up is not None:
+        return [_thin_cocone(cat, diagram, apex)
+                for apex in _bits(_upper_bounds(cat, diagram, caps))]
     check_diagram(cat, diagram)
     out: list[Cocone] = []
     for apex in range(len(cat.objects)):
@@ -574,16 +627,24 @@ def all_cocones(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
     return out
 
 
+def _has_typed_legs(cat: FinCategory, nodes, cocone: Cocone) -> bool:
+    """The apex is an object and each leg a morphism from its node to
+    the apex."""
+    legs, mors = cocone.legs, cat.morphisms
+    return (0 <= cocone.apex < len(cat.objects)
+            and len(legs) == len(nodes)
+            and all(0 <= leg < len(mors) and mors[leg].dom == node
+                    and mors[leg].cod == cocone.apex
+                    for node, leg in zip(nodes, legs)))
+
+
 def is_cocone(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
               cocone: Cocone) -> bool:
     """Each leg runs from its node to the apex and every edge commutes
     with the legs: exactly membership in ``all_cocones``."""
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
-    legs, mors = cocone.legs, cat.morphisms
-    return (0 <= cocone.apex < len(cat.objects)
-            and len(legs) == len(diagram.nodes)
-            and all(mors[leg].dom == node and mors[leg].cod == cocone.apex
-                    for node, leg in zip(diagram.nodes, legs))
+    legs = cocone.legs
+    return (_has_typed_legs(cat, diagram.nodes, cocone)
             and all(cat.compose_table[(legs[tgt], mid)] == legs[src]
                     for src, tgt, mid in diagram.edges))
 
@@ -601,6 +662,22 @@ def mediating_morphisms(mc: MonoidalCategory | FinCategory, source: Cocone,
 def is_colimit(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
                candidate: Cocone, cocones: list[Cocone] | None = None,
                caps: Caps = DEFAULT_CAPS) -> bool:
+    """Every cocone (``cocones``, or else ``all_cocones``) factors
+    through ``candidate`` in exactly one way.
+
+    On a thin category whose candidate and given cocones have typed legs
+    (node -> apex), u o leg and the other cocone's leg are parallel, so
+    they are equal and the mediating morphisms are hom(apex, other
+    apex): the candidate's apex must lie below every other apex.  Any
+    other input runs the sweep."""
+    cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
+    up = cat.up
+    if up is not None and _has_typed_legs(cat, diagram.nodes, candidate):
+        above = up[candidate.apex]
+        if cocones is None:
+            return _upper_bounds(cat, diagram, caps) & ~above == 0
+        if all(_has_typed_legs(cat, diagram.nodes, other) for other in cocones):
+            return all(above >> other.apex & 1 for other in cocones)
     if cocones is None:
         cocones = all_cocones(mc, diagram, caps=caps)
     return all(len(mediating_morphisms(mc, candidate, other)) == 1
@@ -610,7 +687,18 @@ def is_colimit(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
 def colimit(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
             caps: Caps = DEFAULT_CAPS) -> Cocone | None:
     """Brute-force colimit: the first cocone through which every cocone
-    factors uniquely, in canonical order; None when there is none."""
+    factors uniquely, in canonical order; None when there is none.
+
+    On a thin category (see ``is_colimit``) that is the cocone at the
+    first common upper bound of the nodes lying below every common upper
+    bound: their least upper bound, up to isomorphism."""
+    cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
+    if cat.up is not None:
+        bounds = _upper_bounds(cat, diagram, caps)
+        for apex in _bits(bounds):
+            if bounds & ~cat.up[apex] == 0:
+                return _thin_cocone(cat, diagram, apex)
+        return None
     cocones = all_cocones(mc, diagram, caps=caps)
     for candidate in cocones:
         if is_colimit(mc, diagram, candidate, cocones, caps=caps):
@@ -636,6 +724,10 @@ def is_pullback(mc: MonoidalCategory | FinCategory, f: int, g: int,
     """Is (p, q) the pullback cone of the cospan (f: A -> X, g: B -> X)?
 
     Raises NonCommutingSquareError when f o p != g o q.
+
+    On a thin category every cone over the cospan commutes and has at
+    most one filler, so the square is a pullback exactly when every
+    common lower bound of A and B lies below the apex.
     """
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
     comp = cat.compose_table
@@ -645,6 +737,10 @@ def is_pullback(mc: MonoidalCategory | FinCategory, f: int, g: int,
     if comp[(f, p)] != comp[(g, q)]:
         raise NonCommutingSquareError("square does not commute")
     apex = cat.dom(p)
+    up = cat.up
+    if up is not None:
+        ends = 1 << cat.dom(f) | 1 << cat.dom(g)
+        return all(above >> apex & 1 for above in up if above & ends == ends)
     for r in range(len(cat.objects)):
         for p2 in cat.hom(r, cat.dom(f)):
             for q2 in cat.hom(r, cat.dom(g)):
@@ -662,6 +758,10 @@ def is_pushout(mc: MonoidalCategory | FinCategory, f: int, g: int,
     """Is (p, q) the pushout cocone of the span (f: X -> A, g: X -> B)?
 
     Raises NonCommutingSquareError when p o f != q o g.
+
+    On a thin category every cocone under the span commutes and has at
+    most one filler, so the square is a pushout exactly when every
+    common upper bound of A and B lies above the apex.
     """
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
     comp = cat.compose_table
@@ -671,6 +771,9 @@ def is_pushout(mc: MonoidalCategory | FinCategory, f: int, g: int,
     if comp[(p, f)] != comp[(q, g)]:
         raise NonCommutingSquareError("square does not commute")
     apex = cat.cod(p)
+    up = cat.up
+    if up is not None:
+        return up[cat.cod(f)] & up[cat.cod(g)] & ~up[apex] == 0
     for r in range(len(cat.objects)):
         for p2 in cat.hom(cat.cod(f), r):
             for q2 in cat.hom(cat.cod(g), r):

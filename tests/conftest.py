@@ -5,9 +5,10 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
-from ttw import gallery, restriction
+from ttw import fincat, gallery, restriction
 from ttw.caps import DEFAULT_CAPS
 from ttw.daycat import Sieve, broad_category
+from ttw.errors import CapExceededError, NonCommutingSquareError, TtwError
 from ttw.fincat import from_semilattice
 from ttw.orderkit import FinMonoid, FinPoset, Semilattice
 from ttw.subunits import subunit_semilattice
@@ -91,6 +92,136 @@ def brute_untyped_tensor_pairs(cat, tensor_obj) -> list[tuple[int, int]]:
             if not cat.hom(tensor_obj[f.dom][g.dom], tensor_obj[f.cod][g.cod])]
 
 
+# ---------------------------------------------------------------------------
+# sweep oracles for the thin (co)limit kernel of ``fincat``: every leg tuple
+# into every apex, every cone and every filler is tried, whatever the
+# category
+
+
+def _cat_of(mc):
+    return getattr(mc, "cat", mc)
+
+
+def brute_all_cocones(mc, diagram, caps=DEFAULT_CAPS):
+    cat = _cat_of(mc)
+    fincat.check_diagram(cat, diagram)
+    mors, comp = cat.morphisms, cat.compose_table
+    out = []
+    for apex in range(len(cat.objects)):
+        leg_choices = [cat.hom(node, apex) for node in diagram.nodes]
+        count = 1
+        for choice in leg_choices:
+            count *= len(choice)
+            if count == 0:
+                break
+        if count == 0:
+            continue
+        caps.check("max_cocones", len(out) + count)
+        for legs in itertools.product(*leg_choices):
+            if all(mors[leg].dom == node and mors[leg].cod == apex
+                   for node, leg in zip(diagram.nodes, legs)) and \
+                    all(comp[(legs[tgt], mid)] == legs[src]
+                        for src, tgt, mid in diagram.edges):
+                out.append(fincat.Cocone(apex, legs))
+    return out
+
+
+def brute_mediating(mc, source, target):
+    cat = _cat_of(mc)
+    return [u for u in cat.hom(source.apex, target.apex)
+            if all(cat.compose_table[(u, leg)] == target.legs[i]
+                   for i, leg in enumerate(source.legs))]
+
+
+def brute_is_colimit(mc, diagram, candidate, cocones=None, caps=DEFAULT_CAPS):
+    if cocones is None:
+        cocones = brute_all_cocones(mc, diagram, caps=caps)
+    return all(len(brute_mediating(mc, candidate, other)) == 1
+               for other in cocones)
+
+
+def brute_colimit(mc, diagram, caps=DEFAULT_CAPS):
+    cocones = brute_all_cocones(mc, diagram, caps=caps)
+    for candidate in cocones:
+        if brute_is_colimit(mc, diagram, candidate, cocones, caps=caps):
+            return candidate
+    return None
+
+
+def brute_is_pullback(mc, f, g, p, q):
+    cat = _cat_of(mc)
+    comp = cat.compose_table
+    if cat.cod(f) != cat.cod(g) or cat.dom(f) != cat.cod(p) or \
+            cat.dom(g) != cat.cod(q) or cat.dom(p) != cat.dom(q):
+        raise NonCommutingSquareError("square sides do not typecheck")
+    if comp[(f, p)] != comp[(g, q)]:
+        raise NonCommutingSquareError("square does not commute")
+    apex = cat.dom(p)
+    for r in range(len(cat.objects)):
+        for p2 in cat.hom(r, cat.dom(f)):
+            for q2 in cat.hom(r, cat.dom(g)):
+                if comp[(f, p2)] != comp[(g, q2)]:
+                    continue
+                fillers = [u for u in cat.hom(r, apex)
+                           if comp[(p, u)] == p2 and comp[(q, u)] == q2]
+                if len(fillers) != 1:
+                    return False
+    return True
+
+
+def brute_is_pushout(mc, f, g, p, q):
+    cat = _cat_of(mc)
+    comp = cat.compose_table
+    if cat.dom(f) != cat.dom(g) or cat.cod(f) != cat.dom(p) or \
+            cat.cod(g) != cat.dom(q) or cat.cod(p) != cat.cod(q):
+        raise NonCommutingSquareError("square sides do not typecheck")
+    if comp[(p, f)] != comp[(q, g)]:
+        raise NonCommutingSquareError("square does not commute")
+    apex = cat.cod(p)
+    for r in range(len(cat.objects)):
+        for p2 in cat.hom(cat.cod(f), r):
+            for q2 in cat.hom(cat.cod(g), r):
+                if comp[(p2, f)] != comp[(q2, g)]:
+                    continue
+                fillers = [u for u in cat.hom(apex, r)
+                           if comp[(u, p)] == p2 and comp[(u, q)] == q2]
+                if len(fillers) != 1:
+                    return False
+    return True
+
+
+def brute_is_mono(mc, f):
+    cat = _cat_of(mc)
+    dom = cat.dom(f)
+    for a in range(len(cat.objects)):
+        for g, h in itertools.combinations(cat.hom(a, dom), 2):
+            if cat.compose_table[(f, g)] == cat.compose_table[(f, h)]:
+                return False
+    return True
+
+
+def brute_d_diagram(mc, lat, family, x):
+    """D(U, X) with its edges filtered by (t (x) X) o f = s (x) X over
+    every morphism between two nodes."""
+    family = list(family)
+    nodes = tuple(mc.tensor_obj(lat.subunits[i].domain, x) for i in family)
+    incl = [mc.tensor_mor(lat.subunits[i].rep, mc.identity(x)) for i in family]
+    return fincat.DiagramSpec(nodes, tuple(
+        (a, b, f) for a in range(len(family)) for b in range(len(family))
+        for f in mc.hom(nodes[a], nodes[b]) if mc.compose(incl[b], f) == incl[a]))
+
+
+def outcome(call, *args, **kwargs):
+    """What ``call`` returns, or the kind and content of what it raises,
+    so that two implementations can be compared raise for raise."""
+    try:
+        return "value", call(*args, **kwargs)
+    except CapExceededError as exc:
+        return "cap", exc.cap_name, exc.limit, exc.actual
+    except (TtwError, KeyError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 def mor_by_label(mc, label):
     for m in mc.morphisms:
         if m.label == label:
@@ -134,6 +265,43 @@ def scan_is_directed(poset, subset, include_empty=True):
         return include_empty
     return all(any(poset.leq[a][c] and poset.leq[b][c] for c in subset)
                for a in subset for b in subset)
+
+
+def scan_is_distributive(poset):
+    """a ^ (b v c) = (a ^ b) v (a ^ c) for all a, b, c, with every meet
+    and join found by a scan; False when one of them is missing."""
+    n = len(poset)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        bc, ab, ac = scan_join(poset, (b, c)), scan_meet(poset, (a, b)), \
+            scan_meet(poset, (a, c))
+        if None in (bc, ab, ac):
+            return False
+        left, right = scan_meet(poset, (a, bc)), scan_join(poset, (ab, ac))
+        if left is None or left != right:
+            return False
+    return True
+
+
+@st.composite
+def closure_lattices(draw, max_size=9, ground=4):
+    """The lattice of closed sets of a random closure operator on
+    ``ground`` points: random subsets closed under intersection, with the
+    whole set, ordered by inclusion and listed in a shuffled order; at
+    most ``max_size`` elements.  Its ``leq`` is the inclusion matrix."""
+    closed = {frozenset(range(ground))}
+    for bits in draw(st.lists(st.integers(0, 2 ** ground - 1), max_size=12)):
+        s = frozenset(i for i in range(ground) if bits >> i & 1)
+        grown = closed | {s} | {s & t for t in closed}
+        while True:
+            more = grown | {a & b for a in grown for b in grown}
+            if more == grown:
+                break
+            grown = more
+        if len(grown) <= max_size:
+            closed = grown
+    members = draw(st.permutations(sorted(closed, key=sorted)))
+    labels = tuple("{" + ",".join(map(str, sorted(m))) + "}" for m in members)
+    return FinPoset(labels, tuple(tuple(a <= b for b in members) for a in members))
 
 
 @st.composite

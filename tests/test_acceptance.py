@@ -190,7 +190,7 @@ def test_criterion_09_day_convolution():
 
 def test_criterion_10_completions():
     with Budget(10, "broad completions", 120.0):
-        for name in ("b2", "c3", "q3", "boolean2x2"):
+        for name in ("b2", "c3", "q3", "boolean2x2", "m3"):
             mc = build_cached(name)
             lat = subunit_semilattice(mc)
             for flavour, free_completion in (

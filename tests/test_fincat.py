@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_untyped_tensor_pairs, build_cached, explicit_tensor,
-                      max_monoid, mor_by_label, obj_by_label, shuffled_posets)
+from conftest import (brute_all_cocones, brute_colimit, brute_is_colimit,
+                      brute_is_mono, brute_is_pullback, brute_is_pushout,
+                      brute_untyped_tensor_pairs, build_cached, completion_cached,
+                      explicit_tensor, max_monoid, mor_by_label, obj_by_label,
+                      outcome, shuffled_posets)
 from ttw import fincat, gallery
 from ttw.caps import Caps
 from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
@@ -457,6 +461,131 @@ def test_square_must_commute(q3):
     g = thin_mor(q3, "eps", "1")
     with pytest.raises(NonCommutingSquareError):
         is_pullback(q3, f, g, f, f)  # sides do not even typecheck
+
+
+@st.composite
+def thin_colimit_cases(draw):
+    """The thin category of a random poset with a diagram (nodes may
+    repeat, edges are typed but for a rare stray one), a candidate cocone
+    that is typed or not, a cocone list to test it against (none, the
+    oracle's, or that plus a stray cocone), a ``max_cocones`` cap small
+    enough to refuse, and a square P -> A, B -> X with some side
+    possibly replaced by an arbitrary morphism."""
+    cat = thin_category_from_poset(draw(shuffled_posets(max_size=6)))
+    n, hom = len(cat.objects), cat.hom_table
+    objs, mids = st.integers(0, n - 1), st.integers(0, len(cat.morphisms) - 1)
+
+    def up(a):
+        return [b for b in range(n) if (a, b) in hom]
+
+    nodes = tuple(draw(st.lists(objs, max_size=4)))
+    places = st.integers(0, max(len(nodes) - 1, 0))
+    edges = [(a, b, hom[(nodes[a], nodes[b])][0])
+             for a, b in draw(st.lists(st.tuples(places, places), max_size=4))
+             if nodes and (nodes[a], nodes[b]) in hom]
+    if nodes and draw(st.integers(0, 9)) == 0:
+        edges.append((draw(places), draw(places), draw(mids)))
+    diagram = DiagramSpec(nodes, tuple(edges))
+
+    bounds = [u for u in range(n) if all((v, u) in hom for v in nodes)]
+    apex = draw(st.sampled_from(bounds) if bounds and draw(st.booleans())
+                else st.integers(-1, n))
+    typed = draw(st.booleans())
+    legs = tuple(hom[(v, apex)][0] if typed and (v, apex) in hom else draw(mids)
+                 for v in nodes)
+    if draw(st.integers(0, 4)) == 0:
+        legs = legs[:-1] if legs and draw(st.booleans()) else legs + (draw(mids),)
+    candidate = Cocone(apex, legs)
+
+    cocones = None
+    if draw(st.booleans()):
+        kind, cocones = outcome(brute_all_cocones, cat, diagram)
+        if kind != "value":
+            cocones = None
+        elif draw(st.booleans()):
+            stray = Cocone(draw(st.integers(-1, n)),
+                           tuple(draw(mids) for _ in nodes))
+            cocones = cocones + [stray]
+    caps = Caps(max_cocones=draw(st.integers(-1, n + 1))) \
+        if draw(st.booleans()) else Caps()
+
+    p_obj = draw(objs)
+    a_obj, b_obj = draw(st.sampled_from(up(p_obj))), draw(st.sampled_from(up(p_obj)))
+    common = [x for x in up(a_obj) if (b_obj, x) in hom]
+    x_obj = draw(st.sampled_from(common)) if common else draw(objs)
+    sides = [hom.get(pair, (draw(mids),))[0] for pair in
+             ((a_obj, x_obj), (b_obj, x_obj), (p_obj, a_obj), (p_obj, b_obj))]
+    if draw(st.booleans()):
+        sides[draw(st.integers(0, 3))] = draw(mids)
+    return cat, diagram, candidate, cocones, caps, tuple(sides)
+
+
+def assert_kernel_matches_the_sweep(cat, diagram, candidate, cocones, caps,
+                                    square):
+    """Results, exceptions and cap fields of the (co)limit kernel equal
+    those of the sweep oracles.  ``square`` is (f, g, p, q) with
+    f: A -> X, g: B -> X, p: P -> A and q: P -> B when it is typed; it is
+    tested as a pullback of (f, g) and as a pushout of (p, q)."""
+    assert outcome(all_cocones, cat, diagram, caps=caps) == \
+        outcome(brute_all_cocones, cat, diagram, caps=caps)
+    assert outcome(colimit, cat, diagram, caps=caps) == \
+        outcome(brute_colimit, cat, diagram, caps=caps)
+    assert outcome(is_colimit, cat, diagram, candidate, cocones, caps=caps) == \
+        outcome(brute_is_colimit, cat, diagram, candidate, cocones, caps=caps)
+    f, g, p, q = square
+    assert outcome(is_pullback, cat, f, g, p, q) == \
+        outcome(brute_is_pullback, cat, f, g, p, q)
+    assert outcome(is_pushout, cat, p, q, f, g) == \
+        outcome(brute_is_pushout, cat, p, q, f, g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(thin_colimit_cases())
+def test_thin_colimit_kernel_matches_the_sweep(case):
+    cat = case[0]
+    n = len(cat.objects)
+    assert cat.up == tuple(sum(1 << b for b in range(n) if cat.hom(a, b))
+                           for a in range(n))
+    assert_kernel_matches_the_sweep(*case)
+    assert all(is_mono(cat, m.mid) == brute_is_mono(cat, m.mid)
+               for m in cat.morphisms)
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_colimit_kernel_matches_the_sweep_on_gallery_and_completions(name):
+    # 25 seeded diagrams per category, each on 0-3 (possibly repeated)
+    # objects with every morphism between them as an edge; a random
+    # cocone and a stray one are tested as colimits against no list, the
+    # oracle's list and that list with the stray added, each with a
+    # seeded square
+    for mc in (build_cached(name), completion_cached(name, "all").category):
+        cat = mc.cat
+        rng = random.Random(f"{name}/{len(cat.objects)}")
+        n, mors = len(cat.objects), cat.morphisms
+        assert cat.is_thin() == all(len(v) <= 1 for v in cat.hom_table.values())
+        for _ in range(25):
+            nodes = tuple(rng.choices(range(n), k=rng.randint(0, 3)))
+            diagram = DiagramSpec(nodes, tuple(
+                (a, b, f) for a, u in enumerate(nodes)
+                for b, v in enumerate(nodes) for f in cat.hom(u, v)))
+            cocones = brute_all_cocones(cat, diagram)
+            stray = Cocone(rng.randrange(n), tuple(
+                rng.randrange(len(mors)) for _ in nodes))
+            candidates = [stray] + ([rng.choice(cocones)] if cocones else [])
+            for candidate in candidates:
+                for given_cocones in (None, cocones, cocones + [stray]):
+                    p = rng.randrange(n)
+                    a, b = (rng.choice([v for v in range(n) if cat.hom(p, v)])
+                            for _ in "ab")
+                    x = rng.choice([v for v in range(n)
+                                    if cat.hom(a, v) and cat.hom(b, v)] or [a])
+                    sides = [rng.choice(cat.hom(u, v) or (0,)) for u, v in
+                             ((a, x), (b, x), (p, a), (p, b))]
+                    assert_kernel_matches_the_sweep(
+                        cat, diagram, candidate, given_cocones,
+                        Caps(), tuple(sides))
+        assert all(is_mono(cat, m.mid) == brute_is_mono(cat, m.mid)
+                   for m in mors)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,19 @@ import weakref
 
 import pytest
 
-from conftest import build_cached, obj_by_label, subunit_by_domain
+from hypothesis import given, settings
+
+from conftest import (brute_d_diagram, brute_is_pushout, build_cached,
+                      closure_lattices, completion_cached, obj_by_label,
+                      scan_is_distributive, subunit_by_domain)
 import ttw.subunits
 from ttw import gallery
 from ttw.daycat import broad_category
 from ttw.errors import BuildError
 from ttw.fincat import (FinCategory, MonoidalCategory, MonoidalData, Morphism,
-                        all_cocones, is_iso, is_pushout, subobjects)
-from ttw.orderkit import poset_isomorphism, quantale_subunits
+                        all_cocones, from_semilattice, is_iso, is_pushout,
+                        subobjects)
+from ttw.orderkit import Semilattice, poset_isomorphism, quantale_subunits
 from ttw.subunits import (_tensor_right, check_characterisation,
                           d_diagram, enumerate_subunits,
                           has_universal_directed_joins,
@@ -250,6 +255,7 @@ def test_m3_universal_finite_joins_fail_with_replayable_witness(m3):
     assert report.details["stage"] == "square"
     s_rep, t_rep, x, left, top, bottom_leg, right_leg = report.witness
     assert not is_pushout(m3, left, top, bottom_leg, right_leg)
+    assert not brute_is_pushout(m3, left, top, bottom_leg, right_leg)
 
 
 def test_quantale_categories_locale_based():
@@ -293,6 +299,20 @@ def test_characterisation_agrees_on_gallery(gallery_category):
     report = check_characterisation(mc)  # raises on any disagreement
     assert report.details["verdicts"]["all"] == \
         gallery.GALLERY[name].expected_locale_based
+
+
+@settings(max_examples=40, deadline=None)
+@given(closure_lattices())
+def test_characterisation_on_closure_lattices_is_distributivity(poset):
+    # a finite lattice under meet: every family of subunits has a top, so
+    # directed joins are universal, and finite joins are universal exactly
+    # when meets distribute over joins, which for a finite lattice also
+    # makes it a frame
+    mc = from_semilattice(Semilattice.from_poset(poset))
+    d = scan_is_distributive(poset)
+    report = check_characterisation(mc)
+    assert report.details["verdicts"] == {"all": d, "finite": d, "directed": True}
+    assert is_locale_based(mc).holds == d
 
 
 def test_characterisation_b2_all_conditions(b2):
@@ -350,6 +370,18 @@ def test_idempotent_family_cocones_extend_uniquely():
                         if c.apex == cocone.apex and
                         tuple(c.legs[p] for p in positions) == cocone.legs]
                     assert len(extensions) == 1
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_d_diagram_matches_the_edge_filter(name):
+    # about 20 families per category, over every object
+    for mc in (build_cached(name), completion_cached(name, "all").category):
+        lat = subunit_semilattice(mc)
+        families = list(idempotent_families(lat))
+        for family in families[::max(1, len(families) // 20)]:
+            for x in range(len(mc.objects)):
+                assert d_diagram(mc, lat, family, x) == \
+                    brute_d_diagram(mc, lat, family, x)
 
 
 def test_directed_family_predicate(m3):
