@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Print one sha256 digest of ``schema.category_to_document`` per derived
-category, or the error text where its build fails:
+category, or the error text where its build fails, and after it one
+digest of the category's restriction relation and canonical supports:
 
     python scripts/document_digests.py > digests.txt
 
 The categories are the gallery, the three broad completions of each
 entry, and the restriction to every subunit and the simple quotient of
 each of those.  The m3 "all" and "finite" completions are skipped: their
-documents hold over two million tensor rows.  Two commits that print the
-same lines export the same tables for every category listed.
+documents hold over two million tensor rows.  The second digest covers,
+for every morphism, the subunits it restricts to (by ``restricts_to``),
+its canonical downset and supp (by ``canonical_support``), or the error
+that stops them.  Two commits that print the same lines export the same
+tables and decide the same restrictions and supports for every category
+listed.
 """
 
 from __future__ import annotations
@@ -20,17 +25,37 @@ from ttw import gallery
 from ttw.daycat import broad_category
 from ttw.errors import TtwError
 from ttw.fractions import simple_quotient
-from ttw.restriction import restriction_category
+from ttw.restriction import restriction_category, restricts_to
 from ttw.schema import category_to_document
 from ttw.subunits import enumerate_subunits
+from ttw.support import canonical_support
 
 FLAVOURS = ("finite", "directed", "all")
 SKIPPED = {("m3", "finite"), ("m3", "all")}
 
 
+def sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
 def digest(mc, name: str) -> str:
-    text = json.dumps(category_to_document(mc, name), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(category_to_document(mc, name))
+
+
+def support_digest(mc) -> str:
+    """The digest of each morphism's restricting subunits, canonical
+    downset and supp, or of the error text that stops them."""
+    try:
+        subs = enumerate_subunits(mc)
+        rows = []
+        for f in mc.morphisms:
+            support = canonical_support(mc, f.mid)
+            rows.append([[k for k, s in enumerate(subs)
+                          if restricts_to(mc, f.mid, s) is not None],
+                         sorted(support.canonical), support.supp])
+    except TtwError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return sha256(rows)
 
 
 def attempt(name: str, build) -> object | None:
@@ -41,6 +66,7 @@ def attempt(name: str, build) -> object | None:
         print(f"{name}\t{type(exc).__name__}: {exc}")
         return None
     print(f"{name}\t{digest(mc, name)}")
+    print(f"{name}/support\t{support_digest(mc)}")
     return mc
 
 

@@ -27,7 +27,7 @@ from .fincat import (CatFunctor, Cocone, MonoidalCategory, _tabulate,
                      mediating_morphisms, terminal_object)
 from .orderkit import (_bits, _downset_label, _mask, _unions, directed_downsets,
                        downsets, finitely_bounded_downsets)
-from .restriction import restricts_to
+from .restriction import restriction_table, restricts_to
 from .subunits import (SubunitSemilattice, _tensor_left, _tensor_right,
                        d_diagram, is_stiff, subunit_semilattice)
 
@@ -303,42 +303,35 @@ def day_unitors(mc: MonoidalCategory, p: Presheaf,
     unit_p = yoneda(mc, mc.unit)
     right = day_tensor(mc, p, unit_p, caps=caps)
     left = day_tensor(mc, unit_p, p, caps=caps)
-    rho_parts = []
-    lam_parts = []
-    for a in range(len(mc.objects)):
-        row = []
-        for grp in right.classes[a]:
-            values = set()
-            for (b, c, h, x, y) in grp:
-                y_mor = unit_p.values[c][y]          # c -> unit
-                collapse = mc.compose(_tensor_left(mc, b, y_mor), h)
-                values.add(p.apply(collapse, x))
-            if len(values) != 1:
-                raise ConsistencyError("right unitor ill defined",
-                                       details={"object": a, "class": grp})
-            row.append(values.pop())
-        rho_parts.append(tuple(row))
-        row = []
-        for grp in left.classes[a]:
-            values = set()
-            for (b, c, h, x, y) in grp:
-                x_mor = unit_p.values[b][x]          # b -> unit
-                collapse = mc.compose(_tensor_right(mc, x_mor, c), h)
-                values.add(p.apply(collapse, y))
-            if len(values) != 1:
-                raise ConsistencyError("left unitor ill defined",
-                                       details={"object": a, "class": grp})
-            row.append(values.pop())
-        lam_parts.append(tuple(row))
-    rho = NatTransformation(right.presheaf, p, tuple(rho_parts))
-    lam = NatTransformation(left.presheaf, p, tuple(lam_parts))
-    for name, nt, src in (("right", rho, right.presheaf),
-                          ("left", lam, left.presheaf)):
-        if not is_natural(src, p, nt.components):
+    # collapse the unit coordinate, a morphism into the unit, into h
+    rho = _unitor(right, p, "right", lambda b, c, h, x, y: p.apply(
+        mc.compose(_tensor_left(mc, b, unit_p.values[c][y]), h), x))
+    lam = _unitor(left, p, "left", lambda b, c, h, x, y: p.apply(
+        mc.compose(_tensor_right(mc, unit_p.values[b][x], c), h), y))
+    for name, nt in (("right", rho), ("left", lam)):
+        if not is_natural(nt.source, p, nt.components):
             raise ConsistencyError(f"{name} unitor not natural")
         if not nt.is_bijective():
             raise ConsistencyError(f"{name} unitor not invertible")
     return rho, lam
+
+
+def _unitor(day: DayTensorResult, p: Presheaf, side: str,
+            collapse) -> NatTransformation:
+    """The components of a unitor out of the Day tensor ``day`` of ``p``
+    with the unit presheaf: each class goes to ``collapse(b, c, h, x, y)``,
+    which must be the same for every member of the class."""
+    parts = []
+    for a, groups in enumerate(day.classes):
+        row = []
+        for grp in groups:
+            values = {collapse(*triple) for triple in grp}
+            if len(values) != 1:
+                raise ConsistencyError(f"{side} unitor ill defined",
+                                       details={"object": a, "class": grp})
+            row.append(values.pop())
+        parts.append(tuple(row))
+    return NatTransformation(day.presheaf, p, tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +450,13 @@ def make_broad_spec(lat: SubunitSemilattice, family, obj: int, flavour: str,
 def broad_presheaf(mc: MonoidalCategory, lat: SubunitSemilattice,
                    spec: BroadSpec) -> Presheaf:
     """The presheaf of morphisms into the spec object restricting to a
-    member of the family, with precomposition action."""
-    fam = [lat.subunits[i] for i in spec.family]
-    values = []
-    for a in range(len(mc.objects)):
-        values.append(tuple(
-            f for f in mc.hom(a, spec.obj)
-            if any(restricts_to(mc, f, s) is not None for s in fam)))
-    return _precomposition_presheaf(mc, values)
+    member of the family, with precomposition action; the family indexes
+    the subunits of ``lat``, which must be ``subunit_semilattice(mc)``."""
+    table = restriction_table(mc)
+    family = _mask(spec.family)
+    return _precomposition_presheaf(
+        mc, [tuple(f for f in mc.hom(a, spec.obj) if table[f] & family)
+             for a in range(len(mc.objects))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,10 +490,8 @@ def _flavour_families(lat: SubunitSemilattice, flavour: str,
 def _restriction_factor(mc: MonoidalCategory, lat: SubunitSemilattice,
                         family, leg: int) -> tuple[int, int]:
     """The least (t, h) with leg = (t (x) target) o h and t in family."""
-    for t in family:
-        h = restricts_to(mc, leg, lat.subunits[t])
-        if h is not None:
-            return t, h
+    for t in _bits(restriction_table(mc)[leg] & _mask(family)):
+        return t, restricts_to(mc, leg, lat.subunits[t])
     raise ConsistencyError("cocone leg does not restrict into the family",
                            details={"leg": leg, "family": family})
 
@@ -529,15 +519,15 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     spec_index = {(s.family, s.obj): k for k, s in enumerate(specs)}
 
     diagrams = {s: d_diagram(mc, lat, s.family, s.obj) for s in specs}
+    table = restriction_table(mc)
 
     def hom_cocones(src: BroadSpec, dst: BroadSpec) -> list[tuple[int, ...]]:
         diagram = diagrams[src]
-        fam_dst = [lat.subunits[i] for i in dst.family]
+        fam_dst = _mask(dst.family)
         candidate_legs = []
         count = 1
         for node in diagram.nodes:
-            legs = [c for c in mc.hom(node, dst.obj)
-                    if any(restricts_to(mc, c, t) is not None for t in fam_dst)]
+            legs = [c for c in mc.hom(node, dst.obj) if table[c] & fam_dst]
             count *= len(legs)
             candidate_legs.append(legs)
             if count == 0:
@@ -570,8 +560,11 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
         for leg in a_legs:
             candidates = set()
             for pos, t in enumerate(mid_spec.family):
-                sub = lat.subunits[t]
-                target = _tensor_right(mc, sub.rep, mid_spec.obj)
+                # restricts_to(leg, t) is None exactly when no h has
+                # (t (x) Y) o h = leg, so the sweep below would find none
+                if not table[leg] >> t & 1:
+                    continue
+                target = _tensor_right(mc, lat.subunits[t].rep, mid_spec.obj)
                 for h in mc.hom(mc.dom(leg), mc.dom(target)):
                     if mc.compose(target, h) == leg:
                         candidates.add(mc.compose(b_legs[pos], h))

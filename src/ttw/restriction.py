@@ -1,8 +1,9 @@
 """Restriction along subunits.
 
 A morphism f: A -> B restricts to a subunit s when it factors through
-s (x) B.  Restriction to s carves out the full subcategory of objects A
-with s (x) A invertible; tensoring with S is a coreflector onto it.
+s (x) B, a relation ``restriction_table`` decides once per category.
+Restriction to s carves out the full subcategory of objects A with
+s (x) A invertible; tensoring with S is a coreflector onto it.
 The same data appears in three equivalent guises verified here: a monad
 graded by the (unquotiented) subunit monomorphisms, idempotent comonads
 with monic counit at the unit, and monocoreflective tensor ideals.
@@ -18,8 +19,9 @@ from .fincat import (CatFunctor, MonoidalCategory, _tabulate, _tabulate_monoidal
                      factors_through, is_iso, is_mono, objects_isomorphic,
                      validate)
 from .orderkit import _bits, _mask, _unions
-from .subunits import (PropertyReport, Subunit, _tensor_left, _tensor_right,
-                       enumerate_subunits, retract_pairs, subunit_semilattice)
+from .subunits import (PropertyReport, Subunit, _per_category, _tensor_left,
+                       _tensor_right, enumerate_subunits, retract_pairs,
+                       subunit_semilattice)
 
 
 def restricts_to(mc: MonoidalCategory, f: int, s: Subunit) -> int | None:
@@ -28,8 +30,19 @@ def restricts_to(mc: MonoidalCategory, f: int, s: Subunit) -> int | None:
     return factors_through(mc, f, s_cod)
 
 
-def restricting_subunits(mc: MonoidalCategory, subs: list[Subunit], f: int) -> list[int]:
-    return [k for k, s in enumerate(subs) if restricts_to(mc, f, s) is not None]
+@_per_category
+def restriction_table(mc: MonoidalCategory) -> tuple[int, ...]:
+    """Per morphism id, the bitmask of the subunits it restricts to (by
+    ``restricts_to``), by position in ``enumerate_subunits(mc)``, which
+    are the positions in ``subunit_semilattice(mc).subunits`` too."""
+    subs = enumerate_subunits(mc)
+    return tuple(_mask(k for k, s in enumerate(subs)
+                       if restricts_to(mc, f.mid, s) is not None)
+                 for f in mc.morphisms)
+
+
+def restricting_subunits(mc: MonoidalCategory, f: int) -> list[int]:
+    return list(_bits(restriction_table(mc)[f]))
 
 
 def object_restriction_equivalences(mc: MonoidalCategory, a: int,
@@ -75,8 +88,10 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
     is not strictly unital (impossible for thin or one-object ambient
     categories) are rejected.
     """
-    keep = [a for a in range(len(mc.objects))
-            if is_iso(mc, _tensor_right(mc, s.rep, a)) is not None]
+    # each object A of the restriction, with the inverse of s (x) A
+    inverses = {a: inv for a in range(len(mc.objects))
+                if (inv := is_iso(mc, _tensor_right(mc, s.rep, a))) is not None}
+    keep = list(inverses)
     obj_index = {a: k for k, a in enumerate(keep)}
     mors = [m for m in mc.morphisms if m.dom in keep and m.cod in keep]
     mor_index = {m.mid: k for k, m in enumerate(mors)}
@@ -121,18 +136,17 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
     coreflector.check_functor()
     counit = tuple(_tensor_right(mc, s.rep, a) for a in range(len(mc.objects)))
 
-    _verify_coreflection(mc, s, keep, counit)
+    _verify_coreflection(mc, s, inverses, counit)
     _verify_coreflector_monoidal(mc, s)
     return RestrictionResult(sub, tuple(keep), tuple(m.mid for m in mors),
                              inclusion, coreflector, counit)
 
 
-def _verify_coreflection(mc, s, keep, counit):
+def _verify_coreflection(mc, s, inverses, counit):
     """The natural bijection C(A, B) = C|s(A, S (x) B) for A in C|s."""
-    for a in keep:
+    for a, inv in inverses.items():
         for b in range(len(mc.objects)):
             sb = mc.tensor_obj(s.domain, b)
-            inv = is_iso(mc, _tensor_right(mc, s.rep, a))
             forward = {}
             for f in mc.hom(a, b):
                 g = mc.compose(_tensor_left(mc, s.domain, f), inv)
@@ -147,14 +161,12 @@ def _verify_coreflection(mc, s, keep, counit):
                     "coreflection correspondence is not a bijection",
                     details={"a": a, "b": b})
     # naturality in both arguments, by whisker enumeration
-    for a in keep:
+    for a, inv_a in inverses.items():
         for b in range(len(mc.objects)):
-            inv_a = is_iso(mc, _tensor_right(mc, s.rep, a))
             for f in mc.hom(a, b):
                 phi_f = mc.compose(_tensor_left(mc, s.domain, f), inv_a)
-                for a2 in keep:
+                for a2, inv_a2 in inverses.items():
                     for u in mc.hom(a2, a):
-                        inv_a2 = is_iso(mc, _tensor_right(mc, s.rep, a2))
                         lhs = mc.compose(_tensor_left(mc, s.domain,
                                                       mc.compose(f, u)), inv_a2)
                         if lhs != mc.compose(phi_f, u):
@@ -687,28 +699,26 @@ def restriction_composition_law(mc: MonoidalCategory) -> PropertyReport:
     meet, the tensor restricts to the meet, and restriction transfers
     across retractions."""
     lat = subunit_semilattice(mc)
-    subs = lat.subunits
-    rests = {f.mid: restricting_subunits(mc, list(subs), f.mid)
-             for f in mc.morphisms}
+    table = restriction_table(mc)
     for f in mc.morphisms:
         for g in mc.morphisms:
-            for i in rests[f.mid]:
-                for j in rests[g.mid]:
-                    meet = subs[lat.meet(i, j)]
-                    if g.cod == f.dom:
-                        comp = mc.compose(f.mid, g.mid)
-                        if restricts_to(mc, comp, meet) is None:
-                            return PropertyReport(
-                                "restriction_composition", False,
-                                witness=(f.mid, g.mid, i, j, "compose"))
-                    tens = mc.tensor_mor(f.mid, g.mid)
-                    if restricts_to(mc, tens, meet) is None:
+            comp = table[mc.compose(f.mid, g.mid)] if g.cod == f.dom else None
+            tens = table[mc.tensor_mor(f.mid, g.mid)]
+            for i in _bits(table[f.mid]):
+                for j in _bits(table[g.mid]):
+                    meet = lat.meet(i, j)
+                    if comp is not None and not comp >> meet & 1:
+                        return PropertyReport(
+                            "restriction_composition", False,
+                            witness=(f.mid, g.mid, i, j, "compose"))
+                    if not tens >> meet & 1:
                         return PropertyReport(
                             "restriction_composition", False,
                             witness=(f.mid, g.mid, i, j, "tensor"))
     for m, e in retract_pairs(mc):
-        if rests[m] != rests[e]:
+        if table[m] != table[e]:
             return PropertyReport(
                 "restriction_composition", False, witness=(m, e, "retract"),
-                details={"m_restricts": rests[m], "e_restricts": rests[e]})
+                details={"m_restricts": restricting_subunits(mc, m),
+                         "e_restricts": restricting_subunits(mc, e)})
     return PropertyReport("restriction_composition", True)

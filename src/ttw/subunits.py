@@ -186,13 +186,14 @@ def subunit_semilattice(mc: MonoidalCategory) -> SubunitSemilattice:
 # the D(U, X) diagrams
 
 
-def d_diagram(mc: MonoidalCategory, lat: SubunitSemilattice, family, x: int,
-              require_unique_edges: bool = False) -> DiagramSpec:
+def d_diagram(mc: MonoidalCategory, lat: SubunitSemilattice, family,
+              x: int) -> DiagramSpec:
     """The diagram of objects S (x) X for s in the family, with every
     connecting morphism f satisfying (t (x) X) o f = s (x) X.
 
-    On a thin category both sides of that equation are parallel, so the
-    connecting morphisms are the hom entries, one at most per pair."""
+    Callers check stiffness first, so t (x) X is monic and f unique (a
+    second f raises ConsistencyError); on a thin category f is the hom
+    entry, as both sides of the equation are parallel."""
     family = list(family)
     nodes = tuple(mc.tensor_obj(lat.subunits[i].domain, x) for i in family)
     edges = []
@@ -210,12 +211,11 @@ def d_diagram(mc: MonoidalCategory, lat: SubunitSemilattice, family, x: int,
         for b, j in enumerate(family):
             found = [f for f in mc.hom(nodes[a], nodes[b])
                      if mc.compose(incl[b], f) == incl[a]]
-            if require_unique_edges and len(found) > 1:
+            if len(found) > 1:
                 raise ConsistencyError(
                     "connecting morphism not unique in a stiff category",
                     details={"s": i, "t": j, "x": x, "found": found})
-            for f in found:
-                edges.append((a, b, f))
+            edges.extend((a, b, f) for f in found)
     return DiagramSpec(nodes, tuple(edges))
 
 
@@ -438,7 +438,7 @@ def _locale_based_direct(mc: MonoidalCategory, include_empty: bool,
         v = lat.join(family) if family else lat.bottom()
         vs = lat.subunits[v]
         for x in range(len(mc.objects)):
-            diag = d_diagram(mc, lat, family, x, require_unique_edges=True)
+            diag = d_diagram(mc, lat, family, x)
             legs = []
             for i in family:
                 inc = factors_through(mc, lat.subunits[i].rep, vs.rep)
@@ -501,7 +501,7 @@ def check_characterisation(mc: MonoidalCategory, include_empty: bool = True,
 
 def _characterisation_conditions(mc: MonoidalCategory, lat: SubunitSemilattice,
                                  family, caps: Caps) -> tuple[bool, tuple]:
-    diag_unit = d_diagram(mc, lat, family, mc.unit, require_unique_edges=True)
+    diag_unit = d_diagram(mc, lat, family, mc.unit)
     col_unit = colimit(mc, diag_unit, caps=caps)
     if col_unit is None:
         return False, (family, mc.unit, "no colimit over the unit")
@@ -513,7 +513,7 @@ def _characterisation_conditions(mc: MonoidalCategory, lat: SubunitSemilattice,
     if not is_mono(mc, arrows[0]):
         return False, (family, arrows[0], "mediating arrow not monic")
     for x in range(len(mc.objects)):
-        diag = d_diagram(mc, lat, family, x, require_unique_edges=True)
+        diag = d_diagram(mc, lat, family, x)
         col = colimit(mc, diag, caps=caps)
         if col is None:
             return False, (family, x, "no colimit")

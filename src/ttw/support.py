@@ -1,12 +1,14 @@
 """Support of morphisms.
 
-The subunits a morphism restricts to determine its support.  The
-canonical support lands in the downset lattice of the subunit
-semilattice: it sends f to the set of subunits below every subunit f
-restricts to, and every other support datum factors through it by
-joins.  When the subunits form a lattice (always, at this finite
-scale), the single best subunit supp(f) is the meet of the restricting
-set, equivalently the join of the canonical downset.
+The subunits a morphism restricts to, read from the category's
+``restriction_table``, determine its support.  The canonical support
+lands in the downset lattice of the subunit semilattice: it sends f to
+the set of subunits below every subunit f restricts to, and every other
+support datum factors through it by joins.  When the subunits form a
+lattice (always, at this finite scale), the single best subunit supp(f)
+is the meet of the restricting set, equivalently the join of the
+canonical downset.  A ``lat`` argument, where given, must be
+``subunit_semilattice(mc)``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import MonoidalCategory
-from .orderkit import DownsetLattice, FinPoset, downsets
-from .restriction import restricting_subunits
+from .orderkit import DownsetLattice, FinPoset, _bits, downsets
+from .restriction import restricting_subunits, restriction_table
 from .subunits import PropertyReport, SubunitSemilattice, subunit_semilattice
 
 
@@ -44,19 +46,13 @@ class SupportDatum:
         return self.values[f]
 
 
-def _restriction_table(mc: MonoidalCategory,
-                       lat: SubunitSemilattice) -> dict[int, list[int]]:
-    subs = list(lat.subunits)
-    return {f.mid: restricting_subunits(mc, subs, f.mid) for f in mc.morphisms}
-
-
 def canonical_support(mc: MonoidalCategory, f: int,
                       lat: SubunitSemilattice | None = None) -> SupportResult:
     """The canonical downset-valued support of one morphism, plus the
     single subunit supp(f); the two descriptions are cross-checked."""
     if lat is None:
         lat = subunit_semilattice(mc)
-    restricting = restricting_subunits(mc, list(lat.subunits), f)
+    restricting = restricting_subunits(mc, f)
     if not restricting:
         raise ConsistencyError("morphism restricts to no subunit at all",
                                details={"morphism": f})
@@ -97,10 +93,10 @@ def support_datum_from_monotone(mc: MonoidalCategory, target: FinPoset,
             if lat.leq[i][j] and not target.leq[on_subunits[i]][on_subunits[j]]:
                 raise BuildError(
                     f"assignment is not monotone on subunit pair ({i}, {j})")
-    table = _restriction_table(mc, lat)
+    table = restriction_table(mc)
     values = {}
     for f in mc.morphisms:
-        meet = target.meet(tuple(on_subunits[s] for s in table[f.mid]))
+        meet = target.meet(tuple(on_subunits[s] for s in _bits(table[f.mid])))
         if meet is None:
             raise ConsistencyError("target lacks a needed meet",
                                    details={"morphism": f.mid})
@@ -113,7 +109,7 @@ def support_datum_from_monotone(mc: MonoidalCategory, target: FinPoset,
                 details={"subunit": k})
     for f in mc.morphisms:
         for g in mc.morphisms:
-            if set(table[g.mid]) <= set(table[f.mid]):
+            if not table[g.mid] & ~table[f.mid]:
                 if not target.leq[values[f.mid]][values[g.mid]]:
                     raise ConsistencyError(
                         "extension is not functorial for the restriction preorder",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (boolean_category, build_cached, completion_cached,
                       obj_by_label)
+from ttw import gallery
 from ttw.daycat import (Presheaf, broad_category, broad_presheaf,
                         check_presheaf, completion_has_no_terminal,
                         coproduct_of_representables, day_tensor, day_tensor_mor,
@@ -20,6 +21,7 @@ from ttw.fincat import CatFunctor, from_quantale, identity_functor, objects_isom
 from ttw.gallery import boolean2x2_semilattice
 from ttw.orderkit import (Quantale, Semilattice, directed_downsets, downsets,
                           finitely_bounded_downsets, poset_isomorphism)
+from ttw.restriction import restricts_to
 from ttw.subunits import enumerate_subunits, is_locale_based, subunit_semilattice
 
 
@@ -278,6 +280,21 @@ def test_broad_of_top_family_is_representable(q3):
         spec = make_broad_spec(lat, full, x, "all")
         assert presheaves_isomorphic(broad_presheaf(q3, lat, spec),
                                      yoneda(q3, x)) is not None
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_broad_presheaf_matches_the_restricts_to_filter(name):
+    # the oracle scans the family with restricts_to for every candidate
+    mc = build_cached(name)
+    lat = subunit_semilattice(mc)
+    for family in downsets(lat.lattice).sets:
+        for x in range(len(mc.objects)):
+            spec = make_broad_spec(lat, family, x, "all")
+            fam = [lat.subunits[i] for i in spec.family]
+            assert broad_presheaf(mc, lat, spec).values == tuple(
+                tuple(f for f in mc.hom(a, x)
+                      if any(restricts_to(mc, f, s) is not None for s in fam))
+                for a in range(len(mc.objects)))
 
 
 def test_broad_unit_family_over_q3(q3):

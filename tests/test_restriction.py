@@ -1,18 +1,28 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import mor_by_label, obj_by_label, subunit_by_domain
+from conftest import (build_cached, closure_lattices, commutative_monoids,
+                      completion_cached, mor_by_label, obj_by_label,
+                      subunit_by_domain)
+import ttw.restriction
+from ttw import gallery
+from ttw.daycat import broad_category
 from ttw.errors import BuildError
-from ttw.fincat import is_iso
+from ttw.fincat import (MonoidalCategory, from_commutative_monoid,
+                        from_semilattice, is_iso)
+from ttw.orderkit import Semilattice
 from ttw.restriction import (ComonadData, check_restriction_comonad,
                              extract_subunit, frobenius_law_holds,
                              object_restriction_equivalences, restricting_subunits,
                              restriction_category, restriction_comonad,
-                             restriction_composition_law, restricts_to,
-                             tensor_ideals, verify_comonad_bijection,
-                             verify_graded_monad, verify_ideal_bijection)
+                             restriction_composition_law, restriction_table,
+                             restricts_to, tensor_ideals,
+                             verify_comonad_bijection, verify_graded_monad,
+                             verify_ideal_bijection)
 from ttw.subunits import _tensor_right, enumerate_subunits, subunit_semilattice
+from ttw.support import canonical_support_datum, verify_support_laws
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +52,67 @@ def test_identity_of_tensored_object_restricts(gallery_category):
         for b in range(len(mc.objects)):
             sb = mc.tensor_obj(s.domain, b)
             assert restricts_to(mc, mc.identity(sb), s) is not None
+
+
+# ---------------------------------------------------------------------------
+# the restriction table against one restricts_to call per pair
+
+
+def assert_table_matches_restricts_to(mc):
+    subs = enumerate_subunits(mc)
+    table = restriction_table(mc)
+    assert len(table) == len(mc.morphisms)
+    for f in mc.morphisms:
+        oracle = [restricts_to(mc, f.mid, s) is not None for s in subs]
+        assert table[f.mid] >> len(subs) == 0
+        assert [bool(table[f.mid] >> k & 1) for k in range(len(subs))] == oracle
+        assert restricting_subunits(mc, f.mid) == \
+            [k for k, hit in enumerate(oracle) if hit]
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_restriction_table_matches_restricts_to(name):
+    for mc in (build_cached(name), completion_cached(name, "all").category):
+        assert_table_matches_restricts_to(mc)
+        assert subunit_semilattice(mc).subunits == enumerate_subunits(mc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_lattices())
+def test_restriction_table_on_closure_lattices(poset):
+    assert_table_matches_restricts_to(
+        from_semilattice(Semilattice.from_poset(poset)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(commutative_monoids())
+def test_restriction_table_on_commutative_monoids(monoid):
+    assert_table_matches_restricts_to(from_commutative_monoid(monoid))
+
+
+def test_restriction_table_is_computed_once_per_category(monkeypatch):
+    calls = []
+    real = ttw.restriction.restricts_to
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ttw.restriction, "restricts_to", counting)
+    mc = gallery.build("q3")
+    table = restriction_table(mc)
+    once = len(mc.morphisms) * len(enumerate_subunits(mc))
+    assert len(calls) == once
+    # the second call and every reader of the relation use the same table
+    assert restriction_table(mc) is table
+    restriction_composition_law(mc)
+    verify_support_laws(mc, canonical_support_datum(mc)[0])
+    broad_category(mc, "all")
+    assert len(calls) == once
+    # the table belongs to the category object, so a clone computes it anew
+    clone = MonoidalCategory(mc.cat, mc.mon)
+    assert restriction_table(clone) == table
+    assert len(calls) == 2 * once
 
 
 def test_object_restriction_equivalences(q3):
@@ -212,7 +283,7 @@ def test_composition_with_identity_subunit(q3):
         for g in q3.morphisms:
             if g.cod != f.dom:
                 continue
-            for i in restricting_subunits(q3, list(subs), f.mid):
+            for i in restricting_subunits(q3, f.mid):
                 comp = q3.compose(f.mid, g.mid)
                 assert restricts_to(q3, comp, subs[i]) is not None \
                     or restricts_to(q3, g.mid, subs[lat.top]) is None

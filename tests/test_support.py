@@ -133,8 +133,7 @@ def test_supp_of_composites_and_tensors_bounded(gallery_category):
 def test_restriction_preorder_functoriality(q3):
     lat = subunit_semilattice(q3)
     datum, _ = canonical_support_datum(q3, lat=lat)
-    subs = list(lat.subunits)
-    table = {m.mid: set(restricting_subunits(q3, subs, m.mid))
+    table = {m.mid: set(restricting_subunits(q3, m.mid))
              for m in q3.morphisms}
     for f in q3.morphisms:
         for g in q3.morphisms:
