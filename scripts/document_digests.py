@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one sha256 digest of ``schema.category_to_document`` per derived
 category, or the error text where its build fails, and after it one
-digest of the category's restriction relation and canonical supports:
+digest of the category's restriction relation and canonical supports
+and one of its Day tensors:
 
     python scripts/document_digests.py > digests.txt
 
@@ -11,9 +12,12 @@ each of those.  The m3 "all" and "finite" completions are skipped: their
 documents hold over two million tensor rows.  The second digest covers,
 for every morphism, the subunits it restricts to (by ``restricts_to``),
 its canonical downset and supp (by ``canonical_support``), or the error
-that stops them.  Two commits that print the same lines export the same
-tables and decide the same restrictions and supports for every category
-listed.
+that stops them.  The third covers the Day classes and quotient actions
+of three pairs among the representables of the first object, the last
+object and the unit, and the unitor components of the first, or the
+error that stops them.  Two commits that print the same lines export the
+same tables and decide the same restrictions, supports and Day tensors
+for every category listed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import hashlib
 import json
 
 from ttw import gallery
-from ttw.daycat import broad_category
+from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
+                        day_unitors)
 from ttw.errors import TtwError
 from ttw.fractions import simple_quotient
 from ttw.restriction import restriction_category, restricts_to
@@ -58,6 +63,23 @@ def support_digest(mc) -> str:
     return sha256(rows)
 
 
+def day_digest(mc) -> str:
+    """The digest of the Day classes and quotient actions of three pairs
+    of representables and of the unitors of the first, or of the error
+    text that stops them."""
+    ends = (0, len(mc.objects) - 1, mc.unit)
+    try:
+        reps = [coproduct_of_representables(mc, [a]) for a in ends]
+        rows = []
+        for left, right in ((0, 1), (1, 2), (2, 0)):
+            day = day_tensor(mc, reps[left], reps[right])
+            rows.append([day.classes, sorted(day.presheaf.action.items())])
+        rows.append([nt.components for nt in day_unitors(mc, reps[0])])
+    except TtwError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return sha256(rows)
+
+
 def attempt(name: str, build) -> object | None:
     """Print the digest of ``build()``, or its error; return the category."""
     try:
@@ -67,6 +89,7 @@ def attempt(name: str, build) -> object | None:
         return None
     print(f"{name}\t{digest(mc, name)}")
     print(f"{name}/support\t{support_digest(mc)}")
+    print(f"{name}/day\t{day_digest(mc)}")
     return mc
 
 

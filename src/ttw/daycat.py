@@ -5,7 +5,10 @@ per morphism, contravariantly.  The Day tensor of two presheaves is
 computed literally as its quotient presentation: triples (h, x, y) of a
 morphism h: A -> B (x) C and elements x, y, identified by the least
 equivalence relation generated by sliding morphisms f, g across the
-components, closed with union-find.
+components, closed with union-find.  One variable at a time suffices:
+the slides of the pairs (f, id) and (id, g) generate the relation, so
+each triple is slid outward and no morphism into the tensor is searched
+for (see ``day_tensor``).
 
 Broad presheaves are presented intensionally by a pair (U, X) of a
 downward-closed subunit family and an object; morphisms between them
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
-from .fincat import (CatFunctor, Cocone, MonoidalCategory, _tabulate,
+from .fincat import (CatFunctor, Cocone, MonoidalCategory, _outgoing, _tabulate,
                      _tabulate_monoidal, assert_valid, factors_through, is_cocone,
                      mediating_morphisms, terminal_object)
 from .orderkit import (_bits, _downset_label, _mask, _unions, directed_downsets,
@@ -197,51 +200,80 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
                caps: Caps = DEFAULT_CAPS) -> DayTensorResult:
     """Quotient construction of the Day tensor.
 
-    Per object A the triples are (B, C, h: A -> B (x) C, x, y); the
-    generating identification slides a pair (f, g) from the element
-    coordinates into the morphism coordinate, and its symmetric
-    transitive closure is taken with union-find.  The action of the
-    quotient (precomposition on h) is verified well defined on classes,
-    and the resulting presheaf is verified functorial.
+    Per object A the triples are (B, C, h: A -> B (x) C, x, y), and each
+    pair f: B -> B', g: C -> C' slides (B, C, h, F(f) x', G(g) y') onto
+    (B', C', (f (x) g) o h, x', y'); the classes are the least
+    equivalence relation holding these slides, closed with union-find.
+
+    One-variable slides, the pairs (f, id) and (id, g), generate the
+    same relation, so they are applied from each triple outward and no
+    morphism into the tensor is searched for.  The slide of (f, g) from
+    (B, C, h, F(f) x', G(g) y') is the slide of (id_B, g) to
+    (B, C', k, F(f) x', y'), with k = (id_B (x) g) o h, followed by the
+    slide of (f, id_C') to (B', C', (f (x) id) o k, x', y'), and
+    (f (x) id) o (id (x) g) = f (x) g.  This needs the interchange and
+    identity laws of the tensor, which ``validate`` checks, and
+    F(id) = id and G(id) = id, which ``check_presheaf`` checks; by the
+    same laws a slide of (id, id) moves nothing, so identities are not
+    slid.  The classes are sorted, so no output depends on the order of
+    the unions.  The action of the quotient (precomposition on h) is
+    verified well defined on classes, and the resulting presheaf is
+    verified functorial.
     """
     presheaf_cap_check(left, caps)
     presheaf_cap_check(right, caps)
     n_obj = len(mc.objects)
+    outgoing = _outgoing(mc.morphisms, n_obj)
+    ids = [mc.identity(b) for b in range(n_obj)]
+    l_size = [left.size(b) for b in range(n_obj)]
+    r_size = [right.size(c) for c in range(n_obj)]
+    # per (B, C) holding triples, its slides (B', C', f (x) g, F f, G g)
+    # with one of f, g an identity, into a (B', C') holding triples too
+    slides = {}
+    for b in range(n_obj):
+        for c in range(n_obj):
+            if not (l_size[b] and r_size[c]):
+                continue
+            moves = [(f, ids[c]) for f in outgoing[b] if f != ids[b]] + \
+                [(ids[b], g) for g in outgoing[c] if g != ids[c]]
+            slides[(b, c)] = [
+                (mc.cod(f), mc.cod(g), mc.tensor_mor(f, g), left.action[f],
+                 right.action[g])
+                for f, g in moves if l_size[mc.cod(f)] and r_size[mc.cod(g)]]
+    # each morphism's position in its hom-set, to number the triples
+    pos = {h: k for hs in mc.cat.hom_table.values() for k, h in enumerate(hs)}
     all_triples: list[tuple[Triple, ...]] = []
     all_class_of: list[dict[Triple, int]] = []
     all_classes: list[tuple[tuple[Triple, ...], ...]] = []
 
     for a in range(n_obj):
+        sources = [(b, c, mc.hom(a, mc.tensor_obj(b, c))) for b, c in slides]
+        caps.check("max_cocones", sum(len(hs) * l_size[b] * r_size[c]
+                                      for b, c, hs in sources))
+        # the triples in sorted order: (B, C, h, x, y) is number
+        # start[B, C] + (pos[h] * |F B| + x) * |G C| + y
         triples: list[Triple] = []
-        for b in range(n_obj):
-            for c in range(n_obj):
-                bc = mc.tensor_obj(b, c)
-                for h in mc.hom(a, bc):
-                    for x in range(left.size(b)):
-                        for y in range(right.size(c)):
-                            triples.append((b, c, h, x, y))
-        caps.check("max_cocones", len(triples))
-        uf = UnionFind(triples)
-        for (b2, c2, h2, x2, y2) in triples:
-            for f in mc.morphisms:
-                if f.cod != b2:
-                    continue
-                x1 = left.apply(f.mid, x2)
-                for g in mc.morphisms:
-                    if g.cod != c2:
-                        continue
-                    y1 = right.apply(g.mid, y2)
-                    fg = mc.tensor_mor(f.mid, g.mid)
-                    for h1 in mc.hom(a, mc.dom(fg)):
-                        if mc.compose(fg, h1) == h2:
-                            uf.union((f.dom, g.dom, h1, x1, y1),
-                                     (b2, c2, h2, x2, y2))
-        groups = sorted((tuple(sorted(grp)) for grp in uf.classes()),
-                        key=lambda grp: grp[0])
-        class_of = {t: k for k, grp in enumerate(groups) for t in grp}
-        all_triples.append(tuple(sorted(triples)))
-        all_classes.append(tuple(groups))
-        all_class_of.append(class_of)
+        start = {}
+        for b, c, hs in sources:
+            start[(b, c)] = len(triples)
+            triples.extend((b, c, h, x, y) for h in hs
+                           for x in range(l_size[b]) for y in range(r_size[c]))
+        uf = UnionFind(range(len(triples)))
+        for b, c, hs in sources:
+            for h in hs:
+                here = start[(b, c)] + pos[h] * l_size[b] * r_size[c]
+                for b2, c2, k, x_map, y_map in slides[(b, c)]:
+                    n2 = r_size[c2]
+                    there = start[(b2, c2)] + pos[mc.compose(k, h)] * l_size[b2] * n2
+                    for x2 in range(l_size[b2]):
+                        row = here + x_map[x2] * r_size[c]
+                        for y2 in range(n2):
+                            uf.union(row + y_map[y2], there + x2 * n2 + y2)
+        groups = tuple(tuple(triples[i] for i in grp)
+                       for grp in sorted(sorted(grp) for grp in uf.classes()))
+        all_triples.append(tuple(triples))
+        all_classes.append(groups)
+        all_class_of.append({t: k for k, grp in enumerate(groups) for t in grp})
 
     values = tuple(tuple(grp[0] for grp in all_classes[a]) for a in range(n_obj))
     action = {}
@@ -447,11 +479,10 @@ def make_broad_spec(lat: SubunitSemilattice, family, obj: int, flavour: str,
     return BroadSpec(family, obj, flavour)
 
 
-def broad_presheaf(mc: MonoidalCategory, lat: SubunitSemilattice,
-                   spec: BroadSpec) -> Presheaf:
+def broad_presheaf(mc: MonoidalCategory, spec: BroadSpec) -> Presheaf:
     """The presheaf of morphisms into the spec object restricting to a
     member of the family, with precomposition action; the family indexes
-    the subunits of ``lat``, which must be ``subunit_semilattice(mc)``."""
+    the subunits of ``subunit_semilattice(mc)``."""
     table = restriction_table(mc)
     family = _mask(spec.family)
     return _precomposition_presheaf(

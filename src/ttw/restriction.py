@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
-from .fincat import (CatFunctor, MonoidalCategory, _tabulate, _tabulate_monoidal,
-                     factors_through, is_iso, is_mono, objects_isomorphic,
-                     validate)
+from .fincat import (CatFunctor, MonoidalCategory, _one_variable_pairs,
+                     _tabulate, _tabulate_monoidal, factors_through, is_iso,
+                     is_mono, objects_isomorphic, validate)
 from .orderkit import _bits, _mask, _unions
 from .subunits import (PropertyReport, Subunit, _per_category, _tensor_left,
                        _tensor_right, enumerate_subunits, retract_pairs,
@@ -137,7 +137,7 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
     counit = tuple(_tensor_right(mc, s.rep, a) for a in range(len(mc.objects)))
 
     _verify_coreflection(mc, s, inverses, counit)
-    _verify_coreflector_monoidal(mc, s)
+    _verify_coreflector_monoidal(mc, s, _coreflector_comparisons(mc, s))
     return RestrictionResult(sub, tuple(keep), tuple(m.mid for m in mors),
                              inclusion, coreflector, counit)
 
@@ -184,10 +184,9 @@ def _verify_coreflection(mc, s, inverses, counit):
                                 details={"f": f, "v": v})
 
 
-def _verify_coreflector_monoidal(mc, s):
-    """Strong monoidality of A -> S (x) A: comparison maps
-    (S (x) A) (x) (S (x) B) -> S (x) A (x) B are invertible, natural and
-    coherent; the unit comparison is the identity at S."""
+def _coreflector_comparisons(mc, s) -> dict[tuple[int, int], int]:
+    """The comparison maps (S (x) A) (x) (S (x) B) -> S (x) A (x) B of
+    the coreflector A -> S (x) A, per pair of objects (A, B)."""
     mult = _tensor_right(mc, s.rep, s.domain)        # S (x) S -> S
     comparisons = {}
     for a in range(len(mc.objects)):
@@ -195,26 +194,31 @@ def _verify_coreflector_monoidal(mc, s):
             shuffle = mc.tensor_mor(
                 mc.tensor_mor(mc.identity(s.domain), mc.braiding(a, s.domain)),
                 mc.identity(b))
-            comp = mc.compose(
+            comparisons[(a, b)] = mc.compose(
                 mc.tensor_mor(mult, mc.identity(mc.tensor_obj(a, b))), shuffle)
-            comparisons[(a, b)] = comp
-            if is_iso(mc, comp) is None:
-                raise ConsistencyError(
-                    "coreflector comparison map is not invertible",
-                    details={"a": a, "b": b})
-    for f in mc.morphisms:
-        for g in mc.morphisms:
-            lhs = mc.compose(
-                _tensor_left(mc, s.domain, mc.tensor_mor(f.mid, g.mid)),
-                comparisons[(f.dom, g.dom)])
-            rhs = mc.compose(
-                comparisons[(f.cod, g.cod)],
-                mc.tensor_mor(_tensor_left(mc, s.domain, f.mid),
-                              _tensor_left(mc, s.domain, g.mid)))
-            if lhs != rhs:
-                raise ConsistencyError(
-                    "coreflector comparison not natural",
-                    details={"f": f.mid, "g": g.mid})
+    return comparisons
+
+
+def _verify_coreflector_monoidal(mc, s, comparisons):
+    """Strong monoidality of A -> S (x) A: the comparison maps are
+    invertible, natural and coherent; the unit comparison is the identity
+    at S.  Naturality is checked at the pairs of ``_one_variable_pairs``:
+    S (x) (-) is a functor, by interchange, so both sides of the square
+    are functorial in the pair."""
+    for (a, b), comp in comparisons.items():
+        if is_iso(mc, comp) is None:
+            raise ConsistencyError(
+                "coreflector comparison map is not invertible",
+                details={"a": a, "b": b})
+    for f, g in _one_variable_pairs(mc):
+        lhs = mc.compose(_tensor_left(mc, s.domain, mc.tensor_mor(f, g)),
+                         comparisons[(mc.dom(f), mc.dom(g))])
+        rhs = mc.compose(comparisons[(mc.cod(f), mc.cod(g))],
+                         mc.tensor_mor(_tensor_left(mc, s.domain, f),
+                                       _tensor_left(mc, s.domain, g)))
+        if lhs != rhs:
+            raise ConsistencyError("coreflector comparison not natural",
+                                   details={"f": f, "g": g})
     for a in range(len(mc.objects)):
         for b in range(len(mc.objects)):
             for c in range(len(mc.objects)):
@@ -484,14 +488,15 @@ def check_restriction_comonad(data: ComonadData) -> None:
                 fail("coherence_counit", pair=(a, b))
         if data.phi[(mc.unit, a)] != mc.identity(data.obj_map[a]):
             fail("coherence_unit", object=a)
-    for f in mc.morphisms:
-        for g in mc.morphisms:
-            lhs = mc.compose(data.phi[(f.cod, g.cod)],
-                             mc.tensor_mor(f.mid, data.mor_map[g.mid]))
-            rhs = mc.compose(data.mor_map[mc.tensor_mor(f.mid, g.mid)],
-                             data.phi[(f.dom, g.dom)])
-            if lhs != rhs:
-                fail("coherence_naturality", pair=(f.mid, g.mid))
+    # F is a functor (checked first), so both sides are functorial in the
+    # pair and one variable at a time suffices (``_one_variable_pairs``)
+    for f, g in _one_variable_pairs(mc):
+        lhs = mc.compose(data.phi[(mc.cod(f), mc.cod(g))],
+                         mc.tensor_mor(f, data.mor_map[g]))
+        rhs = mc.compose(data.mor_map[mc.tensor_mor(f, g)],
+                         data.phi[(mc.dom(f), mc.dom(g))])
+        if lhs != rhs:
+            fail("coherence_naturality", pair=(f, g))
     for a in range(n_obj):
         for b in range(n_obj):
             ab = mc.tensor_obj(a, b)

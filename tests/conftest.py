@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from ttw import fincat, gallery, restriction
 from ttw.caps import DEFAULT_CAPS
-from ttw.daycat import Sieve, broad_category
-from ttw.errors import CapExceededError, NonCommutingSquareError, TtwError
+from ttw._unionfind import UnionFind
+from ttw.daycat import Sieve, broad_category, presheaf_cap_check
+from ttw.errors import (CapExceededError, ConsistencyError, NonCommutingSquareError,
+                        TtwError)
 from ttw.fincat import from_semilattice
 from ttw.orderkit import FinMonoid, FinPoset, Semilattice
 from ttw.subunits import subunit_semilattice
@@ -209,6 +212,112 @@ def brute_d_diagram(mc, lat, family, x):
     return fincat.DiagramSpec(nodes, tuple(
         (a, b, f) for a in range(len(family)) for b in range(len(family))
         for f in mc.hom(nodes[a], nodes[b]) if mc.compose(incl[b], f) == incl[a]))
+
+
+# ---------------------------------------------------------------------------
+# sweep oracles for the one-variable reductions: the Day quotient found from
+# every target triple and every pair (f, g) into it, and naturality checked
+# at every pair of morphisms
+
+
+def brute_day_classes(mc, left, right, caps=DEFAULT_CAPS):
+    """The classes of the Day tensor per object and the action of the
+    quotient on them, from the slide of every pair (f, g) onto every
+    triple, with a search of the hom-set for each h1."""
+    presheaf_cap_check(left, caps)
+    presheaf_cap_check(right, caps)
+    n_obj = len(mc.objects)
+    all_class_of = []
+    all_classes = []
+    for a in range(n_obj):
+        triples = []
+        for b in range(n_obj):
+            for c in range(n_obj):
+                bc = mc.tensor_obj(b, c)
+                for h in mc.hom(a, bc):
+                    for x in range(left.size(b)):
+                        for y in range(right.size(c)):
+                            triples.append((b, c, h, x, y))
+        caps.check("max_cocones", len(triples))
+        uf = UnionFind(triples)
+        for (b2, c2, h2, x2, y2) in triples:
+            for f in mc.morphisms:
+                if f.cod != b2:
+                    continue
+                x1 = left.apply(f.mid, x2)
+                for g in mc.morphisms:
+                    if g.cod != c2:
+                        continue
+                    y1 = right.apply(g.mid, y2)
+                    fg = mc.tensor_mor(f.mid, g.mid)
+                    for h1 in mc.hom(a, mc.dom(fg)):
+                        if mc.compose(fg, h1) == h2:
+                            uf.union((f.dom, g.dom, h1, x1, y1),
+                                     (b2, c2, h2, x2, y2))
+        groups = sorted((tuple(sorted(grp)) for grp in uf.classes()),
+                        key=lambda grp: grp[0])
+        all_class_of.append({t: k for k, grp in enumerate(groups) for t in grp})
+        all_classes.append(tuple(groups))
+    action = {}
+    for m in mc.morphisms:
+        row = []
+        for grp in all_classes[m.cod]:
+            images = {all_class_of[m.dom][(b, c, mc.compose(h, m.mid), x, y)]
+                      for (b, c, h, x, y) in grp}
+            if len(images) != 1:
+                raise ConsistencyError(
+                    "Day action not well defined on a class",
+                    details={"morphism": m.mid, "class": grp})
+            row.append(images.pop())
+        action[m.mid] = tuple(row)
+    return tuple(all_classes), action
+
+
+def product_category(left, right):
+    """The product of two braided strict monoidal categories: pairs of
+    objects and of morphisms, every table componentwise, validated.
+    b2 times z2 has two morphisms between two distinct objects, where a
+    corrupted naturality square can fail; a one-object category has no
+    such pair."""
+    n_r, m_r = len(right.objects), len(right.morphisms)
+    pairs = [(f, g) for f in range(len(left.morphisms)) for g in range(m_r)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    cat = fincat._tabulate(
+        [f"{a},{b}" for a in left.objects for b in right.objects],
+        [(left.dom(f) * n_r + right.dom(g), left.cod(f) * n_r + right.cod(g),
+          f"{left.mor_label(f)},{right.mor_label(g)}") for f, g in pairs],
+        [index[(left.identity(a), right.identity(b))]
+         for a in range(len(left.objects)) for b in range(n_r)],
+        lambda k2, k1: index[(left.compose(pairs[k2][0], pairs[k1][0]),
+                              right.compose(pairs[k2][1], pairs[k1][1]))])
+    objs = [(a, b) for a in range(len(left.objects)) for b in range(n_r)]
+    return fincat.assert_valid(fincat._tabulate_monoidal(
+        cat, left.unit * n_r + right.unit,
+        [[left.tensor_obj(a1, a2) * n_r + right.tensor_obj(b1, b2)
+          for a2, b2 in objs] for a1, b1 in objs],
+        lambda k1, k2: index[(left.tensor_mor(pairs[k1][0], pairs[k2][0]),
+                              right.tensor_mor(pairs[k1][1], pairs[k2][1]))],
+        lambda o1, o2: index[(left.braiding(objs[o1][0], objs[o2][0]),
+                              right.braiding(objs[o1][1], objs[o2][1]))]))
+
+
+def all_morphism_pairs(mc):
+    """Every pair (f, g) of mids, f outer: the pairs each two-variable
+    naturality sweep walked before the one-variable reduction."""
+    for f in mc.morphisms:
+        for g in mc.morphisms:
+            yield f.mid, g.mid
+
+
+@contextlib.contextmanager
+def all_pair_sweeps():
+    """Within this block, the naturality sweeps of ``restriction`` and
+    ``CatFunctor.check_strict_monoidal`` walk ``all_morphism_pairs``
+    instead of ``fincat._one_variable_pairs``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fincat, "_one_variable_pairs", all_morphism_pairs)
+        patch.setattr(restriction, "_one_variable_pairs", all_morphism_pairs)
+        yield
 
 
 def outcome(call, *args, **kwargs):

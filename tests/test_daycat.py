@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (boolean_category, build_cached, completion_cached,
+from conftest import (boolean_category, brute_day_classes, build_cached,
+                      closure_lattices, commutative_monoids, completion_cached,
                       obj_by_label)
 from ttw import gallery
-from ttw.daycat import (Presheaf, broad_category, broad_presheaf,
-                        check_presheaf, completion_has_no_terminal,
+from ttw.caps import DEFAULT_CAPS
+from ttw.daycat import (Presheaf, all_sieves_on_unit, broad_category,
+                        broad_presheaf, check_presheaf, completion_has_no_terminal,
                         coproduct_of_representables, day_tensor, day_tensor_mor,
                         day_unitors, extend_functor, identity_nat, is_natural,
                         make_broad_spec, nat_transformations, presheaf_subunits,
-                        presheaves_isomorphic, yoneda)
+                        presheaves_isomorphic, sieve_presheaf, yoneda)
 from ttw.errors import BuildError, CapExceededError
-from ttw.fincat import CatFunctor, from_quantale, identity_functor, objects_isomorphic
+from ttw.fincat import (CatFunctor, from_commutative_monoid, from_quantale,
+                        from_semilattice, identity_functor, objects_isomorphic)
 from ttw.gallery import boolean2x2_semilattice
 from ttw.orderkit import (Quantale, Semilattice, directed_downsets, downsets,
                           finitely_bounded_downsets, poset_isomorphism)
@@ -278,7 +281,7 @@ def test_broad_of_top_family_is_representable(q3):
     full = tuple(range(len(lat)))
     for x in range(len(q3.objects)):
         spec = make_broad_spec(lat, full, x, "all")
-        assert presheaves_isomorphic(broad_presheaf(q3, lat, spec),
+        assert presheaves_isomorphic(broad_presheaf(q3, spec),
                                      yoneda(q3, x)) is not None
 
 
@@ -291,7 +294,7 @@ def test_broad_presheaf_matches_the_restricts_to_filter(name):
         for x in range(len(mc.objects)):
             spec = make_broad_spec(lat, family, x, "all")
             fam = [lat.subunits[i] for i in spec.family]
-            assert broad_presheaf(mc, lat, spec).values == tuple(
+            assert broad_presheaf(mc, spec).values == tuple(
                 tuple(f for f in mc.hom(a, x)
                       if any(restricts_to(mc, f, s) is not None for s in fam))
                 for a in range(len(mc.objects)))
@@ -300,7 +303,7 @@ def test_broad_presheaf_matches_the_restricts_to_filter(name):
 def test_broad_unit_family_over_q3(q3):
     lat = subunit_semilattice(q3)
     spec = make_broad_spec(lat, range(len(lat)), q3.unit, "all")
-    p = broad_presheaf(q3, lat, spec)
+    p = broad_presheaf(q3, spec)
     for a in range(len(q3.objects)):
         assert p.size(a) == len(q3.hom(a, q3.unit))
 
@@ -317,16 +320,16 @@ def test_broad_tensor_lemma():
         for fu, fv in itertools.product(families, repeat=2):
             for x in range(len(mc.objects)):
                 for y in range(len(mc.objects)):
-                    pu = broad_presheaf(mc, lat, make_broad_spec(
+                    pu = broad_presheaf(mc, make_broad_spec(
                         lat, fu, x, "all"))
-                    pv = broad_presheaf(mc, lat, make_broad_spec(
+                    pv = broad_presheaf(mc, make_broad_spec(
                         lat, fv, y, "all"))
                     day = day_tensor(mc, pu, pv)
                     meets = {lat.meet(i, j) for i in fu for j in fv}
                     closed = frozenset(
                         i for i in range(len(lat))
                         if any(lat.leq[i][j] for j in meets))
-                    rhs = broad_presheaf(mc, lat, make_broad_spec(
+                    rhs = broad_presheaf(mc, make_broad_spec(
                         lat, closed, mc.tensor_obj(x, y), "all"))
                     for a in range(len(mc.objects)):
                         pairs = []
@@ -352,6 +355,18 @@ def test_b3_completion_caps_name_the_size_that_is_over():
     with pytest.raises(CapExceededError) as exc:
         broad_category(mc, "finite")
     assert exc.value.cap_name == "max_morphisms"
+
+
+def test_day_cap_counts_the_triples_at_one_object(c3):
+    # 15, 6 and 1 triples at the objects 0, m and 1; the cap is checked
+    # on each count before its triples are listed
+    left = coproduct_of_representables(c3, [2])
+    right = coproduct_of_representables(c3, [1, 2])
+    assert [len(t) for t in day_tensor(c3, left, right).triples] == [15, 6, 1]
+    with pytest.raises(CapExceededError) as exc:
+        day_tensor(c3, left, right, caps=DEFAULT_CAPS.with_overrides(max_cocones=5))
+    assert (exc.value.cap_name, exc.value.limit, exc.value.actual) == \
+        ("max_cocones", 5, 15)
 
 
 def test_broad_spec_validation(q3):
@@ -394,12 +409,11 @@ def test_completion_is_locale_based_small():
 
 
 def test_completion_hom_sets_match_natural_transformations(q3):
-    lat = subunit_semilattice(q3)
     comp = broad_category(q3, "all")
     for a, src in enumerate(comp.specs):
         for b, dst in enumerate(comp.specs):
-            p_src = broad_presheaf(q3, lat, src)
-            p_dst = broad_presheaf(q3, lat, dst)
+            p_src = broad_presheaf(q3, src)
+            p_dst = broad_presheaf(q3, dst)
             assert len(comp.category.hom(a, b)) == \
                 len(nat_transformations(p_src, p_dst))
 
@@ -495,3 +509,77 @@ def test_extend_rejects_target_without_joins(m3):
     functor.check_strict_monoidal()
     with pytest.raises(BuildError):
         extend_functor(comp, functor)
+
+
+# ---------------------------------------------------------------------------
+# the Day quotient by one-variable slides against the slide of every pair
+
+
+def _day_pool(mc, rng) -> list:
+    """Seeded nonempty presheaves within the default value cap: the
+    representable of an object with the fewest morphisms into it, two
+    coproducts of representables, a sieve presheaf and a broad presheaf,
+    each kind where the category has them."""
+    n = len(mc.objects)
+    least = min(range(n), key=lambda o: sum(len(mc.hom(a, o)) for a in range(n)))
+    pool = [coproduct_of_representables(mc, tags) for tags in (
+        [least], *([rng.randrange(n) for _ in range(rng.randint(1, 2))]
+                   for _ in range(2)))]
+    try:
+        sieves = [s for s in all_sieves_on_unit(mc) if s.members]
+        pool.append(sieve_presheaf(mc, rng.choice(sieves)))
+    except CapExceededError:
+        pass  # too many morphisms into the unit to list the sieves
+    try:
+        lat = subunit_semilattice(mc)
+        family = rng.choice([f for f in downsets(lat.lattice).sets if f])
+        pool.append(broad_presheaf(mc, make_broad_spec(lat, family, rng.randrange(n),
+                                                       "all")))
+    except BuildError:
+        pass  # no subunit semilattice
+    return [p for p in pool if all(p.size(a) <= 6 for a in range(n))]
+
+
+def assert_day_matches_pair_sweep(mc, left, right):
+    result = day_tensor(mc, left, right)
+    classes, action = brute_day_classes(mc, left, right)
+    assert result.classes == classes
+    assert result.presheaf.action == action
+    assert result.triples == tuple(tuple(sorted(t for grp in cls for t in grp))
+                                   for cls in classes)
+
+
+def day_triple_count(mc, left, right) -> int:
+    n = range(len(mc.objects))
+    into = [sum(len(mc.hom(a, o)) for a in n) for o in n]
+    return sum(into[mc.tensor_obj(b, c)] * left.size(b) * right.size(c)
+               for b in n for c in n)
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_day_quotient_matches_the_pair_sweep(name):
+    # the sweep tries every pair into every triple, so only pairs of
+    # presheaves with at most 1000 triples are drawn: m3 "all" has 50
+    # objects and 1432 morphisms
+    rng = random.Random(name)
+    for mc in (build_cached(name), completion_cached(name, "all").category):
+        pool = _day_pool(mc, rng)
+        pairs = [(left, right) for left in pool for right in pool
+                 if 0 < day_triple_count(mc, left, right) <= 1000]
+        assert pairs
+        for left, right in rng.sample(pairs, min(len(pairs), 6)):
+            assert_day_matches_pair_sweep(mc, left, right)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(commutative_monoids().map(from_commutative_monoid),
+                 closure_lattices().map(
+                     lambda poset: from_semilattice(Semilattice.from_poset(poset)))),
+       st.randoms(use_true_random=False))
+def test_day_quotient_matches_the_pair_sweep_on_generated_categories(mc, rng):
+    # one-object categories of commutative monoids (not thin) and thin
+    # categories of closure lattices
+    pool = _day_pool(mc, rng)
+    for left in pool:
+        for right in pool:
+            assert_day_matches_pair_sweep(mc, left, right)
