@@ -1,23 +1,28 @@
 #!/usr/bin/env python3
 """Print one sha256 digest of ``schema.category_to_document`` per derived
 category, or the error text where its build fails, and after it one
-digest of the category's restriction relation and canonical supports
-and one of its Day tensors:
+digest each of the category's restriction relation and canonical
+supports, of its Day tensors and of its join hierarchy:
 
     python scripts/document_digests.py > digests.txt
 
 The categories are the gallery, the three broad completions of each
 entry, and the restriction to every subunit and the simple quotient of
-each of those.  The m3 "all" and "finite" completions are skipped: their
+each of those.  The documents, supports, Day tensors and derived
+categories of the m3 "all" and "finite" completions are skipped: their
 documents hold over two million tensor rows.  The second digest covers,
 for every morphism, the subunits it restricts to (by ``restricts_to``),
 its canonical downset and supp (by ``canonical_support``), or the error
 that stops them.  The third covers the Day classes and quotient actions
 of three pairs among the representables of the first object, the last
 object and the unit, and the unitor components of the first, or the
-error that stops them.  Two commits that print the same lines export the
-same tables and decide the same restrictions, supports and Day tensors
-for every category listed.
+error that stops them.  The fourth covers the default-argument reports
+(verdict, witness and details) of ``has_universal_finite_joins``,
+``has_universal_directed_joins``, ``is_locale_based`` and
+``check_characterisation``, or the error that stops them; the m3 "all"
+and "finite" completions get this line too.  Two commits that print the
+same lines export the same tables and decide the same restrictions,
+supports, Day tensors and join hierarchies for every category listed.
 """
 
 from __future__ import annotations
@@ -32,11 +37,15 @@ from ttw.errors import TtwError
 from ttw.fractions import simple_quotient
 from ttw.restriction import restriction_category, restricts_to
 from ttw.schema import category_to_document
-from ttw.subunits import enumerate_subunits
+from ttw.subunits import (check_characterisation, enumerate_subunits,
+                          has_universal_directed_joins,
+                          has_universal_finite_joins, is_locale_based)
 from ttw.support import canonical_support
 
 FLAVOURS = ("finite", "directed", "all")
 SKIPPED = {("m3", "finite"), ("m3", "all")}
+HIERARCHY = (has_universal_finite_joins, has_universal_directed_joins,
+             is_locale_based, check_characterisation)
 
 
 def sha256(value) -> str:
@@ -80,6 +89,17 @@ def day_digest(mc) -> str:
     return sha256(rows)
 
 
+def hierarchy_digest(mc) -> str:
+    """The digest of the default-argument reports of the four
+    join-hierarchy checks, or of the error text that stops them."""
+    try:
+        rows = [[r.name, r.holds, r.witness, r.details]
+                for r in (check(mc) for check in HIERARCHY)]
+    except TtwError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return sha256(rows)
+
+
 def attempt(name: str, build) -> object | None:
     """Print the digest of ``build()``, or its error; return the category."""
     try:
@@ -90,6 +110,7 @@ def attempt(name: str, build) -> object | None:
     print(f"{name}\t{digest(mc, name)}")
     print(f"{name}/support\t{support_digest(mc)}")
     print(f"{name}/day\t{day_digest(mc)}")
+    print(f"{name}/hierarchy\t{hierarchy_digest(mc)}")
     return mc
 
 
@@ -111,6 +132,8 @@ def main() -> None:
             name = f"{entry}/{flavour}"
             if (entry, flavour) in SKIPPED:
                 print(f"{name}\tskipped")
+                completion = broad_category(mc, flavour).category
+                print(f"{name}/hierarchy\t{hierarchy_digest(completion)}")
                 continue
             completion = attempt(name, lambda: broad_category(mc, flavour).category)
             if completion is not None:

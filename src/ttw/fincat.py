@@ -599,22 +599,39 @@ def check_diagram(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec) -> N
 
 def _upper_bounds(cat: FinCategory, diagram: DiagramSpec, caps: Caps) -> int:
     """The apexes of the cocones over ``diagram`` in the thin ``cat``, as
-    a bitmask: the common upper bounds of its nodes, the AND of their
-    up-sets.  Each apex carries exactly one cocone, since its legs are
-    the only morphisms node -> apex and any two parallel composites are
-    equal, so every edge commutes.  Checks the diagram and the
-    ``max_cocones`` cap as the sweep in ``all_cocones`` does."""
+    a bitmask: the common upper bounds of its nodes.  Each apex carries
+    exactly one cocone, since its legs are the only morphisms
+    node -> apex and any two parallel composites are equal, so every
+    edge commutes.  Checks the diagram, and the ``max_cocones`` cap as
+    ``_common_upper_bounds`` does."""
     check_diagram(cat, diagram)
-    n = len(cat.objects)
+    return _common_upper_bounds(cat, diagram.nodes, caps)
+
+
+def _common_upper_bounds(cat: FinCategory, nodes, caps: Caps) -> int:
+    """The common upper bounds of ``nodes`` in the thin ``cat``, as the
+    AND of their up-sets, after checking the ``max_cocones`` cap as the
+    sweep in ``all_cocones`` does on a diagram with these nodes."""
+    up, n = cat.up, len(cat.objects)
     bounds = (1 << n) - 1
-    for node in diagram.nodes:
-        bounds &= cat.up[node] if 0 <= node < n else 0
+    for node in nodes:
+        bounds &= up[node] if 0 <= node < n else 0
     count = bounds.bit_count()
     if count:
         # the sweep checks the running count 1, 2, ... at each apex in
         # turn, so it refuses with the first count above the limit
         caps.check("max_cocones", min(count, max(1, caps.max_cocones + 1)))
     return bounds
+
+
+def _least_upper_bound(cat: FinCategory, bounds: int) -> int | None:
+    """The first object of the mask ``bounds`` lying below all of it, or
+    None: the least element of a set of upper bounds in the thin ``cat``,
+    up to isomorphism."""
+    for apex in _bits(bounds):
+        if bounds & ~cat.up[apex] == 0:
+            return apex
+    return None
 
 
 def _thin_cocone(cat: FinCategory, diagram: DiagramSpec, apex: int) -> Cocone:
@@ -717,11 +734,8 @@ def colimit(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
     bound: their least upper bound, up to isomorphism."""
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
     if cat.up is not None:
-        bounds = _upper_bounds(cat, diagram, caps)
-        for apex in _bits(bounds):
-            if bounds & ~cat.up[apex] == 0:
-                return _thin_cocone(cat, diagram, apex)
-        return None
+        apex = _least_upper_bound(cat, _upper_bounds(cat, diagram, caps))
+        return None if apex is None else _thin_cocone(cat, diagram, apex)
     cocones = all_cocones(mc, diagram, caps=caps)
     for candidate in cocones:
         if is_colimit(mc, diagram, candidate, cocones, caps=caps):

@@ -30,19 +30,28 @@ def restricts_to(mc: MonoidalCategory, f: int, s: Subunit) -> int | None:
     return factors_through(mc, f, s_cod)
 
 
+def _restriction_row(mc: MonoidalCategory, f: int, subs) -> int:
+    """The bitmask of the subunits among ``subs`` that f restricts to."""
+    return _mask(k for k, s in enumerate(subs) if restricts_to(mc, f, s) is not None)
+
+
 @_per_category
 def restriction_table(mc: MonoidalCategory) -> tuple[int, ...]:
     """Per morphism id, the bitmask of the subunits it restricts to (by
     ``restricts_to``), by position in ``enumerate_subunits(mc)``, which
     are the positions in ``subunit_semilattice(mc).subunits`` too."""
     subs = enumerate_subunits(mc)
-    return tuple(_mask(k for k, s in enumerate(subs)
-                       if restricts_to(mc, f.mid, s) is not None)
-                 for f in mc.morphisms)
+    return tuple(_restriction_row(mc, f.mid, subs) for f in mc.morphisms)
 
 
 def restricting_subunits(mc: MonoidalCategory, f: int) -> list[int]:
-    return list(_bits(restriction_table(mc)[f]))
+    """The positions of the subunits f restricts to: its row of the
+    restriction table, read from the table when the category has it and
+    computed alone otherwise, so a single query costs one row."""
+    table = mc.derived.get(restriction_table.__name__)
+    row = (table[f] if table is not None
+           else _restriction_row(mc, f, enumerate_subunits(mc)))
+    return list(_bits(row))
 
 
 def object_restriction_equivalences(mc: MonoidalCategory, a: int,

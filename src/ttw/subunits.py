@@ -9,6 +9,14 @@ characterisation of the same properties.  Every check is exhaustive and
 every negative verdict carries a witness replayable through the fincat
 checkers.
 
+On a thin category a colimit is a least upper bound, so the join
+hierarchy needs no diagram.  ``_characterisation_conditions`` and
+``_locale_based_direct`` decide it from the up-set masks of
+``FinCategory.up`` through one helper, ``_join_preserved`` ("X (x) -
+preserves the join of U"), whose docstring states the reduction, and
+``has_universal_directed_joins`` needs no sweep past the empty family,
+as its docstring shows.  Every other category runs the full sweeps.
+
 The facts that depend on nothing but the category (its subunits,
 firmness, the subunit semilattice and stiffness) are computed once per
 category object and kept in ``mc.derived``, so the tables of a category
@@ -24,9 +32,9 @@ from dataclasses import dataclass, field
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (Cocone, DiagramSpec, MonoidalCategory, SubobjectClass,
-                     all_cocones, colimit, factors_through, initial_object,
-                     is_cocone, is_colimit, is_iso, is_mono, is_pullback,
-                     is_pushout,
+                     _common_upper_bounds, _least_upper_bound, all_cocones,
+                     colimit, factors_through, initial_object, is_cocone,
+                     is_colimit, is_iso, is_mono, is_pullback, is_pushout,
                      mediating_morphisms, subobjects)
 from .orderkit import FinPoset, Semilattice, is_frame
 
@@ -219,16 +227,52 @@ def d_diagram(mc: MonoidalCategory, lat: SubunitSemilattice, family,
     return DiagramSpec(nodes, tuple(edges))
 
 
-def idempotent_families(lat: SubunitSemilattice, include_empty: bool = True,
-                        caps: Caps = DEFAULT_CAPS):
-    """All meet-closed subsets of the subunit semilattice."""
+def idempotent_families(lat: SubunitSemilattice, caps: Caps = DEFAULT_CAPS):
+    """All meet-closed subsets of the subunit semilattice, the empty one
+    first."""
     n = len(lat)
     caps.check("max_subunit_family_base", n)
-    for size in range(0 if include_empty else 1, n + 1):
+    for size in range(n + 1):
         for family in itertools.combinations(range(n), size):
             fam = set(family)
             if all(lat.meet(i, j) in fam for i in fam for j in fam):
                 yield tuple(sorted(fam))
+
+
+def _join_preserved(mc: MonoidalCategory, lat: SubunitSemilattice, family,
+                    j: int, caps: Caps) -> tuple[int, int | None] | None:
+    """X (x) - preserves the join j of U for every object X, on a thin
+    category.
+
+    ``j`` is an object above every subunit domain S of the family U.
+    At each X in turn, B is the set of common upper bounds of the
+    objects S (x) X, and the join is preserved at X when j (x) X lies
+    below all of B.  Returns None when it is preserved at every X;
+    otherwise the first X where it is not, with the least element of B
+    there (its first bound lying below all of it, the apex ``colimit``
+    picks), or None when B has no least element.
+
+    The reduction: in a thin category every diagram commutes, so a
+    colimit of D(U, X) is a least upper bound of its nodes whatever its
+    edges, and a cocone is a colimit exactly when its apex lies below
+    every common upper bound (see ``fincat.colimit``).  Every morphism
+    is monic, mediating arrows and comparisons are the hom entries, and
+    an arrow is invertible exactly when there is an arrow back.  As
+    S <= j gives S (x) X <= j (x) X, the canonical cocone at j (x) X is
+    a colimit of D(U, X), and the comparison from the colimit to
+    j (x) X is invertible, exactly when j (x) X lies below all of B.
+    The sweeps' ConsistencyError guards (unique mediating arrows,
+    canonical legs forming cocones) can therefore never fire on a thin
+    input.  The ``max_cocones`` cap is checked on B at each X, as
+    ``fincat.colimit`` and ``fincat.is_colimit`` check it.
+    """
+    cat, tensor = mc.cat, mc.mon.tensor_obj
+    rows = [tensor[lat.subunits[i].domain] for i in family]
+    for x in range(len(mc.objects)):
+        bounds = _common_upper_bounds(cat, [row[x] for row in rows], caps)
+        if bounds & ~cat.up[tensor[j][x]]:
+            return x, _least_upper_bound(cat, bounds)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +392,14 @@ def has_universal_directed_joins(mc: MonoidalCategory, include_empty: bool = Tru
     The empty family counts as directed by default, which demands an
     initial object absorbed by the tensor; pass ``include_empty=False``
     for the convention in which directed families are nonempty.
+
+    On a thin category the nonempty families cannot fail, so they are
+    not swept.  Such a family contains its greatest member m (see
+    ``FinPoset.is_directed``), whose domain M lies above every node of
+    D(U, I) and is one of them: M is the colimit, the mediating arrow is
+    m itself, a subunit, and X (x) M is likewise the greatest node of
+    X (x) D(U, I), so its colimit, for every X.  As no cocone is sought
+    for them, no ``max_cocones`` check is made for them either.
     """
     stiff = is_stiff(mc)
     if not stiff.holds:
@@ -368,6 +420,8 @@ def has_universal_directed_joins(mc: MonoidalCategory, include_empty: bool = Tru
                          "reason": "initial arrow is not a subunit"})
     n = len(lat)
     caps.check("max_subunit_family_base", n)
+    if mc.is_thin():
+        return PropertyReport("universal_directed_joins", True)
     for size in range(1, n + 1):
         for family in itertools.combinations(range(n), size):
             if not lat.lattice.poset.is_directed(family, include_empty=False):
@@ -407,9 +461,12 @@ def is_locale_based(mc: MonoidalCategory, include_empty: bool = True,
     of D(U, X).
 
     Cross-checked against the conjunction of the two universal-join
-    properties; a mismatch raises ConsistencyError.
+    properties; a mismatch raises ConsistencyError.  The empty family
+    always counts, as universal finite joins demand the empty join, an
+    initial object absorbed by the tensor; ``include_empty`` only
+    decides whether it counts as directed for the directed-join verdict.
     """
-    direct = _locale_based_direct(mc, include_empty, caps)
+    direct = _locale_based_direct(mc, caps)
     finite = has_universal_finite_joins(mc, caps=caps)
     directed = has_universal_directed_joins(mc, include_empty=include_empty,
                                             caps=caps)
@@ -424,8 +481,7 @@ def is_locale_based(mc: MonoidalCategory, include_empty: bool = True,
                                    **direct.details})
 
 
-def _locale_based_direct(mc: MonoidalCategory, include_empty: bool,
-                         caps: Caps) -> PropertyReport:
+def _locale_based_direct(mc: MonoidalCategory, caps: Caps) -> PropertyReport:
     stiff = is_stiff(mc)
     if not stiff.holds:
         return PropertyReport("locale_based", False, witness=stiff.witness,
@@ -434,9 +490,16 @@ def _locale_based_direct(mc: MonoidalCategory, include_empty: bool,
     if not is_frame(lat.lattice.poset):
         return PropertyReport("locale_based", False,
                               details={"stage": "frame"})
-    for family in idempotent_families(lat, include_empty=include_empty, caps=caps):
+    for family in idempotent_families(lat, caps=caps):
         v = lat.join(family) if family else lat.bottom()
         vs = lat.subunits[v]
+        if mc.is_thin():
+            failure = _join_preserved(mc, lat, family, vs.domain, caps)
+            if failure is not None:
+                return PropertyReport(
+                    "locale_based", False, witness=(family, failure[0]),
+                    details={"stage": "colimit"})
+            continue
         for x in range(len(mc.objects)):
             diag = d_diagram(mc, lat, family, x)
             legs = []
@@ -465,6 +528,10 @@ def check_characterisation(mc: MonoidalCategory, include_empty: bool = True,
     colim D(U, X) to colim D(U, I) (x) X is invertible.  The resulting
     verdicts (over all, finitely bounded, directed families) must agree
     with the direct definitions; disagreement raises ConsistencyError.
+    The empty family always counts for the "all" and "finite" verdicts,
+    whose direct definitions demand an initial object absorbed by the
+    tensor; ``include_empty`` only decides whether it counts as
+    directed.
     """
     stiff = is_stiff(mc)
     if not stiff.holds:
@@ -473,7 +540,7 @@ def check_characterisation(mc: MonoidalCategory, include_empty: bool = True,
     verdicts = {"all": True, "finite": True, "directed": True}
     first_witness: dict[str, tuple] = {}
 
-    for family in idempotent_families(lat, include_empty=include_empty, caps=caps):
+    for family in idempotent_families(lat, caps=caps):
         kinds = ["all", "finite"]
         if lat.lattice.poset.is_directed(family, include_empty=include_empty):
             kinds.append("directed")
@@ -501,6 +568,21 @@ def check_characterisation(mc: MonoidalCategory, include_empty: bool = True,
 
 def _characterisation_conditions(mc: MonoidalCategory, lat: SubunitSemilattice,
                                  family, caps: Caps) -> tuple[bool, tuple]:
+    if mc.is_thin():
+        # colim D(U, I) is the least upper bound j of the subunit domains,
+        # and the mediating arrow j -> I the hom entry, which is monic
+        j = _least_upper_bound(mc.cat, _common_upper_bounds(
+            mc.cat, [lat.subunits[i].domain for i in family], caps))
+        if j is None:
+            return False, (family, mc.unit, "no colimit over the unit")
+        failure = _join_preserved(mc, lat, family, j, caps)
+        if failure is None:
+            return True, ()
+        x, lub = failure
+        if lub is None:
+            return False, (family, x, "no colimit")
+        return False, (family, x, mc.hom(lub, mc.tensor_obj(j, x))[0],
+                       "comparison not invertible")
     diag_unit = d_diagram(mc, lat, family, mc.unit)
     col_unit = colimit(mc, diag_unit, caps=caps)
     if col_unit is None:

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (brute_d_diagram, brute_is_pushout, build_cached,
-                      closure_lattices, completion_cached, obj_by_label,
-                      scan_is_distributive, subunit_by_domain)
+                      closure_lattices, completion_cached,
+                      generic_hierarchy_sweeps, obj_by_label, outcome,
+                      scan_is_distributive, subunit_by_domain,
+                      thin_monoidal_preorders)
 import ttw.subunits
 from ttw import gallery
 from ttw.daycat import broad_category
-from ttw.errors import BuildError
+from ttw.errors import BuildError, TtwError
 from ttw.fincat import (FinCategory, MonoidalCategory, MonoidalData, Morphism,
-                        all_cocones, from_semilattice, is_iso, is_pushout,
-                        subobjects)
+                        all_cocones, colimit, from_semilattice, is_iso,
+                        is_pushout, objects_isomorphic, subobjects)
 from ttw.orderkit import Semilattice, poset_isomorphism, quantale_subunits
 from ttw.subunits import (_tensor_right, check_characterisation,
                           d_diagram, enumerate_subunits,
@@ -332,10 +334,124 @@ def test_characterisation_m3_witness(m3):
     a = lat.index_of_domain("a")
     b = lat.index_of_domain("b")
     c = obj_by_label(m3, "c")
-    from ttw.fincat import colimit
     fam = tuple(sorted(lat.lattice.poset.down_closure((a, b))))
     col = colimit(m3, d_diagram(m3, lat, fam, c))
     assert m3.obj_label(col.apex) == "0"
+
+
+@pytest.mark.parametrize("name", ["z2", "monoid_idem"])
+def test_empty_family_counts_for_all_and_finite_joins(name):
+    # without an initial object the empty join is missing, whether or
+    # not the empty family counts as directed
+    mc = gallery.build(name)
+    report = check_characterisation(mc, include_empty=False)
+    assert report.details["verdicts"] == \
+        {"all": False, "finite": False, "directed": True}
+    assert report.witness == ((), mc.unit, "no colimit over the unit")
+    locale = is_locale_based(mc, include_empty=False)
+    assert (locale.holds, locale.details["finite"], locale.details["directed"]) \
+        == (False, False, True)
+
+
+# ---------------------------------------------------------------------------
+# the thin branches of the join hierarchy against the generic sweeps
+
+
+def hierarchy_outcomes(mc) -> list:
+    """The outcome of has_universal_finite_joins, and of
+    check_characterisation, is_locale_based and
+    has_universal_directed_joins under both conventions for the empty
+    family.  The checks call one another with the same arguments, so
+    within this call each runs once per convention and a repeated call
+    gives back the first one's report or error."""
+    first: dict[tuple, tuple] = {}
+
+    def once(check):
+        def call(mc, **kwargs):
+            key = (check.__name__, kwargs.get("include_empty"))
+            if key not in first:
+                try:
+                    first[key] = (check(mc, **kwargs), None)
+                except TtwError as exc:
+                    first[key] = (None, exc)
+            report, error = first[key]
+            if error is not None:
+                raise error
+            return report
+        return call
+    with pytest.MonkeyPatch.context() as patch:
+        for check in (has_universal_finite_joins, is_locale_based,
+                      has_universal_directed_joins):
+            patch.setattr(ttw.subunits, check.__name__, once(check))
+        out = [outcome(ttw.subunits.has_universal_finite_joins, mc)]
+        for include_empty in (True, False):
+            for name in ("check_characterisation", "is_locale_based",
+                         "has_universal_directed_joins"):
+                out.append(outcome(getattr(ttw.subunits, name), mc,
+                                   include_empty=include_empty))
+    return out
+
+
+def replay_hierarchy_witness(mc, report) -> None:
+    """Replays the witness of a negative verdict from a swept stage of
+    the characterisation or the locale-based check through ``colimit``
+    on ``d_diagram`` and ``is_iso``.  On a thin category the directed
+    joins fail only at the stiffness and empty-family stages, which the
+    two routes share."""
+    lat = subunit_semilattice(mc)
+
+    def col(family, x):
+        return colimit(mc, d_diagram(mc, lat, family, x))
+    if report.name == "characterisation":
+        for family, x, *rest in report.details["witnesses"].values():
+            if rest in (["no colimit over the unit"], ["no colimit"]):
+                assert col(family, x) is None
+                continue
+            comparison, reason = rest
+            assert reason == "comparison not invertible"
+            assert is_iso(mc, comparison) is None
+            assert mc.dom(comparison) == col(family, x).apex
+            assert mc.cod(comparison) == \
+                mc.tensor_obj(col(family, mc.unit).apex, x)
+    elif report.name == "locale_based" and report.details.get("stage") == "colimit":
+        family, x = report.witness
+        v = lat.join(family) if family else lat.bottom()
+        found = col(family, x)
+        assert found is None or objects_isomorphic(
+            mc, found.apex, mc.tensor_obj(lat.subunits[v].domain, x)) is None
+
+
+def assert_thin_hierarchy_matches_sweep(mc) -> None:
+    assert mc.is_thin()
+    fast = hierarchy_outcomes(mc)
+    with generic_hierarchy_sweeps():
+        assert hierarchy_outcomes(mc) == fast
+    for result in fast:
+        if result[0] == "value" and not result[1].holds:
+            replay_hierarchy_witness(mc, result[1])
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_thin_hierarchy_matches_sweep_on_gallery(name):
+    # m3 "all" and "finite" take seconds each on the sweep
+    flavours = ("directed",) if name == "m3" else ("finite", "directed", "all")
+    for mc in (build_cached(name),
+               *(completion_cached(name, f).category for f in flavours)):
+        if mc.is_thin():
+            assert_thin_hierarchy_matches_sweep(mc)
+
+
+@settings(max_examples=15, deadline=None)
+@given(closure_lattices(max_size=8))
+def test_thin_hierarchy_matches_sweep_on_closure_lattices(poset):
+    assert_thin_hierarchy_matches_sweep(
+        from_semilattice(Semilattice.from_poset(poset)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(thin_monoidal_preorders())
+def test_thin_hierarchy_matches_sweep_on_monoidal_preorders(mc):
+    assert_thin_hierarchy_matches_sweep(mc)
 
 
 # ---------------------------------------------------------------------------
