@@ -19,8 +19,10 @@ object and the unit, and the unitor components of the first, or the
 error that stops them.  The fourth covers the default-argument reports
 (verdict, witness and details) of ``has_universal_finite_joins``,
 ``has_universal_directed_joins``, ``is_locale_based`` and
-``check_characterisation``, or the error that stops them; the m3 "all"
-and "finite" completions get this line too.  Two commits that print the
+``check_characterisation``, the reports of the last three with
+``include_empty=False`` (directed families nonempty), and ``is_preframe``
+of the subunit lattice, or the error that stops them; the m3 "all" and
+"finite" completions get this line too.  Two commits that print the
 same lines export the same tables and decide the same restrictions,
 supports, Day tensors and join hierarchies for every category listed.
 """
@@ -35,17 +37,20 @@ from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
                         day_unitors)
 from ttw.errors import TtwError
 from ttw.fractions import simple_quotient
+from ttw.orderkit import is_preframe
 from ttw.restriction import restriction_category, restricts_to
 from ttw.schema import category_to_document
 from ttw.subunits import (check_characterisation, enumerate_subunits,
                           has_universal_directed_joins,
-                          has_universal_finite_joins, is_locale_based)
+                          has_universal_finite_joins, is_locale_based,
+                          subunit_semilattice)
 from ttw.support import canonical_support
 
 FLAVOURS = ("finite", "directed", "all")
 SKIPPED = {("m3", "finite"), ("m3", "all")}
 HIERARCHY = (has_universal_finite_joins, has_universal_directed_joins,
              is_locale_based, check_characterisation)
+NONEMPTY_DIRECTED = HIERARCHY[1:]  # the checks with an ``include_empty``
 
 
 def sha256(value) -> str:
@@ -91,10 +96,14 @@ def day_digest(mc) -> str:
 
 def hierarchy_digest(mc) -> str:
     """The digest of the default-argument reports of the four
-    join-hierarchy checks, or of the error text that stops them."""
+    join-hierarchy checks, of the three that take ``include_empty`` with
+    it off, and of ``is_preframe`` on the subunit lattice, or of the
+    error text that stops them."""
     try:
-        rows = [[r.name, r.holds, r.witness, r.details]
-                for r in (check(mc) for check in HIERARCHY)]
+        reports = [check(mc) for check in HIERARCHY]
+        reports += [check(mc, include_empty=False) for check in NONEMPTY_DIRECTED]
+        rows = [[r.name, r.holds, r.witness, r.details] for r in reports]
+        rows.append(is_preframe(subunit_semilattice(mc).lattice))
     except TtwError as exc:
         return f"{type(exc).__name__}: {exc}"
     return sha256(rows)

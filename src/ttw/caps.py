@@ -18,7 +18,8 @@ from .errors import CapExceededError
 class Caps:
     max_objects: int = 64
     max_morphisms: int = 4096
-    # guards 2^n loops over subsets of ISub(C)
+    # guards the 2^n subset loops over ISub(C) of idempotent_families and
+    # is_frame_exhaustive
     max_subunit_family_base: int = 12
     # guards the object-subset search for tensor ideals
     max_ideal_base: int = 16

@@ -14,7 +14,8 @@ from ttw.errors import (CapExceededError, ConsistencyError, NonCommutingSquareEr
                         TtwError)
 from ttw.fincat import from_semilattice
 from ttw.orderkit import FinMonoid, FinPoset, Semilattice
-from ttw.subunits import subunit_semilattice
+from ttw.subunits import (PropertyReport, _initial_with_zero_tensor, _tensor_left,
+                          _tensor_right, d_diagram, is_stiff, subunit_semilattice)
 
 _CACHE: dict[str, object] = {}
 
@@ -323,12 +324,70 @@ def all_pair_sweeps():
 @contextlib.contextmanager
 def generic_hierarchy_sweeps():
     """Within this block, ``MonoidalCategory.is_thin`` answers False, so
-    the join hierarchy of ``subunits`` runs the sweeps it runs on every
-    non-thin category, over D(U, X) diagrams built by the edge filter;
-    the fincat (co)limit kernels still read the up-set masks."""
+    the characterisation and the locale-based check of ``subunits`` run
+    the sweeps they run on every non-thin category, over D(U, X)
+    diagrams; the fincat (co)limit kernels still read the up-set masks.
+    ``has_universal_directed_joins`` has one path for every category, and
+    ``sweep_universal_directed_joins`` is its oracle."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fincat.MonoidalCategory, "is_thin", lambda self: False)
         yield
+
+
+def sweep_universal_directed_joins(mc, include_empty=True, caps=DEFAULT_CAPS):
+    """Universal directed joins with every nonempty directed family
+    swept: the colimit of D(U, I), the subunit test of its arrow to the
+    unit, and its preservation by every X (x) (-), on thin and non-thin
+    categories alike."""
+    stiff = is_stiff(mc)
+    if not stiff.holds:
+        return PropertyReport("universal_directed_joins", False,
+                              witness=stiff.witness,
+                              details={"stage": "stiff"})
+    lat = subunit_semilattice(mc)
+    if include_empty:
+        ini, zero_arrow, problem = _initial_with_zero_tensor(mc, caps)
+        if problem:
+            return PropertyReport("universal_directed_joins", False,
+                                  witness=(problem,), details={"stage": "empty"})
+        cls_members = [s for s in lat.subunits if zero_arrow in s.cls.members]
+        if not cls_members:
+            return PropertyReport(
+                "universal_directed_joins", False, witness=(zero_arrow,),
+                details={"stage": "empty",
+                         "reason": "initial arrow is not a subunit"})
+    n = len(lat)
+    caps.check("max_subunit_family_base", n)
+    for size in range(1, n + 1):
+        for family in itertools.combinations(range(n), size):
+            if not lat.lattice.poset.is_directed(family, include_empty=False):
+                continue
+            diag = d_diagram(mc, lat, family, mc.unit)
+            col = fincat.colimit(mc, diag, caps=caps)
+            if col is None:
+                return PropertyReport(
+                    "universal_directed_joins", False, witness=family,
+                    details={"stage": "colimit", "reason": "no colimit"})
+            target = fincat.Cocone(mc.unit, tuple(lat.subunits[i].rep for i in family))
+            arrow = fincat.mediating_morphisms(mc, col, target)[0]
+            if not fincat.is_mono(mc, arrow) or \
+                    fincat.is_iso(mc, _tensor_right(mc, arrow, mc.dom(arrow))) is None:
+                return PropertyReport(
+                    "universal_directed_joins", False, witness=family + (arrow,),
+                    details={"stage": "colimit",
+                             "reason": "induced arrow is not a subunit"})
+            for x in range(len(mc.objects)):
+                x_diag = fincat.DiagramSpec(
+                    tuple(mc.tensor_obj(x, node) for node in diag.nodes),
+                    tuple((a, b, _tensor_left(mc, x, f)) for a, b, f in diag.edges))
+                x_col = fincat.Cocone(mc.tensor_obj(x, col.apex),
+                                      tuple(_tensor_left(mc, x, leg) for leg in col.legs))
+                if not fincat.is_colimit(mc, x_diag, x_col, caps=caps):
+                    return PropertyReport(
+                        "universal_directed_joins", False, witness=family + (x,),
+                        details={"stage": "preservation",
+                                 "reason": "X (x) (-) does not preserve the colimit"})
+    return PropertyReport("universal_directed_joins", True)
 
 
 def outcome(call, *args, **kwargs):
@@ -385,6 +444,28 @@ def scan_is_directed(poset, subset, include_empty=True):
         return include_empty
     return all(any(poset.leq[a][c] and poset.leq[b][c] for c in subset)
                for a in subset for b in subset)
+
+
+def scan_is_preframe(poset, include_empty=True):
+    """A top, every binary meet, and for every directed subset a join
+    that each x /\\ (-) preserves, by a sweep over every subset."""
+    n = len(poset)
+    if scan_meet(poset, ()) is None:
+        return False
+    meet = [[scan_meet(poset, (x, y)) for y in range(n)] for x in range(n)]
+    if any(None in row for row in meet):
+        return False
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if not scan_is_directed(poset, subset, include_empty):
+                continue
+            sup = scan_join(poset, subset)
+            if sup is None:
+                return False
+            for x in range(n):
+                if meet[x][sup] != scan_join(poset, [meet[x][s] for s in subset]):
+                    return False
+    return True
 
 
 def scan_is_distributive(poset):
@@ -558,11 +639,28 @@ def thin_monoidal_preorders(draw):
         n, op, unit, forced = _ORDERED_MONOIDS[kind](draw(st.integers(1, 3)))
         mult = tuple(tuple(op(i, j) for j in range(n)) for i in range(n))
     divisibility = draw(st.booleans())
-    leq = [[a == b or divisibility and a in mult[b] for b in range(n)]
-           for a in range(n)]
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3))
-    for a, b in (*forced, *pairs):
+    return ordered_monoid_category(mult, unit, (*forced, *pairs), divisibility)
+
+
+def split_monoid_category():
+    """The "split" monoid of ``_ORDERED_MONOIDS`` under divisibility and
+    its forced pairs: a thin category that is not stiff."""
+    n, op, unit, forced = _ORDERED_MONOIDS["split"](1)
+    return ordered_monoid_category(
+        tuple(tuple(op(i, j) for j in range(n)) for i in range(n)), unit, forced,
+        divisibility=True)
+
+
+def ordered_monoid_category(mult, unit, pairs, divisibility=False):
+    """The thin braided monoidal category of a commutative monoid under
+    the least preorder holding ``pairs`` (and divisibility, when asked)
+    that is compatible with the product."""
+    n = len(mult)
+    leq = [[a == b or divisibility and a in mult[b] for b in range(n)]
+           for a in range(n)]
+    for a, b in pairs:
         leq[a][b] = True
     changed = True
     while changed:

@@ -194,6 +194,24 @@ def test_exit_code_cap_exceeded(capsys, emitted):
     assert "max_objects" in err
 
 
+def test_univ_directed_needs_no_family_cap(capsys, tmp_path):
+    # a 14-element chain has 14 subunits, over the default
+    # max_subunit_family_base of 12, which bounds only the swept
+    # meet-closed families of the characterisation
+    labels = [f"c{i}" for i in range(14)]
+    path = tmp_path / "chain14.json"
+    path.write_text(json.dumps({
+        "kind": "semilattice", "name": "chain14", "elements": labels,
+        "leq": [[a, b] for a, b in zip(labels, labels[1:])], "top": labels[-1]}))
+    code, out, _ = run_cli(capsys, "--format", "json", "check",
+                           "univ-directed", str(path))
+    assert code == 0
+    assert json.loads(out)["results"]["holds"] is True
+    code, _, err = run_cli(capsys, "check", "characterisation", str(path))
+    assert code == 5
+    assert "max_subunit_family_base" in err
+
+
 def test_exit_code_unknown_cap_is_usage_error(capsys, emitted):
     path = emitted("b2")
     code, _, err = run_cli(capsys, "--cap", "max_objcts=3", "subunits", path)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (max_monoid, null_monoid, scan_is_directed, scan_join, scan_meet,
-                      shuffled_posets)
+from conftest import (closure_lattices, max_monoid, null_monoid, scan_is_directed,
+                      scan_is_preframe, scan_join, scan_meet, shuffled_posets)
 from ttw.caps import Caps
 from ttw.errors import BuildError, CapExceededError
 from ttw.gallery import (b2_semilattice, boolean2x2_semilattice, c3_semilattice,
@@ -167,7 +167,16 @@ def test_is_preframe():
     assert is_preframe(m3_semilattice())
     # the antichain with top lacks binary meets, so it is no preframe
     assert not is_preframe(antichain_with_top())
-    assert not is_preframe(antichain_with_top(), include_empty=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(shuffled_posets(), closure_lattices(max_size=8),
+                 st.just(antichain_with_top())))
+def test_is_preframe_matches_the_directed_subset_scan(poset):
+    # whether the empty subset counts as directed never changes the verdict
+    expected = scan_is_preframe(poset, include_empty=True)
+    assert scan_is_preframe(poset, include_empty=False) == expected
+    assert is_preframe(poset) == expected
 
 
 def test_finite_frame_iff_distributive_bounded_lattice():

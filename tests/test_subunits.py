@@ -5,21 +5,27 @@ import weakref
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (brute_d_diagram, brute_is_pushout, build_cached,
-                      closure_lattices, completion_cached,
+                      closure_lattices, commutative_monoids, completion_cached,
                       generic_hierarchy_sweeps, obj_by_label, outcome,
-                      scan_is_distributive, subunit_by_domain,
+                      scan_is_distributive, split_monoid_category,
+                      subunit_by_domain, sweep_universal_directed_joins,
                       thin_monoidal_preorders)
 import ttw.subunits
 from ttw import gallery
 from ttw.daycat import broad_category
-from ttw.errors import BuildError, TtwError
+from ttw.errors import BuildError, CapExceededError, TtwError
 from ttw.fincat import (FinCategory, MonoidalCategory, MonoidalData, Morphism,
-                        all_cocones, colimit, from_semilattice, is_iso,
-                        is_pushout, objects_isomorphic, subobjects)
-from ttw.orderkit import Semilattice, poset_isomorphism, quantale_subunits
+                        all_cocones, colimit, from_commutative_monoid,
+                        from_quantale, from_semilattice, is_iso, is_pushout,
+                        objects_isomorphic, subobjects)
+from ttw.fractions import simple_quotient
+from ttw.orderkit import (FinPoset, Quantale, Semilattice, ideal_quantale,
+                          is_distributive, is_preframe, poset_isomorphism,
+                          quantale_subunits)
 from ttw.subunits import (_tensor_right, check_characterisation,
                           d_diagram, enumerate_subunits,
                           has_universal_directed_joins,
@@ -149,6 +155,41 @@ def test_meet_is_quantale_product_of_idempotents():
                 a = q.elements.index(mc.obj_label(lat.subunits[i].domain))
                 b = q.elements.index(mc.obj_label(lat.subunits[j].domain))
                 assert q.elements[q.mult[a][b]] == meet_dom
+
+
+def assert_quantale_subunits_match(q) -> None:
+    """The idempotents below the unit of a commutative quantale, against
+    the subunits of its thin category: the same labels, isomorphic
+    orders, and the same meets under the label map."""
+    formula = quantale_subunits(q)
+    lattice = subunit_semilattice(from_quantale(q)).lattice
+    assert sorted(formula.elements) == sorted(lattice.elements)
+    assert poset_isomorphism(formula.poset, lattice.poset) is not None
+    at = [lattice.elements.index(label) for label in formula.elements]
+    for i in range(len(formula)):
+        for j in range(len(formula)):
+            assert formula.poset.leq[i][j] == lattice.poset.leq[at[i]][at[j]]
+            assert at[formula.meet(i, j)] == lattice.meet(at[i], at[j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(commutative_monoids())
+def test_quantale_subunits_of_ideal_quantales(monoid):
+    try:
+        q = ideal_quantale(monoid)
+    except CapExceededError:
+        assume(False)
+    assert_quantale_subunits_match(q)
+
+
+@settings(max_examples=20, deadline=None)
+@given(closure_lattices())
+def test_quantale_subunits_of_distributive_lattices(poset):
+    # a finite distributive lattice under meet is a frame, so a quantale
+    # whose idempotents below the unit are all of its elements
+    assume(is_distributive(poset))
+    assert_quantale_subunits_match(
+        Quantale.from_semilattice(Semilattice.from_poset(poset)))
 
 
 def test_subunit_semilattice_laws_hold(gallery_category):
@@ -395,9 +436,9 @@ def hierarchy_outcomes(mc) -> list:
 def replay_hierarchy_witness(mc, report) -> None:
     """Replays the witness of a negative verdict from a swept stage of
     the characterisation or the locale-based check through ``colimit``
-    on ``d_diagram`` and ``is_iso``.  On a thin category the directed
-    joins fail only at the stiffness and empty-family stages, which the
-    two routes share."""
+    on ``d_diagram`` and ``is_iso``.  The directed joins fail only at
+    the stiffness and empty-family stages, on every category, so they
+    have no swept witness to replay."""
     lat = subunit_semilattice(mc)
 
     def col(family, x):
@@ -452,6 +493,83 @@ def test_thin_hierarchy_matches_sweep_on_closure_lattices(poset):
 @given(thin_monoidal_preorders())
 def test_thin_hierarchy_matches_sweep_on_monoidal_preorders(mc):
     assert_thin_hierarchy_matches_sweep(mc)
+
+
+# ---------------------------------------------------------------------------
+# the directed joins against the family sweep
+
+
+def assert_directed_joins_match_sweep(mc) -> None:
+    for include_empty in (True, False):
+        found = outcome(has_universal_directed_joins, mc,
+                        include_empty=include_empty)
+        swept = outcome(sweep_universal_directed_joins, mc, include_empty)
+        if swept[:2] == ("cap", "max_subunit_family_base"):
+            # past the cap only the sweep is refused: the check sweeps
+            # no family
+            assert found[0] == "value"
+        else:
+            assert found == swept
+
+
+def test_directed_joins_fail_at_stiffness_like_the_sweep():
+    mc = split_monoid_category()
+    report = has_universal_directed_joins(mc)
+    assert (report.holds, report.details) == (False, {"stage": "stiff"})
+    assert_directed_joins_match_sweep(mc)
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_directed_joins_match_sweep_on_gallery(name):
+    # the sweep takes seconds on m3 "all" and "finite"
+    flavours = ("directed",) if name == "m3" else ("finite", "directed", "all")
+    mc = build_cached(name)
+    for category in (mc, simple_quotient(mc).category,
+                     *(completion_cached(name, f).category for f in flavours)):
+        assert_directed_joins_match_sweep(category)
+
+
+@settings(max_examples=30, deadline=None)
+@given(commutative_monoids(), st.sampled_from(["one_object", "ideal_quantale"]))
+def test_directed_joins_match_sweep_on_commutative_monoids(monoid, mode):
+    try:
+        mc = from_commutative_monoid(monoid, mode=mode)
+    except CapExceededError:
+        assume(False)
+    assert_directed_joins_match_sweep(mc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thin_monoidal_preorders())
+def test_directed_joins_match_sweep_on_monoidal_preorders(mc):
+    assert_directed_joins_match_sweep(mc)
+
+
+@settings(max_examples=15, deadline=None)
+@given(closure_lattices(max_size=8))
+def test_directed_joins_match_sweep_on_closure_lattices(poset):
+    assert_directed_joins_match_sweep(
+        from_semilattice(Semilattice.from_poset(poset)))
+
+
+def long_chain_category():
+    """The thin category of a 14-element chain under meet: 14 subunits,
+    two more than the default ``max_subunit_family_base``."""
+    return from_semilattice(Semilattice.from_poset(
+        FinPoset.chain([f"c{i}" for i in range(14)])))
+
+
+def test_directed_checks_sweep_no_family_on_a_long_chain():
+    mc = long_chain_category()
+    assert has_universal_directed_joins(mc).holds
+    assert has_universal_directed_joins(mc, include_empty=False).holds
+    assert is_preframe(subunit_semilattice(mc).lattice)
+    # the meet-closed families are still swept, and capped
+    for check in (is_locale_based, check_characterisation):
+        with pytest.raises(CapExceededError) as exc:
+            check(mc)
+        assert (exc.value.cap_name, exc.value.limit, exc.value.actual) == \
+            ("max_subunit_family_base", 12, 14)
 
 
 # ---------------------------------------------------------------------------
