@@ -537,8 +537,12 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     morphisms (U, X) -> (V, Y) are cocones over the diagram of the
     S (x) X whose legs restrict into V; composition pastes cocones
     through a restriction factorisation, checked independent of the
-    factorisation chosen.  The embedding sends an object A to the pair
-    (all subunits, A).
+    factorisation chosen.  The factorisations of a leg through the
+    middle family depend on that leg and the middle spec alone, not on
+    the outer cocone, so they are listed once per (leg, middle spec);
+    every composite still compares all of them.  ``max_morphisms`` is
+    checked as the cocones are listed.  The embedding sends an object A
+    to the pair (all subunits, A).
     """
     stiff = is_stiff(mc)
     if not stiff.holds:
@@ -574,31 +578,45 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
             for legs in hom_cocones(src, dst):
                 mor_index[(a, b, legs)] = len(mor_defs)
                 mor_defs.append((a, b, legs))
-    caps.check("max_morphisms", len(mor_defs))
+                # checked as the count grows, so that an over-cap
+                # completion is refused before the rest of the sweep
+                caps.check("max_morphisms", len(mor_defs))
     # one object per spec: refuse before the composition and tensor tables,
     # where nearly all the work lies; checked after max_morphisms so that
     # an input over both caps still names the one it always named
     caps.check("max_objects", len(specs))
 
+    # (leg, middle spec) -> every (position, h) with (t (x) Y) o h = leg
+    # for t the member at that position; the outer cocone plays no part
+    factorisations: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    comp = mc.cat.compose_table
+
+    def leg_factorisations(leg: int, mid: int) -> list[tuple[int, int]]:
+        mid_spec = specs[mid]
+        found = factorisations[(leg, mid)] = []
+        for pos, t in enumerate(mid_spec.family):
+            # restricts_to(leg, t) is None exactly when no h has
+            # (t (x) Y) o h = leg, so the sweep below would find none
+            if not table[leg] >> t & 1:
+                continue
+            target = _tensor_right(mc, lat.subunits[t].rep, mid_spec.obj)
+            found.extend((pos, h)
+                         for h in mc.hom(mc.dom(leg), mc.dom(target))
+                         if comp[(target, h)] == leg)
+        return found
+
     def compose_cocones(kb: int, ka: int) -> int:
         # each composite leg depends only on the factorisation of its own
         # leg through the middle family, so well-definedness reduces to a
-        # per-leg sweep over every factorisation
+        # per-leg comparison over every factorisation
         a_src, a_dst, a_legs = mor_defs[ka]
         b_src, b_dst, b_legs = mor_defs[kb]
-        mid_spec = specs[a_dst]
         new_legs = []
         for leg in a_legs:
-            candidates = set()
-            for pos, t in enumerate(mid_spec.family):
-                # restricts_to(leg, t) is None exactly when no h has
-                # (t (x) Y) o h = leg, so the sweep below would find none
-                if not table[leg] >> t & 1:
-                    continue
-                target = _tensor_right(mc, lat.subunits[t].rep, mid_spec.obj)
-                for h in mc.hom(mc.dom(leg), mc.dom(target)):
-                    if mc.compose(target, h) == leg:
-                        candidates.add(mc.compose(b_legs[pos], h))
+            found = factorisations.get((leg, a_dst))
+            if found is None:
+                found = leg_factorisations(leg, a_dst)
+            candidates = {comp[(b_legs[pos], h)] for pos, h in found}
             if len(candidates) != 1:
                 raise ConsistencyError(
                     "cocone pasting depends on the factorisation",

@@ -13,7 +13,7 @@ from ttw.daycat import Sieve, broad_category, presheaf_cap_check
 from ttw.errors import (CapExceededError, ConsistencyError, NonCommutingSquareError,
                         TtwError)
 from ttw.fincat import from_semilattice
-from ttw.orderkit import FinMonoid, FinPoset, Semilattice
+from ttw.orderkit import DownsetLattice, FinMonoid, FinPoset, Semilattice, downsets
 from ttw.subunits import (PropertyReport, _initial_with_zero_tensor, _tensor_left,
                           _tensor_right, d_diagram, is_stiff, subunit_semilattice)
 
@@ -481,6 +481,27 @@ def scan_is_distributive(poset):
         if left is None or left != right:
             return False
     return True
+
+
+def maximal(poset, subset):
+    """The members of ``subset`` below no other member."""
+    return [i for i in subset
+            if not any(j != i and poset.leq[i][j] for j in subset)]
+
+
+def filtered_directed_downsets(lat, include_empty=True):
+    """``directed_downsets`` by a second route: every downset, kept when a
+    pairwise scan finds it directed, with the order, labels and embedding
+    read off the full downset lattice."""
+    full = downsets(lat)
+    keep = [k for k, s in enumerate(full.sets)
+            if scan_is_directed(full.base, sorted(s), include_empty)]
+    sets = tuple(full.sets[k] for k in keep)
+    labels = tuple(full.poset.elements[k] for k in keep)
+    leq = tuple(tuple(a <= b for b in sets) for a in sets)
+    embedding = tuple(sets.index(full.base.down_closure((i,)))
+                      for i in range(len(full.base)))
+    return DownsetLattice(full.base, sets, FinPoset(labels, leq), embedding)
 
 
 @st.composite

@@ -351,10 +351,23 @@ def test_b3_completion_caps_name_the_size_that_is_over():
         broad_category(mc, "directed")
     assert (exc.value.cap_name, exc.value.limit, exc.value.actual) == ("max_objects", 64, 72)
     # 20 families times 8 objects is over max_objects too, but the cocone
-    # sweep, which counts the morphisms, comes first
+    # sweep, which counts the morphisms, comes first; it refuses as the
+    # count passes the cap, before all 11,724 cocones are listed
     with pytest.raises(CapExceededError) as exc:
         broad_category(mc, "finite")
     assert exc.value.cap_name == "max_morphisms"
+    assert exc.value.limit < exc.value.actual < 11724
+
+
+def test_completion_morphism_cap_boundary(c3):
+    # c3 "all" has exactly 94 morphisms
+    assert len(broad_category(c3, "all").category.morphisms) == 94
+    with pytest.raises(CapExceededError) as exc:
+        broad_category(c3, "all", caps=DEFAULT_CAPS.with_overrides(max_morphisms=93))
+    assert (exc.value.cap_name, exc.value.limit, exc.value.actual) == \
+        ("max_morphisms", 93, 94)
+    built = broad_category(c3, "all", caps=DEFAULT_CAPS.with_overrides(max_morphisms=94))
+    assert len(built.category.morphisms) == 94
 
 
 def test_day_cap_counts_the_triples_at_one_object(c3):
@@ -416,6 +429,51 @@ def test_completion_hom_sets_match_natural_transformations(q3):
             p_dst = broad_presheaf(q3, dst)
             assert len(comp.category.hom(a, b)) == \
                 len(nat_transformations(p_src, p_dst))
+
+
+def completion_transformations(comp):
+    """Per completion morphism, the natural transformation between broad
+    presheaves whose value on each generating element t (x) X of its
+    source is its leg at t; asserts that exactly one matches and that
+    every transformation of a hom set is matched by one morphism."""
+    mc, cat = comp.source, comp.category
+    presheaves = [broad_presheaf(mc, spec) for spec in comp.specs]
+    generators = [[(mc.dom(g), presheaves[a].values[mc.dom(g)].index(g))
+                   for g in (mc.tensor_mor(comp.lat.subunits[t].rep,
+                                           mc.identity(spec.obj))
+                             for t in spec.family)]
+                  for a, spec in enumerate(comp.specs)]
+    nats = [None] * len(cat.morphisms)
+    for a in range(len(comp.specs)):
+        for b in range(len(comp.specs)):
+            values = presheaves[b].values
+            transformations = nat_transformations(presheaves[a], presheaves[b])
+            assert len(transformations) == len(cat.hom(a, b))
+            for k in cat.hom(a, b):
+                [nat] = [nt for nt in transformations
+                         if all(values[d][nt.components[d][x]] == leg
+                                for (d, x), leg in zip(generators[a],
+                                                       comp.cocones[k]))]
+                nats[k] = nat.components
+            assert len({nats[k] for k in cat.hom(a, b)}) == len(cat.hom(a, b))
+    return nats
+
+
+@pytest.mark.parametrize("name,flavour", [
+    ("q3", "all"), ("c3", "all"), ("b2", "all"), ("z2", "all"),
+    ("q3", "directed")])
+def test_completion_composition_is_composition_of_transformations(name, flavour):
+    # a second route to the composition table: compose the matching
+    # natural transformations componentwise, with no factorisation of legs
+    comp = completion_cached(name, flavour)
+    cat = comp.category
+    nats = completion_transformations(comp)
+    for f in range(len(cat.morphisms)):
+        for b in range(len(comp.specs)):
+            for g in cat.hom(cat.cod(f), b):
+                composite = tuple(tuple(nats[g][d][x] for x in component)
+                                  for d, component in enumerate(nats[f]))
+                assert nats[cat.compose(g, f)] == composite
 
 
 def test_completion_subunits_are_families(gallery_category):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (closure_lattices, max_monoid, null_monoid, scan_is_directed,
-                      scan_is_preframe, scan_join, scan_meet, shuffled_posets)
+from conftest import (closure_lattices, filtered_directed_downsets, max_monoid,
+                      maximal, null_monoid, scan_is_directed, scan_is_preframe,
+                      scan_join, scan_meet, shuffled_posets)
+from ttw import orderkit
 from ttw.caps import Caps
 from ttw.errors import BuildError, CapExceededError
 from ttw.gallery import (b2_semilattice, boolean2x2_semilattice, c3_semilattice,
@@ -19,9 +21,10 @@ from ttw.orderkit import (FinMonoid, FinPoset, Quantale, Semilattice,
                           quantale_subunits)
 
 
-def antichain_with_top():
-    # a and b have no meet, so this is a poset but not a semilattice
-    return FinPoset.from_pairs(["a", "b", "1"], [("a", "1"), ("b", "1")])
+def antichain_with_top(width=2):
+    # no two atoms have a meet, so this is a poset but not a semilattice
+    atoms = [chr(ord("a") + i) for i in range(width)]
+    return FinPoset.from_pairs(atoms + ["1"], [(x, "1") for x in atoms])
 
 
 def test_poset_laws_rejected():
@@ -76,6 +79,45 @@ def test_directed_downsets_of_boolean2x2_drop_the_join_free_pair():
     assert frozenset((0, 1, 2)) not in dl.sets  # {0, a, b} has no top
 
 
+def assert_same_downset_lattice(got, want):
+    assert got.sets == want.sets
+    assert got.poset.elements == want.poset.elements
+    assert got.poset.leq == want.poset.leq
+    assert got.embedding == want.embedding
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(shuffled_posets(), closure_lattices()), st.booleans())
+def test_directed_downsets_match_filtered_downsets(poset, include_empty):
+    assert_same_downset_lattice(
+        directed_downsets(poset, include_empty=include_empty),
+        filtered_directed_downsets(poset, include_empty=include_empty))
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+@pytest.mark.parametrize("width", [2, 5])
+def test_directed_downsets_of_antichain_with_top(width, include_empty):
+    base = antichain_with_top(width)
+    dl = directed_downsets(base, include_empty=include_empty)
+    assert_same_downset_lattice(
+        dl, filtered_directed_downsets(base, include_empty=include_empty))
+    assert len(dl.sets) == width + 1 + include_empty
+
+
+def test_directed_downsets_skip_the_full_downset_lattice(monkeypatch):
+    # 2^8 + 1 downsets, of which the 9 principal ones and the empty one
+    # are directed; only the 10 are built, and no frame check of all of
+    # them runs
+    def no_full_lattice(*args, **kwargs):
+        raise AssertionError("the full downset lattice was built")
+
+    monkeypatch.setattr(orderkit, "downsets", no_full_lattice)
+    monkeypatch.setattr(orderkit, "is_frame", no_full_lattice)
+    dl = directed_downsets(antichain_with_top(8))
+    assert len(dl.sets) == 10
+    assert dl.sets[0] == frozenset() and dl.sets[-1] == frozenset(range(9))
+
+
 def test_finitely_bounded_is_everything_on_finite_posets():
     for lat in (b2_semilattice(), m3_semilattice(), antichain_with_top()):
         assert finitely_bounded_downsets(lat).sets == downsets(lat).sets
@@ -83,7 +125,7 @@ def test_finitely_bounded_is_everything_on_finite_posets():
         dl = downsets(lat)
         base = dl.base
         for s in dl.sets:
-            assert base.down_closure(base.maximal(s)) == s
+            assert base.down_closure(maximal(base, s)) == s
 
 
 def test_downsets_form_frame_and_embedding_preserves_meets():
@@ -229,7 +271,7 @@ def test_directed_downsets_are_empty_or_principal(poset):
     dl = directed_downsets(poset)
     for s in dl.sets:
         if s:
-            maxima = poset.maximal(s)
+            maxima = maximal(poset, s)
             assert len(maxima) == 1
             assert poset.down_closure(maxima) == s
         else:
@@ -340,7 +382,7 @@ def test_joins_and_meets_match_scan(poset, data):
 def test_is_directed_matches_pairwise_scan(poset, data):
     n = len(poset)
     subsets = [data.draw(st.sets(st.integers(0, n - 1))) for _ in range(4)]
-    subsets += [(), range(n), poset.maximal(range(n))]
+    subsets += [(), range(n), maximal(poset, range(n))]
     for subset in subsets:
         for include_empty in (False, True):
             assert poset.is_directed(subset, include_empty=include_empty) == \
