@@ -2,7 +2,8 @@
 """Print one sha256 digest of ``schema.category_to_document`` per derived
 category, or the error text where its build fails, and after it one
 digest each of the category's restriction relation and canonical
-supports, of its Day tensors and of its join hierarchy:
+supports, of its Day tensors, of its join hierarchy and of its
+restriction laws:
 
     python scripts/document_digests.py > digests.txt
 
@@ -22,9 +23,13 @@ error that stops them.  The fourth covers the default-argument reports
 ``check_characterisation``, the reports of the last three with
 ``include_empty=False`` (directed families nonempty), and ``is_preframe``
 of the subunit lattice, or the error that stops them; the m3 "all" and
-"finite" completions get this line too.  Two commits that print the
-same lines export the same tables and decide the same restrictions,
-supports, Day tensors and join hierarchies for every category listed.
+"finite" completions get this line too.  The fifth covers the reports
+of ``verify_graded_monad``, ``verify_comonad_bijection``,
+``verify_ideal_bijection`` and ``restriction_composition_law``, each or
+the error that stops it.  Two commits that print the same lines export
+the same tables and decide the same restrictions, supports, Day
+tensors, join hierarchies and restriction laws for every category
+listed.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
 from ttw.errors import TtwError
 from ttw.fractions import simple_quotient
 from ttw.orderkit import is_preframe
-from ttw.restriction import restriction_category, restricts_to
+from ttw.restriction import (restriction_category, restriction_composition_law,
+                             restricts_to, verify_comonad_bijection,
+                             verify_graded_monad, verify_ideal_bijection)
 from ttw.schema import category_to_document
 from ttw.subunits import (check_characterisation, enumerate_subunits,
                           has_universal_directed_joins,
@@ -51,6 +58,8 @@ SKIPPED = {("m3", "finite"), ("m3", "all")}
 HIERARCHY = (has_universal_finite_joins, has_universal_directed_joins,
              is_locale_based, check_characterisation)
 NONEMPTY_DIRECTED = HIERARCHY[1:]  # the checks with an ``include_empty``
+RESTRICTION_LAWS = (verify_graded_monad, verify_comonad_bijection,
+                    verify_ideal_bijection, restriction_composition_law)
 
 
 def sha256(value) -> str:
@@ -109,6 +118,19 @@ def hierarchy_digest(mc) -> str:
     return sha256(rows)
 
 
+def restriction_laws_digest(mc) -> str:
+    """The digest of the report of each restriction law check, or of the
+    error text that stops it."""
+    rows = []
+    for check in RESTRICTION_LAWS:
+        try:
+            r = check(mc)
+            rows.append([r.name, r.holds, r.witness, r.details])
+        except TtwError as exc:
+            rows.append(f"{type(exc).__name__}: {exc}")
+    return sha256(rows)
+
+
 def attempt(name: str, build) -> object | None:
     """Print the digest of ``build()``, or its error; return the category."""
     try:
@@ -120,6 +142,7 @@ def attempt(name: str, build) -> object | None:
     print(f"{name}/support\t{support_digest(mc)}")
     print(f"{name}/day\t{day_digest(mc)}")
     print(f"{name}/hierarchy\t{hierarchy_digest(mc)}")
+    print(f"{name}/restriction-laws\t{restriction_laws_digest(mc)}")
     return mc
 
 

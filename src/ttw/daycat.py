@@ -511,8 +511,7 @@ def _flavour_families(lat: SubunitSemilattice, flavour: str,
     elif flavour == "finite":
         dl = finitely_bounded_downsets(lat.lattice, caps=caps)
     elif flavour == "directed":
-        dl = directed_downsets(lat.lattice, include_empty=include_empty,
-                               caps=caps)
+        dl = directed_downsets(lat.lattice, include_empty=include_empty)
     else:
         raise ValueError(f"unknown flavour {flavour!r}")
     return [tuple(sorted(s)) for s in dl.sets]

@@ -7,6 +7,21 @@ s (x) A invertible; tensoring with S is a coreflector onto it.
 The same data appears in three equivalent guises verified here: a monad
 graded by the (unquotiented) subunit monomorphisms, idempotent comonads
 with monic counit at the unit, and monocoreflective tensor ideals.
+
+On a thin category (every hom-set has at most one element) each law
+these checks sweep (naturality, coherence, counit and unit squares,
+functoriality of the grading action) equates two composites with the
+same source and target, and two parallel morphisms of a thin category
+are equal, so the law holds once its composites are defined.  There
+``_verify_coreflection``, ``_verify_coreflector_monoidal``,
+``check_restriction_comonad`` and ``verify_graded_monad`` check only the
+typing of the components they are handed and the existence facts: the
+coreflection bijection (hom(A, B) is nonempty iff hom(A, S (x) B) is),
+invertibility of the comparison maps and of the comultiplication, and
+closure of the grading under the tensor.  Every morphism of a thin
+category is monic, the counit at the unit included.  Every other
+category runs the full sweeps, which the test suite keeps as the oracle
+of these branches.
 """
 
 from __future__ import annotations
@@ -152,7 +167,18 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
 
 
 def _verify_coreflection(mc, s, inverses, counit):
-    """The natural bijection C(A, B) = C|s(A, S (x) B) for A in C|s."""
+    """The natural bijection C(A, B) = C|s(A, S (x) B) for A in C|s.  On
+    a thin category it is one existence fact per pair (module docstring),
+    read from the up-set masks."""
+    if mc.is_thin():
+        up = mc.cat.up
+        for a in inverses:
+            for b in range(len(mc.objects)):
+                if (up[a] >> b ^ up[a] >> mc.tensor_obj(s.domain, b)) & 1:
+                    raise ConsistencyError(
+                        "coreflection correspondence is not a bijection",
+                        details={"a": a, "b": b})
+        return
     for a, inv in inverses.items():
         for b in range(len(mc.objects)):
             sb = mc.tensor_obj(s.domain, b)
@@ -213,12 +239,22 @@ def _verify_coreflector_monoidal(mc, s, comparisons):
     invertible, natural and coherent; the unit comparison is the identity
     at S.  Naturality is checked at the pairs of ``_one_variable_pairs``:
     S (x) (-) is a functor, by interchange, so both sides of the square
-    are functorial in the pair."""
+    are functorial in the pair.  On a thin category the comparison maps
+    are checked for invertibility and typing only (module docstring)."""
+    thin = mc.is_thin()
     for (a, b), comp in comparisons.items():
         if is_iso(mc, comp) is None:
             raise ConsistencyError(
                 "coreflector comparison map is not invertible",
                 details={"a": a, "b": b})
+        if thin and (mc.dom(comp) != mc.tensor_obj(mc.tensor_obj(s.domain, a),
+                                                   mc.tensor_obj(s.domain, b))
+                     or mc.cod(comp) != mc.tensor_obj(s.domain, mc.tensor_obj(a, b))):
+            raise ConsistencyError(
+                "coreflector comparison map is mistyped",
+                details={"a": a, "b": b})
+    if thin:
+        return
     for f, g in _one_variable_pairs(mc):
         lhs = mc.compose(_tensor_left(mc, s.domain, mc.tensor_mor(f, g)),
                          comparisons[(mc.dom(f), mc.dom(g))])
@@ -284,8 +320,9 @@ class GradedMonadData:
         return self.mc.tensor_mor(f, self.mc.identity(self.mc.dom(s)))
 
 
-def graded_monad_data(mc: MonoidalCategory) -> GradedMonadData:
-    grading = tuple(_subunit_monos(mc))
+def graded_monad_data(mc: MonoidalCategory,
+                      grading: tuple[int, ...]) -> GradedMonadData:
+    """The graded monad over the grading objects ``_subunit_monos(mc)``."""
     homs = {}
     for s in grading:
         for t in grading:
@@ -309,10 +346,11 @@ def verify_graded_monad(mc: MonoidalCategory) -> PropertyReport:
 
     The functor sends s to (-) (x) S, the unit and multiplication are
     identities in the strict model; functoriality, naturality and the
-    three coherence diagrams are verified componentwise.
+    three coherence diagrams are verified componentwise.  On a thin
+    category only the closure of the grading under the tensor is checked
+    (module docstring).
     """
-    data = graded_monad_data(mc)
-    grading = data.grading_objects
+    grading = tuple(_subunit_monos(mc))
     g_set = set(grading)
     # closure of the grading category under the tensor
     for s in grading:
@@ -322,6 +360,10 @@ def verify_graded_monad(mc: MonoidalCategory) -> PropertyReport:
                 return PropertyReport(
                     "graded_monad", False, witness=(s, t, st),
                     details={"reason": "tensor of subunit monos escapes the grading"})
+    if mc.is_thin():
+        return PropertyReport("graded_monad", True,
+                              details={"grading_objects": len(grading)})
+    data = graded_monad_data(mc, grading)
     # functoriality of s -> (-) (x) S on grading morphisms
     for (s, t), fs in data.grading_homs.items():
         for f in fs:
@@ -453,7 +495,9 @@ def restriction_comonad(mc: MonoidalCategory, s: Subunit) -> ComonadData:
 
 def check_restriction_comonad(data: ComonadData) -> None:
     """Reject the data unless it is a restriction comonad, naming the
-    first failing law."""
+    first failing law.  On a thin category the components are checked
+    for typing only, and the comultiplication for invertibility (module
+    docstring)."""
     mc = data.mc
     n_obj = len(mc.objects)
 
@@ -461,6 +505,27 @@ def check_restriction_comonad(data: ComonadData) -> None:
         raise BuildError(f"comonad law {law} fails", details)
 
     CatFunctor(mc, mc, data.obj_map, data.mor_map).check_functor()
+    if mc.is_thin():
+        # delta goes before the counit: a typed counit at FA, FFA -> FA,
+        # would already make a typed delta invertible
+        for a in range(n_obj):
+            d = data.delta[a]
+            fa = data.obj_map[a]
+            if mc.dom(d) != fa or mc.cod(d) != data.obj_map[fa]:
+                fail("comultiplication_typing", object=a)
+            if is_iso(mc, d) is None:
+                fail("comultiplication_invertible", object=a)
+        for a in range(n_obj):
+            e = data.counit[a]
+            if mc.dom(e) != data.obj_map[a] or mc.cod(e) != a:
+                fail("counit_typing", object=a)
+        for a in range(n_obj):
+            for b in range(n_obj):
+                p = data.phi[(a, b)]
+                if mc.dom(p) != mc.tensor_obj(a, data.obj_map[b]) or \
+                        mc.cod(p) != data.obj_map[mc.tensor_obj(a, b)]:
+                    fail("coherence_typing", pair=(a, b))
+        return
     for f in mc.morphisms:
         fa, fb = data.mor_map[f.mid], f.mid
         if mc.compose(data.counit[f.cod], fa) != mc.compose(fb, data.counit[f.dom]):
@@ -537,6 +602,11 @@ def extract_subunit(mc: MonoidalCategory, data: ComonadData) -> Subunit:
     """The subunit of a restriction comonad: the counit component at the
     unit, whose self-tensor invertibility is verified directly."""
     check_restriction_comonad(data)
+    return _comonad_subunit(mc, data)
+
+
+def _comonad_subunit(mc: MonoidalCategory, data: ComonadData) -> Subunit:
+    """``extract_subunit`` of data already checked as a comonad."""
     eps = data.counit[mc.unit]
     if is_iso(mc, mc.tensor_mor(mc.identity(mc.dom(eps)), eps)) is None:
         raise ConsistencyError(
@@ -556,20 +626,18 @@ def verify_comonad_bijection(mc: MonoidalCategory) -> PropertyReport:
     """Subunits and restriction comonads determine each other: the two
     constructions round-trip on canonical representatives, distinct
     subunits give distinct comonads, and every constructed comonad
-    satisfies the Frobenius law."""
+    satisfies the Frobenius law.  The subunit read back is checked to be
+    the one the comonad came from, so the comonad built from it is the
+    same and is not built again."""
     subs = enumerate_subunits(mc)
     seen = {}
     for s in subs:
-        data = restriction_comonad(mc, s)
-        back = extract_subunit(mc, data)
+        data = restriction_comonad(mc, s)   # checked as a comonad there
+        back = _comonad_subunit(mc, data)
         if back.rep != s.rep:
             return PropertyReport("comonad_bijection", False,
                                   witness=(s.rep, back.rep),
                                   details={"reason": "roundtrip moved the subunit"})
-        again = restriction_comonad(mc, back)
-        if again.table_key() != data.table_key():
-            return PropertyReport("comonad_bijection", False, witness=(s.rep,),
-                                  details={"reason": "comonad roundtrip differs"})
         if not frobenius_law_holds(data):
             return PropertyReport("comonad_bijection", False, witness=(s.rep,),
                                   details={"reason": "Frobenius law fails"})

@@ -326,7 +326,10 @@ def generic_hierarchy_sweeps():
     """Within this block, ``MonoidalCategory.is_thin`` answers False, so
     the characterisation and the locale-based check of ``subunits`` run
     the sweeps they run on every non-thin category, over D(U, X)
-    diagrams; the fincat (co)limit kernels still read the up-set masks.
+    diagrams, and the coreflection, coreflector, comonad and graded
+    monad checks of ``restriction`` sweep every law square instead of
+    checking typing and existence only; the fincat kernels (colimits,
+    ``is_mono``, ``is_iso``) still read the up-set masks.
     ``has_universal_directed_joins`` has one path for every category, and
     ``sweep_universal_directed_joins`` is its oracle."""
     with pytest.MonkeyPatch.context() as patch:

@@ -118,6 +118,20 @@ def test_directed_downsets_skip_the_full_downset_lattice(monkeypatch):
     assert dl.sets[0] == frozenset() and dl.sets[-1] == frozenset(range(9))
 
 
+def test_directed_downsets_of_a_chain_beyond_the_downset_cap():
+    # 17 elements pass no max_downset_base (16) check, and only the 17
+    # principal downsets and the empty one are built; the downsets of
+    # the same chain are still refused by that cap
+    chain = FinPoset.chain([f"x{i}" for i in range(17)])
+    dl = directed_downsets(chain)
+    assert len(dl.sets) == 18
+    assert dl.sets[-1] == frozenset(range(17))
+    with pytest.raises(CapExceededError) as exc:
+        downsets(chain)
+    assert (exc.value.cap_name, exc.value.limit, exc.value.actual) == \
+        ("max_downset_base", 16, 17)
+
+
 def test_finitely_bounded_is_everything_on_finite_posets():
     for lat in (b2_semilattice(), m3_semilattice(), antichain_with_top()):
         assert finitely_bounded_downsets(lat).sets == downsets(lat).sets

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (all_pair_sweeps, build_cached, closure_lattices,
-                      commutative_monoids, completion_cached, mor_by_label,
-                      obj_by_label, outcome, product_category,
-                      subunit_by_domain)
+                      commutative_monoids, completion_cached,
+                      generic_hierarchy_sweeps, mor_by_label, obj_by_label,
+                      outcome, product_category, subunit_by_domain,
+                      thin_monoidal_preorders)
 import ttw.restriction
 from ttw import gallery
 from ttw.daycat import broad_category
-from ttw.errors import BuildError
+from ttw.errors import BuildError, TtwError
 from ttw.fincat import (CatFunctor, MonoidalCategory, from_commutative_monoid,
                         from_semilattice, identity_functor, is_iso)
 from ttw.orderkit import Semilattice
@@ -403,3 +404,121 @@ def test_comparisons_natural_in_one_variable_only_are_rejected(side):
                    for key, comp in _coreflector_comparisons(mc, s).items()}
     reduced, full = _both_sweeps(_verify_coreflector_monoidal, mc, s, comparisons)
     assert reduced == full == ("ConsistencyError", "coreflector comparison not natural")
+
+
+# ---------------------------------------------------------------------------
+# the thin branches against the generic sweeps
+
+
+THIN_GALLERY = [name for name in gallery.names() if build_cached(name).is_thin()]
+
+
+def _full_outcome(call, *args):
+    """``outcome`` with the witness an error carries (a ConsistencyError's
+    details, a BuildError's report), so two routes must also fail at the
+    same place."""
+    try:
+        return "value", call(*args)
+    except (TtwError, KeyError, IndexError) as exc:
+        return (type(exc).__name__, str(exc),
+                getattr(exc, "details", getattr(exc, "report", None)))
+
+
+def _restriction_tables(mc, s):
+    """Every table ``restriction_category(mc, s)`` returns."""
+    result = restriction_category(mc, s)
+    sub = result.subcategory
+    return (sub.objects, sub.morphisms, sub.cat.identity, sub.cat.compose_table,
+            sub.unit, sub.mon.tensor_obj, sub.mon.braiding, result.object_map,
+            result.morphism_map, result.inclusion.obj_map, result.inclusion.mor_map,
+            result.coreflector.obj_map, result.coreflector.mor_map, result.counit)
+
+
+def _restriction_checks(mc) -> list:
+    subs = enumerate_subunits(mc)
+    return ([_full_outcome(_restriction_tables, mc, s) for s in subs]
+            + [_full_outcome(verify_graded_monad, mc),
+               _full_outcome(verify_comonad_bijection, mc)]
+            + [_full_outcome(lambda s: frobenius_law_holds(restriction_comonad(mc, s)), s)
+               for s in subs])
+
+
+def assert_thin_route_matches_sweeps(mc):
+    assert mc.is_thin()
+    thin = _restriction_checks(mc)
+    with generic_hierarchy_sweeps():
+        assert not mc.is_thin()
+        assert _restriction_checks(mc) == thin
+
+
+# the sweeps take about 25 s on each of these 50-object completions
+SWEEPS_TOO_SLOW = {("m3", "finite"), ("m3", "all")}
+
+
+@pytest.mark.parametrize("name", THIN_GALLERY)
+def test_thin_restriction_checks_match_the_sweeps(name):
+    assert_thin_route_matches_sweeps(build_cached(name))
+    for flavour in ("finite", "directed", "all"):
+        if (name, flavour) not in SWEEPS_TOO_SLOW:
+            assert_thin_route_matches_sweeps(completion_cached(name, flavour).category)
+
+
+@settings(max_examples=40, deadline=None)
+@given(closure_lattices())
+def test_thin_restriction_checks_match_the_sweeps_on_closure_lattices(poset):
+    assert_thin_route_matches_sweeps(from_semilattice(Semilattice.from_poset(poset)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(thin_monoidal_preorders())
+def test_thin_restriction_checks_match_the_sweeps_on_preorders(mc):
+    assert_thin_route_matches_sweeps(mc)
+
+
+@pytest.mark.parametrize("name", THIN_GALLERY)
+def test_both_routes_reject_every_corrupted_entry(name):
+    # a thin hom-set holds at most one morphism, so an entry set to
+    # another morphism is mistyped: the thin route names a typing law
+    # (or a comparison that is not invertible), and the sweeps fail too
+    mc = build_cached(name)
+    mids = [m.mid for m in mc.morphisms]
+    comonads, comparisons = [], []
+    for s in enumerate_subunits(mc):
+        data = restriction_comonad(mc, s)
+        for field in ("phi", "delta", "counit", "mor_map"):
+            comonads += [dataclasses.replace(data, **{field: bad})
+                         for bad in _corruptions(getattr(data, field), mids)]
+        comparisons += [(s, bad) for bad in
+                        _corruptions(_coreflector_comparisons(mc, s), mids)]
+    for data in comonads:
+        kind, message = outcome(check_restriction_comonad, data)
+        assert kind == "BuildError" and "typing" in message, message
+    for s, bad in comparisons:
+        assert outcome(_verify_coreflector_monoidal, mc, s, bad) in (
+            ("ConsistencyError", "coreflector comparison map is not invertible"),
+            ("ConsistencyError", "coreflector comparison map is mistyped"))
+    with generic_hierarchy_sweeps():
+        for data in comonads:
+            assert outcome(check_restriction_comonad, data)[0] != "value"
+        for s, bad in comparisons:
+            assert outcome(_verify_coreflector_monoidal, mc, s, bad)[0] != "value"
+
+
+def test_thin_route_rejects_a_comultiplication_without_inverse():
+    # on the chain 0 <= m <= 1 of c3, F moves each object one step up
+    # (1 stays): a functor with delta: F(a) -> FF(a) typed, but at 0 that
+    # is m -> 1, which has no inverse; no counit F(0) -> 0 exists either,
+    # so the identities stand in for it
+    mc = build_cached("c3")
+    step = (1, 2, 2)
+    n_obj = len(mc.objects)
+    data = ComonadData(
+        mc, step,
+        tuple(mc.hom(step[m.dom], step[m.cod])[0] for m in mc.morphisms),
+        tuple(mc.hom(step[a], step[step[a]])[0] for a in range(n_obj)),
+        tuple(mc.identity(a) for a in range(n_obj)),
+        {(a, b): mc.identity(a) for a in range(n_obj) for b in range(n_obj)})
+    assert outcome(check_restriction_comonad, data) == \
+        ("BuildError", "comonad law comultiplication_invertible fails")
+    with generic_hierarchy_sweeps():
+        assert outcome(check_restriction_comonad, data)[0] != "value"
