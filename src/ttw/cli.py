@@ -13,6 +13,11 @@
 Common flags: --format json|text, --cap NAME=N (repeatable).  Exit
 codes: 2 schema violation, 3 law violation while building, 4 unknown
 subunit/morphism name, 5 cap exceeded.
+
+The argument parser is built on the first ``main`` call and reused for
+the rest of the process.  ``main(argv)`` stays re-entrant: every call
+parses into a fresh namespace and reads the caps (``TTW_MAX_*`` and
+``--cap``) afresh, and nothing of a parsed document or category is kept.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import cache
 
 from . import gallery
 from .caps import DEFAULT_CAPS, Caps, apply_overrides, caps_from_env
@@ -98,19 +104,20 @@ def _parse_caps(entries) -> Caps:
         raise DocumentError(exc.args[0]) from exc
 
 
-def _load_document(path: str):
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; a syntax error names its
+    line and column."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_category_document(data)
 
 
 def _build(path: str, caps: Caps) -> tuple[MonoidalCategory, str]:
-    doc = _load_document(path)
+    doc = parse_category_document(_read_json(path))
     return build_category(doc, caps=caps), doc.name
 
 
@@ -274,13 +281,7 @@ def cmd_day(args, caps: Caps) -> Report:
     mc, name = _build(args.file, caps)
 
     def load_presheaf(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise DocumentError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"{path}: {exc.msg}") from exc
+        data = _read_json(path)
         return parse_presheaf_document(data, mc), data["name"]
 
     left, left_name = load_presheaf(args.left)
@@ -306,7 +307,10 @@ def cmd_examples(args, caps: Caps) -> Report:
                   text=json.dumps(document, indent=2) + "\n")
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The ``ttw`` parser, built on first use and shared by every call;
+    callers parse with it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="ttw", description="tensor topology workbench")
     parser.add_argument("--format", choices=("json", "text"), default="text")

@@ -117,8 +117,39 @@ def _validator(name: str):
     return cls(schema)
 
 
+@cache
+def _kind_validators() -> dict:
+    """One validator per category ``kind``: the top level of
+    ``CATEGORY_SCHEMA`` without its ``oneOf``, plus the one branch whose
+    ``kind`` constraint names that kind."""
+    top = {key: value for key, value in CATEGORY_SCHEMA.items()
+           if key != "oneOf"}
+    cls = type(_validator("category"))
+    validators = {}
+    for branch in CATEGORY_SCHEMA["oneOf"]:
+        kind = branch["properties"]["kind"]
+        for value in kind.get("enum", [kind.get("const")]):
+            validators[value] = cls(dict(top, allOf=[branch]))
+    return validators
+
+
 def _validate(data: object, name: str) -> None:
-    """Raise DocumentError for the error ``jsonschema.validate`` would raise."""
+    """Raise DocumentError for the error ``jsonschema.validate`` would raise.
+
+    A category document is first checked against the validator of the
+    kind it names.  The ``kind`` constraints of the ``oneOf`` branches
+    are pairwise disjoint, so at most one branch can match an object
+    with a string ``kind``: such a document satisfies the ``oneOf``
+    exactly when it satisfies the top level and the branch its ``kind``
+    names.  A document that passes that branch is valid.  Any other
+    document, and one whose ``kind`` is missing, not a string or
+    unknown, goes through ``best_match`` over the full schema, so the
+    verdict and every error message are those of the full schema."""
+    if name == "category" and isinstance(data, dict) \
+            and isinstance(data.get("kind"), str):
+        branch = _kind_validators().get(data["kind"])
+        if branch is not None and branch.is_valid(data):
+            return
     from jsonschema.exceptions import best_match
     error = best_match(_validator(name).iter_errors(data))
     if error is not None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -10,7 +12,7 @@ import pytest
 
 import ttw
 from ttw import gallery
-from ttw.cli import main
+from ttw.cli import main, make_parser
 from ttw.dot import render_dot
 from ttw.orderkit import FinPoset
 from ttw.schema import (build_category, category_to_document,
@@ -21,6 +23,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env(**extra) -> dict:
+    """The environment of a child process that imports this checkout's ttw."""
+    src = str(pathlib.Path(ttw.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -277,15 +286,81 @@ def test_json_reports_do_not_depend_on_the_hash_seed(emitted):
               "from ttw.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert main(argv) == 0, argv\n")
-    src = str(pathlib.Path(ttw.__file__).resolve().parent.parent)
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script,
                                json.dumps(commands)],
-                              env=env, capture_output=True, check=True)
+                              env=_src_env(PYTHONHASHSEED=seed),
+                              capture_output=True, check=True)
         outputs.append(done.stdout)
     assert outputs[0].count(b'"schema_version"') == len(commands)
     assert outputs[0] == outputs[1]
+
+
+def test_syntax_errors_name_line_and_column(capsys, emitted, tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"kind": ')
+    code, _, err = run_cli(capsys, "subunits", str(broken))
+    assert code == 2
+    assert err == f"ttw: schema error: {broken}:1:10: Expecting value\n"
+    presheaf = tmp_path / "presheaf.json"
+    presheaf.write_text('{"name": "p",\n "values": }')
+    code, _, err = run_cli(capsys, "day", "--left", str(presheaf),
+                           "--right", str(presheaf), emitted("b2"))
+    assert code == 2
+    assert err == f"ttw: schema error: {presheaf}:2:12: Expecting value\n"
+
+
+def test_memoised_parser_keeps_main_reentrant(capsys, emitted, monkeypatch):
+    assert make_parser() is make_parser()
+    path = emitted("c3")
+    code, _, err = run_cli(capsys, "--cap", "max_objects=1", "subunits", path)
+    assert code == 5
+    assert "max_objects" in err
+    code, _, err = run_cli(capsys, "subunits", path)
+    assert code == 0, err
+    assert make_parser().parse_args(["subunits", path]).cap is None
+    assert make_parser().parse_args(
+        ["--cap", "max_objects=1", "subunits", path]).cap == ["max_objects=1"]
+    code, out, _ = run_cli(capsys, "--format", "json", "subunits", path)
+    assert code == 0
+    assert json.loads(out)["command"] == "subunits"
+    code, out, _ = run_cli(capsys, "subunits", path)
+    assert code == 0
+    assert out.startswith("# subunits c3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", "emit"])
+    assert exc.value.code == 2
+    assert "examples emit needs a name" in capsys.readouterr().err
+    assert run_cli(capsys, "subunits", path)[0] == 0
+    monkeypatch.setenv("TTW_MAX_OBJECTS", "1")
+    assert run_cli(capsys, "subunits", path)[0] == 5
+    monkeypatch.delenv("TTW_MAX_OBJECTS")
+    assert run_cli(capsys, "subunits", path)[0] == 0
+
+
+def _parser_output(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["check", "--help"], ["complete", "--help"],
+    ["check", "nosuch", "doc.json"], ["restrict", "doc.json"]])
+def test_memoised_parser_prints_the_help_and_usage_of_a_fresh_one(argv):
+    make_parser().parse_args(["examples", "list"])
+    cached = _parser_output(main, argv)
+    assert cached == _parser_output(make_parser.__wrapped__().parse_args, argv)
+    assert cached[0] == (0 if "--help" in argv else 2)
+    assert cached[1] if "--help" in argv else cached[2]
+
+
+def test_importing_the_cli_builds_no_parser_and_loads_no_jsonschema():
+    script = ("import sys, ttw.cli\n"
+              "assert 'jsonschema' not in sys.modules\n"
+              "assert 'argparse' in sys.modules\n"
+              "assert ttw.cli.make_parser.cache_info().currsize == 0\n")
+    subprocess.run([sys.executable, "-c", script], env=_src_env(), check=True)
