@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Time the exhaustive checks of ttw, one table per family of checks:
+
+    python scripts/timings.py TABLE [TABLE ...]
+
+TABLE is ``hierarchy`` (``check_characterisation`` and
+``is_locale_based`` on each gallery entry and its "all" completion),
+``completion`` (``broad_category`` of each gallery entry in each
+flavour, and of B3 "finite" and "directed") or ``restriction`` (the
+graded monad, the comonad bijection, ``restriction_category`` at every
+subunit with how many are strict, the ideal bijection and the
+composition law, on each gallery entry and its three completions).  A
+row gives the sizes, then the seconds and result of each call, run on
+a freshly built category so that no derived fact is reused; the build
+is not timed.  A call that raises prints its error (the cap for a
+refused completion, else the error class) in place of its result, or
+of its seconds in the restriction table; a row whose category cannot be
+built prints that error alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import time
+from collections import Counter
+
+from ttw import gallery
+from ttw.daycat import broad_category
+from ttw.errors import BuildError, TtwError
+from ttw.fincat import from_semilattice
+from ttw.orderkit import FinPoset, Semilattice
+from ttw.restriction import (restriction_category, restriction_composition_law,
+                             verify_comonad_bijection, verify_graded_monad,
+                             verify_ideal_bijection)
+from ttw.subunits import (check_characterisation, enumerate_subunits,
+                          is_locale_based)
+
+
+def b3():
+    """The thin category of the Boolean lattice on three atoms."""
+    subsets = [s for r in range(4) for s in itertools.combinations(range(3), r)]
+    label = {s: "{" + ",".join(map(str, s)) + "}" for s in subsets}
+    pairs = [(label[a], label[b]) for a in subsets for b in subsets if set(a) < set(b)]
+    return from_semilattice(Semilattice.from_poset(
+        FinPoset.from_pairs(list(label.values()), pairs)))
+
+
+def sources(flavours, b3_flavours=()):
+    """Per gallery entry, then B3: label, source builder, flavour or None."""
+    for name in gallery.names():
+        for flavour in flavours:
+            yield (f"{name}/{flavour}" if flavour else name,
+                   lambda name=name: gallery.build(name), flavour)
+    for flavour in b3_flavours:
+        yield f"b3/{flavour}", b3, flavour
+
+
+def under_test(source, flavour):
+    """A builder of the category a row checks: the source or its completion."""
+    if flavour is None:
+        return source
+    return lambda: broad_category(source(), flavour).category
+
+
+def error_name(exc: TtwError) -> str:
+    return getattr(exc, "cap_name", type(exc).__name__)  # a cap, else the class
+
+
+def timed(call, build, digits: int = 2) -> tuple[str, object, str | None]:
+    """Seconds of ``call`` on a fresh ``build()``, its result, its error or None."""
+    mc = build()
+    start = time.perf_counter()
+    try:
+        result, error = call(mc), None
+    except TtwError as exc:
+        result, error = None, error_name(exc)
+    return f"{time.perf_counter() - start:.{digits}f}", result, error
+
+
+def hierarchy_row(source, flavour) -> list:
+    build = under_test(source, flavour)
+    mc = build()
+    char_s, char, char_error = timed(check_characterisation, build)
+    verdicts = ([char_error, "", ""] if char_error else
+                [char.details["verdicts"][k] for k in ("all", "finite", "directed")])
+    locale_s, locale, locale_error = timed(is_locale_based, build)
+    return [len(mc.objects), len(mc.morphisms), len(enumerate_subunits(mc)),
+            char_s, *verdicts, locale_s, locale_error or locale.holds]
+
+
+def composable_pairs(cat) -> int:
+    """The pairs (g, f) with cod f = dom g: per object, incoming times
+    outgoing morphisms."""
+    into = Counter(m.cod for m in cat.morphisms)
+    return sum(into[m.dom] for m in cat.morphisms)
+
+
+def completion_row(source, flavour) -> list:
+    seconds, cat, error = timed(lambda mc: broad_category(mc, flavour).category,
+                                source, digits=3)
+    counts = ([error, "", ""] if error else
+              [len(cat.objects), len(cat.morphisms), composable_pairs(cat)])
+    return [*counts, seconds]
+
+
+def restrict_all(mc) -> str:
+    """``restriction_category`` at every subunit: "built/subunits"."""
+    subs = enumerate_subunits(mc)
+    built = 0
+    for s in subs:
+        try:
+            restriction_category(mc, s)
+            built += 1
+        except BuildError:
+            pass
+    return f"{built}/{len(subs)}"
+
+
+def restriction_row(source, flavour) -> list:
+    build = under_test(source, flavour)
+    mc = build()
+    cells = [len(mc.objects), len(mc.morphisms)]
+    for check in (verify_graded_monad, verify_comonad_bijection, restrict_all,
+                  verify_ideal_bijection, restriction_composition_law):
+        seconds, result, error = timed(check, build)
+        cells.append(error or seconds)
+        if check is restrict_all:
+            cells.append(error or result)
+    return cells
+
+
+# per table: its columns, its row format, its sources and its row
+TABLES = {
+    "hierarchy": (
+        ("category", "objects", "morphisms", "subunits", "char_s", "all",
+         "finite", "directed", "locale_s", "locale"),
+        "{:<16}" + "{:>10}" * 9, lambda: sources((None, "all")), hierarchy_row),
+    "completion": (
+        ("completion", "objects", "morphisms", "pairs", "build_s"),
+        "{:<20}" + "{:>14}" + "{:>10}" * 3,
+        lambda: sources(("all", "finite", "directed"), ("finite", "directed")),
+        completion_row),
+    "restriction": (
+        ("category", "objects", "morphisms", "graded_s", "comonads_s",
+         "restrict_s", "restricted", "ideals_s", "composition_s"),
+        "{:<20}" + "{:>14}" * 8,
+        lambda: sources((None, "finite", "directed", "all")), restriction_row),
+}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("table", nargs="+", choices=TABLES)
+    for k, name in enumerate(parser.parse_args(argv).table):
+        columns, row_format, table_sources, row = TABLES[name]
+        if k:
+            print()
+        print(row_format.format(*columns))
+        for label, source, flavour in table_sources():
+            try:
+                cells = row(source, flavour)
+            except TtwError as exc:  # the category itself is refused
+                cells = [error_name(exc)]
+            cells += [""] * (len(columns) - 1 - len(cells))
+            print(row_format.format(label, *map(str, cells)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

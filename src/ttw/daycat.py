@@ -463,15 +463,13 @@ class BroadSpec:
     flavour: str
 
 
-def make_broad_spec(lat: SubunitSemilattice, family, obj: int, flavour: str,
-                    include_empty: bool = True) -> BroadSpec:
+def make_broad_spec(lat: SubunitSemilattice, family, obj: int,
+                    flavour: str) -> BroadSpec:
     family = tuple(sorted(set(family)))
     poset = lat.lattice.poset
     if not poset.is_downset(family):
         raise BuildError("broad family is not downward closed")
     if flavour == "directed":
-        if not family and not include_empty:
-            raise BuildError("empty family excluded under this convention")
         if not poset.is_directed(family):
             raise BuildError("broad family is not directed")
     elif flavour not in ("finite", "all"):
@@ -505,13 +503,13 @@ class BroadCompletion:
 
 
 def _flavour_families(lat: SubunitSemilattice, flavour: str,
-                      include_empty: bool, caps: Caps) -> list[tuple[int, ...]]:
+                      caps: Caps) -> list[tuple[int, ...]]:
     if flavour == "all":
         dl = downsets(lat.lattice, caps=caps)
     elif flavour == "finite":
         dl = finitely_bounded_downsets(lat.lattice, caps=caps)
     elif flavour == "directed":
-        dl = directed_downsets(lat.lattice, include_empty=include_empty)
+        dl = directed_downsets(lat.lattice)
     else:
         raise ValueError(f"unknown flavour {flavour!r}")
     return [tuple(sorted(s)) for s in dl.sets]
@@ -527,7 +525,6 @@ def _restriction_factor(mc: MonoidalCategory, lat: SubunitSemilattice,
 
 
 def broad_category(mc: MonoidalCategory, flavour: str = "all",
-                   include_empty: bool = True,
                    caps: Caps = DEFAULT_CAPS) -> BroadCompletion:
     """The completion of a stiff category by broad presheaves of the
     given flavour, presented intensionally.
@@ -547,7 +544,7 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     if not stiff.holds:
         raise BuildError("broad completion requires a stiff category", stiff)
     lat = subunit_semilattice(mc)
-    families = _flavour_families(lat, flavour, include_empty, caps)
+    families = _flavour_families(lat, flavour, caps)
     specs = [BroadSpec(fam, x, flavour)
              for fam in sorted(families) for x in range(len(mc.objects))]
     spec_index = {(s.family, s.obj): k for k, s in enumerate(specs)}

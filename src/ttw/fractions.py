@@ -299,6 +299,7 @@ def localisation_factor(loc: LocalisedCategory, functor: CatFunctor) -> CatFunct
     member, functorial, and exactly equal to the original on images of
     the quotient.
     """
+    functor.check_functor()
     mc = loc.source
     target = functor.target
     for s in loc.sigma.members:

@@ -94,9 +94,7 @@ def object_restriction_equivalences(mc: MonoidalCategory, a: int,
 @dataclass(frozen=True, eq=False)
 class RestrictionResult:
     subcategory: MonoidalCategory
-    object_map: tuple[int, ...]       # subcategory object -> ambient object
-    morphism_map: tuple[int, ...]     # subcategory morphism -> ambient morphism
-    inclusion: CatFunctor
+    inclusion: CatFunctor             # subcategory -> ambient
     coreflector: CatFunctor           # ambient -> subcategory, A -> S (x) A
     counit: tuple[int, ...]           # ambient components S (x) A -> A
 
@@ -162,8 +160,7 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
 
     _verify_coreflection(mc, s, inverses, counit)
     _verify_coreflector_monoidal(mc, s, _coreflector_comparisons(mc, s))
-    return RestrictionResult(sub, tuple(keep), tuple(m.mid for m in mors),
-                             inclusion, coreflector, counit)
+    return RestrictionResult(sub, inclusion, coreflector, counit)
 
 
 def _verify_coreflection(mc, s, inverses, counit):
@@ -287,13 +284,12 @@ def _verify_coreflector_monoidal(mc, s, comparisons):
 
 def _subunit_monos(mc: MonoidalCategory) -> list[int]:
     """All monomorphisms into the unit with invertible self-tensor,
-    without identifying representatives of the same subunit."""
-    out = []
-    for m in mc.morphisms:
-        if m.cod == mc.unit and is_mono(mc, m.mid) and \
-                is_iso(mc, _tensor_right(mc, m.mid, m.dom)) is not None:
-            out.append(m.mid)
-    return out
+    without identifying representatives of the same subunit: the members
+    of the ``enumerate_subunits`` classes, sorted.  Members of one class
+    are isomorphic over I, and if m = r o phi with phi: M -> R invertible
+    then m (x) M = phi^-1 o (r (x) R) o (phi (x) phi), so one member has
+    invertible self-tensor exactly when the others do."""
+    return sorted(m for s in enumerate_subunits(mc) for m in s.cls.members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,9 +491,9 @@ def restriction_comonad(mc: MonoidalCategory, s: Subunit) -> ComonadData:
 
 def check_restriction_comonad(data: ComonadData) -> None:
     """Reject the data unless it is a restriction comonad, naming the
-    first failing law.  On a thin category the components are checked
-    for typing only, and the comultiplication for invertibility (module
-    docstring)."""
+    first failing law.  Every component is typed before any law
+    composes it; on a thin category typing and the invertibility of the
+    comultiplication are all that is checked (module docstring)."""
     mc = data.mc
     n_obj = len(mc.objects)
 
@@ -505,26 +501,28 @@ def check_restriction_comonad(data: ComonadData) -> None:
         raise BuildError(f"comonad law {law} fails", details)
 
     CatFunctor(mc, mc, data.obj_map, data.mor_map).check_functor()
-    if mc.is_thin():
-        # delta goes before the counit: a typed counit at FA, FFA -> FA,
-        # would already make a typed delta invertible
-        for a in range(n_obj):
-            d = data.delta[a]
-            fa = data.obj_map[a]
-            if mc.dom(d) != fa or mc.cod(d) != data.obj_map[fa]:
-                fail("comultiplication_typing", object=a)
-            if is_iso(mc, d) is None:
-                fail("comultiplication_invertible", object=a)
-        for a in range(n_obj):
-            e = data.counit[a]
-            if mc.dom(e) != data.obj_map[a] or mc.cod(e) != a:
-                fail("counit_typing", object=a)
-        for a in range(n_obj):
-            for b in range(n_obj):
-                p = data.phi[(a, b)]
-                if mc.dom(p) != mc.tensor_obj(a, data.obj_map[b]) or \
-                        mc.cod(p) != data.obj_map[mc.tensor_obj(a, b)]:
-                    fail("coherence_typing", pair=(a, b))
+    thin = mc.is_thin()
+    # every component is typed before any law composes it; delta goes
+    # before the counit: a typed counit at FA, FFA -> FA, would already
+    # make a typed delta invertible
+    for a in range(n_obj):
+        d = data.delta[a]
+        fa = data.obj_map[a]
+        if mc.dom(d) != fa or mc.cod(d) != data.obj_map[fa]:
+            fail("comultiplication_typing", object=a)
+        if thin and is_iso(mc, d) is None:
+            fail("comultiplication_invertible", object=a)
+    for a in range(n_obj):
+        e = data.counit[a]
+        if mc.dom(e) != data.obj_map[a] or mc.cod(e) != a:
+            fail("counit_typing", object=a)
+    for a in range(n_obj):
+        for b in range(n_obj):
+            p = data.phi[(a, b)]
+            if mc.dom(p) != mc.tensor_obj(a, data.obj_map[b]) or \
+                    mc.cod(p) != data.obj_map[mc.tensor_obj(a, b)]:
+                fail("coherence_typing", pair=(a, b))
+    if thin:
         return
     for f in mc.morphisms:
         fa, fb = data.mor_map[f.mid], f.mid
@@ -537,8 +535,6 @@ def check_restriction_comonad(data: ComonadData) -> None:
     for a in range(n_obj):
         d = data.delta[a]
         fa = data.obj_map[a]
-        if mc.dom(d) != fa or mc.cod(d) != data.obj_map[fa]:
-            fail("comultiplication_typing", object=a)
         if mc.compose(data.counit[fa], d) != mc.identity(fa):
             fail("left_counit_law", object=a)
         if mc.compose(data.mor_map[data.counit[a]], d) != mc.identity(fa):
@@ -553,9 +549,6 @@ def check_restriction_comonad(data: ComonadData) -> None:
     for a in range(n_obj):
         for b in range(n_obj):
             p = data.phi[(a, b)]
-            if mc.dom(p) != mc.tensor_obj(a, data.obj_map[b]) or \
-                    mc.cod(p) != data.obj_map[mc.tensor_obj(a, b)]:
-                fail("coherence_typing", pair=(a, b))
             lhs = mc.compose(data.counit[mc.tensor_obj(a, b)], p)
             rhs = mc.tensor_mor(mc.identity(a), data.counit[b])
             if lhs != rhs:

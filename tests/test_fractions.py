@@ -4,13 +4,14 @@ import itertools
 
 import pytest
 
-from conftest import mor_by_label, subunit_by_domain
+from conftest import build_cached, mor_by_label, subunit_by_domain
 from ttw.errors import BuildError
-from ttw.fincat import is_iso, objects_isomorphic
+from ttw.fincat import CatFunctor, is_iso, objects_isomorphic
 from ttw.fractions import (FractionSpan, SigmaClass, _span_equivalent,
                            is_simple, localisation_factor, localise,
                            restriction_localisation_equivalence, sigma,
                            simple_quotient, verify_right_fractions)
+from ttw.restriction import restriction_category
 from ttw.subunits import enumerate_subunits
 
 
@@ -184,3 +185,24 @@ def test_localise_requires_fraction_calculus(q3):
     bad = SigmaClass(q3, frozenset(members), {})
     with pytest.raises(BuildError):
         localise(q3, bad)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("b2", 6), ("c3", 42), ("q3", 30), ("boolean2x2", 108)])
+def test_factor_of_a_corrupted_coreflector_is_refused(name, count):
+    # the restriction coreflector with one morphism sent elsewhere is no
+    # longer a functor, and is refused as one before anything composes it
+    mc = build_cached(name)
+    corruptions = 0
+    for s in enumerate_subunits(mc):
+        loc = localise(mc, sigma(mc, [s]))
+        cor = restriction_category(mc, s).coreflector
+        for f, image in enumerate(cor.mor_map):
+            for wrong in range(len(cor.target.morphisms)):
+                if wrong != image:
+                    bad = cor.mor_map[:f] + (wrong,) + cor.mor_map[f + 1:]
+                    with pytest.raises(BuildError):
+                        localisation_factor(
+                            loc, CatFunctor(mc, cor.target, cor.obj_map, bad))
+                    corruptions += 1
+    assert corruptions == count

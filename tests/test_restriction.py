@@ -16,9 +16,9 @@ from ttw import gallery
 from ttw.daycat import broad_category
 from ttw.errors import BuildError, TtwError
 from ttw.fincat import (CatFunctor, MonoidalCategory, from_commutative_monoid,
-                        from_semilattice, identity_functor, is_iso)
+                        from_semilattice, identity_functor, is_iso, is_mono)
 from ttw.orderkit import Semilattice
-from ttw.restriction import (ComonadData, _coreflector_comparisons,
+from ttw.restriction import (ComonadData, _coreflector_comparisons, _subunit_monos,
                              _verify_coreflector_monoidal, check_restriction_comonad,
                              extract_subunit, frobenius_law_holds,
                              object_restriction_equivalences, restricting_subunits,
@@ -175,7 +175,7 @@ def test_coreflector_lands_in_subcategory(gallery_category):
     for s in enumerate_subunits(mc):
         result = restriction_category(mc, s)
         for a in range(len(mc.objects)):
-            target = result.object_map[result.coreflector.on_obj(a)]
+            target = result.inclusion.on_obj(result.coreflector.on_obj(a))
             assert mc.tensor_obj(s.domain, a) == target
 
 
@@ -186,6 +186,33 @@ def test_coreflector_lands_in_subcategory(gallery_category):
 def test_graded_monad_laws(gallery_category):
     name, mc = gallery_category
     assert verify_graded_monad(mc).holds
+
+
+def subunit_monos_by_morphism(mc) -> list[int]:
+    """The grading objects morphism by morphism: every monomorphism into
+    the unit whose self-tensor is invertible."""
+    return [m.mid for m in mc.morphisms if m.cod == mc.unit and is_mono(mc, m.mid)
+            and is_iso(mc, _tensor_right(mc, m.mid, m.dom)) is not None]
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_subunit_monos_are_the_subunit_class_members(name):
+    for mc in [build_cached(name)] + [completion_cached(name, flavour).category
+                                      for flavour in ("finite", "directed", "all")]:
+        assert _subunit_monos(mc) == subunit_monos_by_morphism(mc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(thin_monoidal_preorders())
+def test_subunit_monos_are_the_subunit_class_members_on_preorders(mc):
+    assert _subunit_monos(mc) == subunit_monos_by_morphism(mc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(commutative_monoids())
+def test_subunit_monos_are_the_subunit_class_members_on_monoids(monoid):
+    mc = from_commutative_monoid(monoid)
+    assert _subunit_monos(mc) == subunit_monos_by_morphism(mc)
 
 
 def test_grading_category_does_not_quotient(z2):
@@ -391,6 +418,24 @@ def test_naturality_sweeps_agree_with_every_pair_on_monoids(monoid):
         _naturality_sweeps_agree(cat)
 
 
+@pytest.mark.parametrize("name", ["z2", "monoid_idem"])
+def test_mistyped_comonad_components_are_refused(name):
+    # every counit or delta component set to another morphism, on the
+    # one-object entry and its completions (two objects in "all"): the
+    # checker types each component before a law composes it
+    cats = [build_cached(name)] + [completion_cached(name, flavour).category
+                                   for flavour in ("finite", "directed", "all")]
+    for mc in cats:
+        mids = [m.mid for m in mc.morphisms]
+        for s in enumerate_subunits(mc):
+            data = restriction_comonad(mc, s)
+            for field in ("delta", "counit"):
+                for bad in _corruptions(getattr(data, field), mids):
+                    with pytest.raises(BuildError):
+                        check_restriction_comonad(
+                            dataclasses.replace(data, **{field: bad}))
+
+
 @pytest.mark.parametrize("side", (0, 1))
 def test_comparisons_natural_in_one_variable_only_are_rejected(side):
     # in b2 x z2 the comparisons of the unit subunit are identities; swap
@@ -429,9 +474,9 @@ def _restriction_tables(mc, s):
     result = restriction_category(mc, s)
     sub = result.subcategory
     return (sub.objects, sub.morphisms, sub.cat.identity, sub.cat.compose_table,
-            sub.unit, sub.mon.tensor_obj, sub.mon.braiding, result.object_map,
-            result.morphism_map, result.inclusion.obj_map, result.inclusion.mor_map,
-            result.coreflector.obj_map, result.coreflector.mor_map, result.counit)
+            sub.unit, sub.mon.tensor_obj, sub.mon.braiding, result.inclusion.obj_map,
+            result.inclusion.mor_map, result.coreflector.obj_map,
+            result.coreflector.mor_map, result.counit)
 
 
 def _restriction_checks(mc) -> list:
