@@ -6,16 +6,21 @@
 TABLE is ``hierarchy`` (``check_characterisation`` and
 ``is_locale_based`` on each gallery entry and its "all" completion),
 ``completion`` (``broad_category`` of each gallery entry in each
-flavour, and of B3 "finite" and "directed") or ``restriction`` (the
+flavour, and of B3 "finite" and "directed"), ``restriction`` (the
 graded monad, the comonad bijection, ``restriction_category`` at every
 subunit with how many are strict, the ideal bijection and the
-composition law, on each gallery entry and its three completions).  A
-row gives the sizes, then the seconds and result of each call, run on
-a freshly built category so that no derived fact is reused; the build
-is not timed.  A call that raises prints its error (the cap for a
-refused completion, else the error class) in place of its result, or
-of its seconds in the restriction table; a row whose category cannot be
-built prints that error alone.
+composition law, on each gallery entry and its three completions) or
+``day`` (three Day tensors among the representables of the first
+object, the last object and the unit, and the unitors of the first, as
+``document_digests.py`` picks them, with the morphisms slid along and
+the classes of the three tensors, on the b2, c3 and q3 "all"
+completions and the simple quotient of m3 "directed").  A row gives the
+sizes, then the seconds and result of each call, run on a freshly built
+category so that no derived fact is reused; the build is not timed.  A
+call that raises prints its error (the cap for a refused completion,
+else the error class) in place of its result, or of its seconds in the
+restriction and day tables; a row whose category cannot be built prints
+that error alone.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ import time
 from collections import Counter
 
 from ttw import gallery
-from ttw.daycat import broad_category
+from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
+                        day_unitors, slide_generators)
 from ttw.errors import BuildError, TtwError
 from ttw.fincat import from_semilattice
+from ttw.fractions import simple_quotient
 from ttw.orderkit import FinPoset, Semilattice
 from ttw.restriction import (restriction_category, restriction_composition_law,
                              verify_comonad_bijection, verify_graded_monad,
@@ -130,6 +137,42 @@ def restriction_row(source, flavour) -> list:
     return cells
 
 
+def day_sources():
+    """The b2, c3 and q3 "all" completions, then the simple quotient of
+    m3 "directed": label, source builder, flavour or None."""
+    for name in ("b2", "c3", "q3"):
+        yield f"{name}/all", lambda name=name: gallery.build(name), "all"
+    yield "m3/directed/quotient", lambda: simple_quotient(
+        broad_category(gallery.build("m3"), "directed").category).category, None
+
+
+def representables(build):
+    """A builder of a fresh category and the representables of its first
+    object, its last object and its unit."""
+    def built():
+        mc = build()
+        return mc, [coproduct_of_representables(mc, [a])
+                    for a in (0, len(mc.objects) - 1, mc.unit)]
+    return built
+
+
+def day_row(source, flavour) -> list:
+    build = under_test(source, flavour)
+    mc = build()
+    prepared = representables(build)
+    cells, classes = [], 0
+    for left, right in ((0, 1), (1, 2), (2, 0)):
+        seconds, day, error = timed(
+            lambda built: day_tensor(built[0], built[1][left], built[1][right]),
+            prepared, digits=3)
+        cells.append(error or seconds)
+        classes += sum(map(len, day.classes)) if day else 0
+    seconds, _, error = timed(lambda built: day_unitors(built[0], built[1][0]),
+                              prepared, digits=3)
+    return [len(mc.objects), len(mc.morphisms), len(slide_generators(mc)), classes,
+            *cells, error or seconds]
+
+
 # per table: its columns, its row format, its sources and its row
 TABLES = {
     "hierarchy": (
@@ -146,6 +189,10 @@ TABLES = {
          "restrict_s", "restricted", "ideals_s", "composition_s"),
         "{:<20}" + "{:>14}" * 8,
         lambda: sources((None, "finite", "directed", "all")), restriction_row),
+    "day": (
+        ("category", "objects", "morphisms", "slid", "classes", "day01_s",
+         "day12_s", "day20_s", "unitors_s"),
+        "{:<22}" + "{:>10}" * 8, lambda: day_sources(), day_row),
 }
 
 

@@ -8,13 +8,19 @@ equivalence relation generated by sliding morphisms f, g across the
 components, closed with union-find.  One variable at a time suffices:
 the slides of the pairs (f, id) and (id, g) generate the relation, so
 each triple is slid outward and no morphism into the tensor is searched
-for (see ``day_tensor``).
+for.  Slides compose, so only a generating set of morphisms is slid
+along: on a thin category a cycle through each isomorphism class and one
+morphism per cover between classes (``thin_generators``), on any other
+every non-identity morphism (see ``day_tensor``).
 
 Broad presheaves are presented intensionally by a pair (U, X) of a
 downward-closed subunit family and an object; morphisms between them
 are cocones whose legs restrict into the target family.  Collecting the
 (finitely bounded, directed, all) presentations yields the three
 completion categories, again as explicit finite monoidal categories.
+The completion of a thin category is thin, with at most one cocone per
+hom-set, so it is composed and braided by typing; any other completion
+pastes its cocones (see ``broad_category``).
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from .fincat import (CatFunctor, Cocone, MonoidalCategory, _outgoing, _tabulate,
 from .orderkit import (_bits, _downset_label, _mask, _unions, directed_downsets,
                        downsets, finitely_bounded_downsets)
 from .restriction import restriction_table, restricts_to
-from .subunits import (SubunitSemilattice, _tensor_left, _tensor_right,
-                       d_diagram, is_stiff, subunit_semilattice)
+from .subunits import (SubunitSemilattice, _per_category, _tensor_left,
+                       _tensor_right, d_diagram, is_stiff, subunit_semilattice)
 
 Triple = tuple[int, int, int, int, int]  # (B, C, h, x-index, y-index)
 
@@ -215,16 +221,27 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
     identity laws of the tensor, which ``validate`` checks, and
     F(id) = id and G(id) = id, which ``check_presheaf`` checks; by the
     same laws a slide of (id, id) moves nothing, so identities are not
-    slid.  The classes are sorted, so no output depends on the order of
-    the unions.  The action of the quotient (precomposition on h) is
-    verified well defined on classes, and the resulting presheaf is
-    verified functorial.
+    slid.
+
+    Slides compose, so only a generating set is slid along.  F is a
+    functor, so F(f' o f) = F(f) o F(f'), and (f' o f) (x) id =
+    (f' (x) id) o (f (x) id); so the slide along (f' o f, id) from
+    (B, C, h, F(f' o f) x'', y) is the slide along (f, id) to
+    (B', C, (f (x) id) o h, F(f') x'', y), followed by the slide along
+    (f', id), and likewise in the second variable.  A set of morphisms
+    whose closure under composition holds every non-identity morphism
+    therefore gives the same classes (Mac Lane, *CWM* II.7-8), and
+    ``slide_generators`` is such a set.  The classes are sorted, so no
+    output depends on the order of the unions or on the set slid along.
+    The action of the quotient (precomposition on h) is verified well
+    defined on classes, and the resulting presheaf is verified
+    functorial.
     """
     presheaf_cap_check(left, caps)
     presheaf_cap_check(right, caps)
     n_obj = len(mc.objects)
-    outgoing = _outgoing(mc.morphisms, n_obj)
     ids = [mc.identity(b) for b in range(n_obj)]
+    outgoing = _outgoing([mc.morphisms[f] for f in slide_generators(mc)], n_obj)
     l_size = [left.size(b) for b in range(n_obj)]
     r_size = [right.size(c) for c in range(n_obj)]
     # per (B, C) holding triples, its slides (B', C', f (x) g, F f, G g)
@@ -234,8 +251,8 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
         for c in range(n_obj):
             if not (l_size[b] and r_size[c]):
                 continue
-            moves = [(f, ids[c]) for f in outgoing[b] if f != ids[b]] + \
-                [(ids[b], g) for g in outgoing[c] if g != ids[c]]
+            moves = [(f, ids[c]) for f in outgoing[b]] + \
+                [(ids[b], g) for g in outgoing[c]]
             slides[(b, c)] = [
                 (mc.cod(f), mc.cod(g), mc.tensor_mor(f, g), left.action[f],
                  right.action[g])
@@ -277,11 +294,12 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
 
     values = tuple(tuple(grp[0] for grp in all_classes[a]) for a in range(n_obj))
     action = {}
+    comp = mc.cat.compose_table
     for m in mc.morphisms:
         row = []
+        f, class_of = m.mid, all_class_of[m.dom]
         for grp in all_classes[m.cod]:
-            images = {all_class_of[m.dom][(b, c, mc.compose(h, m.mid), x, y)]
-                      for (b, c, h, x, y) in grp}
+            images = {class_of[(b, c, comp[(h, f)], x, y)] for (b, c, h, x, y) in grp}
             if len(images) != 1:
                 raise ConsistencyError(
                     "Day action not well defined on a class",
@@ -292,6 +310,48 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
     check_presheaf(quotient)
     return DayTensorResult(mc, left, right, tuple(all_triples),
                            tuple(all_class_of), tuple(all_classes), quotient)
+
+
+def slide_generators(mc: MonoidalCategory) -> tuple[int, ...]:
+    """The mids ``day_tensor`` slides along, a set whose closure under
+    composition holds every non-identity morphism: ``thin_generators``
+    on a thin category, and every non-identity morphism on any other."""
+    if mc.is_thin():
+        return thin_generators(mc)
+    return tuple(m.mid for m in mc.morphisms if m.mid != mc.identity(m.dom))
+
+
+@_per_category
+def thin_generators(mc: MonoidalCategory) -> tuple[int, ...]:
+    """The mids of a generating set of a thin category, read from its
+    up-set masks: a cycle through each isomorphism class of two or more
+    objects, its members in increasing order, and one morphism from the
+    least member of each class to the least member of each class that
+    covers it.  Every non-identity morphism a -> b is a composite of
+    these: along the cycle within a class when a and b are isomorphic;
+    otherwise from a round its cycle to the least member of its class,
+    up a chain of covers to the class of b, which is finite, and round
+    that cycle to b.  The category is thin, so any such path is that
+    morphism."""
+    up = mc.cat.up
+    n = len(up)
+    iso = [sum(1 << b for b in _bits(up[a]) if up[b] >> a & 1) for a in range(n)]
+    strictly_up = [up[a] & ~iso[a] for a in range(n)]
+    out = []
+    for a in range(n):
+        members = list(_bits(iso[a]))
+        if members[0] != a:
+            continue  # a is not the least member of its class
+        if len(members) > 1:
+            out.extend(mc.hom(x, y)[0]
+                       for x, y in zip(members, members[1:] + members[:1]))
+        # the classes above that of a and above no other class above it
+        covers = strictly_up[a]
+        for b in _bits(strictly_up[a]):
+            covers &= ~strictly_up[b]
+        out.extend(mc.hom(a, b)[0] for b in _bits(covers)
+                   if iso[b] & -iso[b] == 1 << b)  # b least in its class
+    return tuple(sorted(out))
 
 
 def day_tensor_mor(day_src: DayTensorResult, day_tgt: DayTensorResult,
@@ -539,6 +599,22 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     every composite still compares all of them.  ``max_morphisms`` is
     checked as the cocones are listed.  The embedding sends an object A
     to the pair (all subunits, A).
+
+    On a thin source the completion is thin, and it is composed and
+    braided by typing.  A cocone's legs are then the unique morphisms
+    S (x) X -> Y, so each completion hom-set holds at most one cocone,
+    and a cocone is named by its (source spec, target spec) alone.  The
+    pasted composite of alpha: (U, X) -> (V, Y) and
+    beta: (V, Y) -> (W, Z) always exists: a leg of alpha restricts into
+    V, so it factors as (t (x) Y) o h with t in V, and the pasted leg
+    beta_t o h restricts into W wherever beta_t does; the factorisations
+    it compares give parallel morphisms, so they agree.  The composite
+    is therefore the one cocone (U, X) -> (W, Z), and likewise the
+    identities, the braiding and the embedded morphisms are the one
+    cocone of their hom-sets.  ``hom_cocones`` still lists and checks
+    every cocone, the result is still validated, and the embedding is
+    still checked strict monoidal.  Other sources paste every composite,
+    and that path is the test oracle for this one.
     """
     stiff = is_stiff(mc)
     if not stiff.holds:
@@ -567,12 +643,14 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
         return [legs for legs in itertools.product(*candidate_legs)
                 if is_cocone(mc, diagram, Cocone(dst.obj, legs))]
 
+    thin = mc.is_thin()
     mor_defs: list[tuple[int, int, tuple[int, ...]]] = []
-    mor_index: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    # keyed by (source, target) on a thin source, else (source, target, legs)
+    mor_index: dict[tuple, int] = {}
     for a, src in enumerate(specs):
         for b, dst in enumerate(specs):
             for legs in hom_cocones(src, dst):
-                mor_index[(a, b, legs)] = len(mor_defs)
+                mor_index[(a, b) if thin else (a, b, legs)] = len(mor_defs)
                 mor_defs.append((a, b, legs))
                 # checked as the count grows, so that an over-cap
                 # completion is refused before the rest of the sweep
@@ -581,6 +659,16 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     # where nearly all the work lies; checked after max_morphisms so that
     # an input over both caps still names the one it always named
     caps.check("max_objects", len(specs))
+
+    def cocone(a: int, b: int, legs, what: str) -> int:
+        """The completion morphism a -> b with these legs.  On a thin
+        source it is the one of its hom-set, and the iterable ``legs``
+        is not read."""
+        key = (a, b) if thin else (a, b, tuple(legs))
+        if key not in mor_index:
+            raise ConsistencyError(f"{what} escaped the hom sets",
+                                   details={"key": key})
+        return mor_index[key]
 
     # (leg, middle spec) -> every (position, h) with (t (x) Y) o h = leg
     # for t the member at that position; the outer cocone plays no part
@@ -619,16 +707,19 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
                     details={"alpha": ka, "beta": kb, "leg": leg,
                              "candidates": sorted(candidates)})
             new_legs.append(candidates.pop())
-        return mor_index[(a_src, b_dst, tuple(new_legs))]
+        return cocone(a_src, b_dst, new_legs, "composite cocone")
+
+    def compose_by_typing(kb: int, ka: int) -> int:
+        return cocone(mor_defs[ka][0], mor_defs[kb][1], (), "composite cocone")
 
     cat = _tabulate(
         [f"{_downset_label(lat.lattice.poset, s.family)}[{mc.obj_label(s.obj)}]"
          for s in specs],
         [(a, b, f"c{k}") for k, (a, b, _) in enumerate(mor_defs)],
-        [mor_index[(k, k, tuple(_tensor_right(mc, lat.subunits[i].rep, spec.obj)
-                                for i in spec.family))]
+        [cocone(k, k, (_tensor_right(mc, lat.subunits[i].rep, spec.obj)
+                       for i in spec.family), "identity cocone")
          for k, spec in enumerate(specs)],
-        compose_cocones)
+        compose_by_typing if thin else compose_cocones)
 
     def tensor_family(fu, fv):
         meets = {lat.meet(i, j) for i in fu for j in fv}
@@ -648,26 +739,18 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
                 mc, lat, specs[a_src], specs[b_src],
                 specs[t_obj_idx[a_src][b_src]].family)
         legs = _tensor_legs(mc, prefix_cache[(a_src, b_src)], a_legs, b_legs)
-        key = (t_obj_idx[a_src][b_src], t_obj_idx[a_dst][b_dst], legs)
-        if key not in mor_index:
-            raise ConsistencyError("tensor of cocones escaped the hom sets",
-                                   details={"key": key})
-        return mor_index[key]
+        return cocone(t_obj_idx[a_src][b_src], t_obj_idx[a_dst][b_dst], legs,
+                      "tensor of cocones")
 
     def braiding_cocone(k1: int, k2: int) -> int:
         s1, s2 = specs[k1], specs[k2]
         src_idx = t_obj_idx[k1][k2]
-        legs = tuple(
-            mc.compose(_tensor_right(mc, lat.subunits[r].rep,
-                                     mc.tensor_obj(s2.obj, s1.obj)),
-                       _tensor_left(mc, lat.subunits[r].domain,
-                                    mc.braiding(s1.obj, s2.obj)))
-            for r in specs[src_idx].family)
-        key = (src_idx, t_obj_idx[k2][k1], legs)
-        if key not in mor_index:
-            raise ConsistencyError("braiding cocone escaped the hom sets",
-                                   details={"key": key})
-        return mor_index[key]
+        legs = (mc.compose(_tensor_right(mc, lat.subunits[r].rep,
+                                         mc.tensor_obj(s2.obj, s1.obj)),
+                           _tensor_left(mc, lat.subunits[r].domain,
+                                        mc.braiding(s1.obj, s2.obj)))
+                for r in specs[src_idx].family)
+        return cocone(src_idx, t_obj_idx[k2][k1], legs, "braiding cocone")
 
     full_family = tuple(range(len(lat)))
     completion = assert_valid(_tabulate_monoidal(
@@ -676,13 +759,12 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
         caps=caps)
 
     emb_obj = tuple(spec_index[(full_family, a)] for a in range(len(mc.objects)))
-    emb_mor = []
-    for f in mc.morphisms:
-        legs = tuple(mc.compose(f.mid,
-                                _tensor_right(mc, lat.subunits[i].rep, f.dom))
-                     for i in full_family)
-        emb_mor.append(mor_index[(emb_obj[f.dom], emb_obj[f.cod], legs)])
-    embedding = CatFunctor(mc, completion, emb_obj, tuple(emb_mor))
+    emb_mor = tuple(
+        cocone(emb_obj[f.dom], emb_obj[f.cod],
+               (mc.compose(f.mid, _tensor_right(mc, lat.subunits[i].rep, f.dom))
+                for i in full_family), "embedded morphism")
+        for f in mc.morphisms)
+    embedding = CatFunctor(mc, completion, emb_obj, emb_mor)
     embedding.check_strict_monoidal()
     return BroadCompletion(mc, flavour, lat, completion, tuple(specs),
                            tuple(legs for _, _, legs in mor_defs), embedding)

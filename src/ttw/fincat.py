@@ -945,6 +945,10 @@ class CatFunctor:
         if len(self.obj_map) != len(src.objects) or \
                 len(self.mor_map) != len(src.morphisms):
             raise MalformedTableError("functor tables have wrong length")
+        n_obj, n_mor = len(tgt.objects), len(tgt.morphisms)
+        if any(not (0 <= a < n_obj) for a in self.obj_map) or \
+                any(not (0 <= f < n_mor) for f in self.mor_map):
+            raise MalformedTableError("functor table entry out of range")
         for f in src.morphisms:
             image = tgt.morphisms[self.mor_map[f.mid]]
             if image.dom != self.obj_map[f.dom] or image.cod != self.obj_map[f.cod]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 
 import pytest
@@ -13,6 +14,7 @@ from ttw.daycat import Sieve, broad_category, presheaf_cap_check
 from ttw.errors import (CapExceededError, ConsistencyError, NonCommutingSquareError,
                         TtwError)
 from ttw.fincat import from_semilattice
+from ttw.fractions import simple_quotient
 from ttw.orderkit import DownsetLattice, FinMonoid, FinPoset, Semilattice, downsets
 from ttw.subunits import (PropertyReport, _initial_with_zero_tensor, _tensor_left,
                           _tensor_right, d_diagram, is_stiff, subunit_semilattice)
@@ -32,6 +34,17 @@ def completion_cached(name: str, flavour: str):
     key = f"{name}/{flavour}"
     if key not in _CACHE:
         _CACHE[key] = broad_category(build_cached(name), flavour)
+    return _CACHE[key]
+
+
+def quotient_cached(name: str, flavour: str | None = None):
+    """The simple quotient category of a gallery entry, or of one of its
+    broad completions, built once per session."""
+    key = f"{name}/{flavour}/simple_quotient"
+    if key not in _CACHE:
+        mc = (build_cached(name) if flavour is None
+              else completion_cached(name, flavour).category)
+        _CACHE[key] = simple_quotient(mc).category
     return _CACHE[key]
 
 
@@ -300,6 +313,22 @@ def product_category(left, right):
                               right.tensor_mor(pairs[k1][1], pairs[k2][1]))],
         lambda o1, o2: index[(left.braiding(objs[o1][0], objs[o2][0]),
                               right.braiding(objs[o1][1], objs[o2][1]))]))
+
+
+def out_of_range_entry(functor, table: str, past_end: bool):
+    """``functor`` with the last entry of its ``table`` ("obj_map" or
+    "mor_map") set to the number of objects or morphisms of its target,
+    one past the end, or to -1, which Python indexing reads from the
+    end."""
+    target = functor.target
+    size = len(target.objects if table == "obj_map" else target.morphisms)
+    entries = getattr(functor, table)
+    return dataclasses.replace(
+        functor, **{table: entries[:-1] + (size if past_end else -1,)})
+
+
+OUT_OF_RANGE = [("obj_map", True), ("obj_map", False), ("mor_map", True),
+                ("mor_map", False)]
 
 
 def all_morphism_pairs(mc):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 
@@ -9,16 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import (boolean_category, brute_day_classes, build_cached,
                       closure_lattices, commutative_monoids, completion_cached,
-                      obj_by_label)
-from ttw import gallery
+                      generic_hierarchy_sweeps, obj_by_label, outcome,
+                      quotient_cached, thin_monoidal_preorders)
+from ttw import daycat, gallery
 from ttw.caps import DEFAULT_CAPS
 from ttw.daycat import (Presheaf, all_sieves_on_unit, broad_category,
                         broad_presheaf, check_presheaf, completion_has_no_terminal,
                         coproduct_of_representables, day_tensor, day_tensor_mor,
                         day_unitors, extend_functor, identity_nat, is_natural,
                         make_broad_spec, nat_transformations, presheaf_subunits,
-                        presheaves_isomorphic, sieve_presheaf, yoneda)
-from ttw.errors import BuildError, CapExceededError
+                        presheaves_isomorphic, sieve_presheaf, thin_generators,
+                        yoneda)
+from ttw.errors import BuildError, CapExceededError, ConsistencyError
 from ttw.fincat import (CatFunctor, from_commutative_monoid, from_quantale,
                         from_semilattice, identity_functor, objects_isomorphic)
 from ttw.gallery import boolean2x2_semilattice
@@ -641,3 +644,186 @@ def test_day_quotient_matches_the_pair_sweep_on_generated_categories(mc, rng):
     for left in pool:
         for right in pool:
             assert_day_matches_pair_sweep(mc, left, right)
+
+
+# ---------------------------------------------------------------------------
+# the thin completion by typing and the Day slides along generators, each
+# against the path every other category takes
+
+FLAVOURS = ("finite", "directed", "all")
+THIN_GALLERY = [name for name in gallery.names() if build_cached(name).is_thin()]
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+@pytest.mark.parametrize("name", gallery.names())
+def test_completion_specs_are_broad_specs(name, flavour):
+    comp = completion_cached(name, flavour)
+    for spec in comp.specs:
+        assert make_broad_spec(comp.lat, spec.family, spec.obj, flavour) == spec
+
+
+def completion_tables(mc, flavour):
+    """A broad completion as plain data: its specs, the legs, dom and cod
+    of each morphism, its identities and composition, its unit, object
+    tensor and braiding rows, and the maps of its embedding."""
+    comp = broad_category(mc, flavour)
+    cat = comp.category
+    return (comp.specs, comp.cocones, cat.morphisms, cat.cat.identity,
+            cat.cat.compose_table, cat.unit, cat.mon.tensor_obj, cat.mon.braiding,
+            comp.embedding.obj_map, comp.embedding.mor_map)
+
+
+def assert_completion_matches_pasting(mc, flavour):
+    """The completion composed and braided by typing equals the one that
+    pastes every composite, raise for raise; returns the outcome."""
+    typed = outcome(completion_tables, mc, flavour)
+    with generic_hierarchy_sweeps():
+        pasted = outcome(completion_tables, mc, flavour)
+    assert typed == pasted
+    return typed
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+@pytest.mark.parametrize("name", THIN_GALLERY)
+def test_thin_completion_matches_the_pasting_oracle(name, flavour):
+    assert assert_completion_matches_pasting(build_cached(name), flavour)[0] == "value"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(thin_monoidal_preorders(),
+                 closure_lattices(max_size=6).map(
+                     lambda poset: from_semilattice(Semilattice.from_poset(poset)))),
+       st.sampled_from(FLAVOURS))
+def test_thin_completion_matches_the_pasting_oracle_on_generated_categories(
+        mc, flavour):
+    # non-stiff preorders are refused the same way by both paths
+    assert_completion_matches_pasting(mc, flavour)
+
+
+@pytest.mark.parametrize("pasting", [False, True])
+def test_a_composite_outside_the_hom_sets_is_a_consistency_error(c3, pasting):
+    # with the cocones from (all subunits, 0) into every spec on 1 dropped,
+    # the composite of the embedded 0 -> m and m -> 1 names no morphism
+    source = (tuple(range(len(subunit_semilattice(c3)))), obj_by_label(c3, "0"))
+    apex = obj_by_label(c3, "1")
+    spec_of = {}
+    real_d_diagram, real_is_cocone = daycat.d_diagram, daycat.is_cocone
+
+    def d_diagram(mc, lat, family, obj):
+        diagram = real_d_diagram(mc, lat, family, obj)
+        spec_of[id(diagram)] = (diagram, (tuple(family), obj))
+        return diagram
+
+    def is_cocone(mc, diagram, cocone):
+        return real_is_cocone(mc, diagram, cocone) and not (
+            spec_of[id(diagram)][1] == source and cocone.apex == apex)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(daycat, "d_diagram", d_diagram)
+        patch.setattr(daycat, "is_cocone", is_cocone)
+        with generic_hierarchy_sweeps() if pasting else contextlib.nullcontext():
+            with pytest.raises(ConsistencyError,
+                               match="composite cocone escaped the hom sets"):
+                broad_category(c3, "all")
+
+
+def composition_closure(mc, mids) -> set[int]:
+    """Every composite of one or more of ``mids``."""
+    out: dict[int, list[int]] = {}
+    for f in mids:
+        out.setdefault(mc.dom(f), []).append(f)
+    closed, frontier = set(mids), list(mids)
+    while frontier:
+        f = frontier.pop()
+        for g in out.get(mc.cod(f), ()):
+            gf = mc.compose(g, f)
+            if gf not in closed:
+                closed.add(gf)
+                frontier.append(gf)
+    return closed
+
+
+def assert_generates(mc) -> tuple[int, ...]:
+    generators = thin_generators(mc)
+    ids = {mc.identity(a) for a in range(len(mc.objects))}
+    assert not ids & set(generators)
+    assert composition_closure(mc, generators) - ids == \
+        {m.mid for m in mc.morphisms} - ids
+    return generators
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_thin_generators_generate(name):
+    # the entry, its completions and the simple quotients of each, where
+    # thin; m3 "finite" and "all" take 3.5 s each to quotient
+    for flavour in (None, *FLAVOURS):
+        mc = (build_cached(name) if flavour is None
+              else completion_cached(name, flavour).category)
+        quotients = [] if name == "m3" and flavour in ("finite", "all") else \
+            [quotient_cached(name, flavour)]
+        for cat in (mc, *quotients):
+            if cat.is_thin():
+                assert_generates(cat)
+
+
+def test_thin_generator_counts():
+    # 14 of 94 morphisms, 59 of 1432, and one cycle through the 30
+    # isomorphic objects of the simple quotient, of 900 morphisms
+    for mc, count in ((completion_cached("c3", "all").category, 14),
+                      (completion_cached("m3", "all").category, 59),
+                      (quotient_cached("m3", "directed"), 30)):
+        assert len(assert_generates(mc)) == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(thin_monoidal_preorders(),
+                 closure_lattices().map(
+                     lambda poset: from_semilattice(Semilattice.from_poset(poset)))))
+def test_thin_generators_generate_on_generated_categories(mc):
+    # preorders of monoids have isomorphism classes with cycles
+    assert_generates(mc)
+
+
+def day_outputs(mc, pairs, unitor_of=None) -> list:
+    """The triples, classes and quotient presheaf of the Day tensor of
+    each pair, and the unitor components of ``unitor_of``."""
+    out = []
+    for left, right in pairs:
+        day = day_tensor(mc, left, right)
+        out.append((day.triples, day.classes, day.presheaf.values,
+                    day.presheaf.action))
+    if unitor_of is not None:
+        out.append([nt.components for nt in day_unitors(mc, unitor_of)])
+    return out
+
+
+def assert_day_matches_all_morphism_slides(mc, pairs, unitor_of=None):
+    along_generators = day_outputs(mc, pairs, unitor_of)
+    with generic_hierarchy_sweeps():
+        assert along_generators == day_outputs(mc, pairs, unitor_of)
+
+
+@pytest.mark.parametrize("name, flavour", [
+    *((name, None) for name in THIN_GALLERY),
+    ("b2", "all"), ("c3", "all"), ("q3", "all")])
+def test_day_along_generators_matches_all_morphism_slides(name, flavour):
+    # the three pairs of representables of document_digests.py and its
+    # unitors, then up to six pairs of the seeded pool
+    mc = (build_cached(name) if flavour is None
+          else completion_cached(name, flavour).category)
+    reps = [coproduct_of_representables(mc, [a])
+            for a in (0, len(mc.objects) - 1, mc.unit)]
+    rng = random.Random(f"{name}/{flavour}")
+    pool = _day_pool(mc, rng)
+    pairs = list(itertools.product(pool, pool))
+    assert_day_matches_all_morphism_slides(
+        mc, [(reps[0], reps[1]), (reps[1], reps[2]), (reps[2], reps[0]),
+             *rng.sample(pairs, min(len(pairs), 6))], reps[0])
+
+
+def test_day_along_generators_matches_all_morphism_slides_on_a_quotient():
+    # 30 isomorphic objects: one cycle of 30 slides against 870; each
+    # tensor of all-morphism slides takes about 4 s, so one pair
+    mc = quotient_cached("m3", "directed")
+    reps = [coproduct_of_representables(mc, [a]) for a in (0, len(mc.objects) - 1)]
+    assert_day_matches_all_morphism_slides(mc, [tuple(reps)])

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_all_cocones, brute_colimit, brute_is_colimit,
+from conftest import (OUT_OF_RANGE, brute_all_cocones, brute_colimit, brute_is_colimit,
                       brute_is_mono, brute_is_pullback, brute_is_pushout,
                       brute_untyped_tensor_pairs, build_cached, completion_cached,
                       explicit_tensor, max_monoid, mor_by_label, obj_by_label,
-                      outcome, shuffled_posets)
+                      out_of_range_entry, outcome, shuffled_posets)
 from ttw import fincat, gallery
 from ttw.caps import Caps
 from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
@@ -655,6 +655,14 @@ def test_functor_validation(q3):
     broken = CatFunctor(q3, q3, tuple(range(3)),
                         tuple(0 for _ in q3.morphisms))
     with pytest.raises(BuildError):
+        broken.check_functor()
+
+
+@pytest.mark.parametrize("table, past_end", OUT_OF_RANGE)
+def test_functor_entry_out_of_range_is_malformed(z2, table, past_end):
+    # refused before the typing loop, which would index the target with it
+    broken = out_of_range_entry(fincat.identity_functor(z2), table, past_end)
+    with pytest.raises(MalformedTableError, match="out of range"):
         broken.check_functor()
 
 

@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from conftest import build_cached, mor_by_label, subunit_by_domain
-from ttw.errors import BuildError
+from conftest import (OUT_OF_RANGE, build_cached, mor_by_label, out_of_range_entry,
+                      subunit_by_domain)
+from ttw.errors import BuildError, MalformedTableError
 from ttw.fincat import CatFunctor, is_iso, objects_isomorphic
 from ttw.fractions import (FractionSpan, SigmaClass, _span_equivalent,
                            is_simple, localisation_factor, localise,
@@ -164,6 +165,14 @@ def test_factorisation_through_quotient(gallery_category):
     for m in mc.morphisms:
         assert factored.on_mor(loc.quotient.on_mor(m.mid)) == \
             loc.quotient.on_mor(m.mid)
+
+
+@pytest.mark.parametrize("table, past_end", OUT_OF_RANGE)
+def test_factor_of_an_out_of_range_functor_is_malformed(z2, table, past_end):
+    loc = simple_quotient(z2)
+    broken = out_of_range_entry(loc.quotient, table, past_end)
+    with pytest.raises(MalformedTableError, match="out of range"):
+        localisation_factor(loc, broken)
 
 
 def test_restriction_is_localisation(q3, boolean2x2):

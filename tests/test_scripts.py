@@ -13,7 +13,8 @@ import pytest
 import ttw
 from conftest import build_cached, completion_cached
 from ttw import gallery
-from ttw.daycat import broad_category
+from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
+                        slide_generators)
 from ttw.errors import BuildError, CapExceededError
 from ttw.restriction import restriction_category
 from ttw.subunits import (check_characterisation, enumerate_subunits,
@@ -30,11 +31,13 @@ def timings():
     return module
 
 
-def table_rows(timings, monkeypatch, capsys, name, rows):
+def table_rows(timings, monkeypatch, capsys, name, rows, sources="sources"):
     """The printed cells of table ``name`` over the given (label,
-    flavour) rows of b2 and B3, keyed by label, with the header."""
-    builders = {"b2": lambda: gallery.build("b2"), "b3": timings.b3}
-    monkeypatch.setattr(timings, "sources", lambda *_: [
+    flavour) rows of b2, z2 and B3, keyed by label, with the header; the
+    rows stand in for what the script's function ``sources`` lists."""
+    builders = {"b2": lambda: gallery.build("b2"), "z2": lambda: gallery.build("z2"),
+                "b3": timings.b3}
+    monkeypatch.setattr(timings, sources, lambda *_: [
         (label, builders[label.split("/")[0]], flavour) for label, flavour in rows])
     timings.main([name])
     header, *lines = capsys.readouterr().out.splitlines()
@@ -105,6 +108,24 @@ def test_restriction_rows(timings, monkeypatch, capsys):
             str(len(mc.objects)), str(len(mc.morphisms)),
             f"{built}/{len(enumerate_subunits(mc))}"]
         assert all(map(seconds, (graded, comonads, restrict, ideals, composition)))
+
+
+def test_day_rows(timings, monkeypatch, capsys):
+    printed = table_rows(timings, monkeypatch, capsys, "day",
+                         [("b2", None), ("b2/all", "all"), ("z2", None)],
+                         sources="day_sources")
+    for label in ("b2", "b2/all", "z2"):
+        mc = build_cached("z2") if label == "z2" else category(label)
+        reps = [coproduct_of_representables(mc, [a])
+                for a in (0, len(mc.objects) - 1, mc.unit)]
+        classes = sum(len(day_tensor(mc, reps[left], reps[right]).classes[a])
+                      for left, right in ((0, 1), (1, 2), (2, 0))
+                      for a in range(len(mc.objects)))
+        objects, morphisms, slid, class_count, *day_s = printed[label]
+        assert [objects, morphisms, slid, class_count] == [
+            str(len(mc.objects)), str(len(mc.morphisms)),
+            str(len(slide_generators(mc))), str(classes)]
+        assert len(day_s) == 4 and all(map(seconds, day_s))
 
 
 def test_unknown_table_is_a_usage_error():
