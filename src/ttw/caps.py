@@ -23,7 +23,8 @@ class Caps:
     max_subunit_family_base: int = 12
     # guards the object-subset search for tensor ideals
     max_ideal_base: int = 16
-    # guards downset enumeration over a poset
+    # guards downset enumeration over a poset, and bounds the generators
+    # (the morphisms into the unit) of daycat.all_sieves_on_unit
     max_downset_base: int = 16
     # per-object presheaf value sets, keeps Day quotients tractable
     max_presheaf_values: int = 6

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from functools import cache
@@ -84,10 +85,20 @@ class Report:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` through a temporary file renamed over ``path``,
+    with the mode ``open(path, "w")`` would leave: the existing file's,
+    or else 0o666 less the umask (``mkstemp`` alone gives 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ttw-")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

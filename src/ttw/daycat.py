@@ -38,7 +38,9 @@ from .orderkit import (_bits, _downset_label, _mask, _unions, directed_downsets,
                        downsets, finitely_bounded_downsets)
 from .restriction import restriction_table, restricts_to
 from .subunits import (SubunitSemilattice, _per_category, _tensor_left,
-                       _tensor_right, d_diagram, is_stiff, subunit_semilattice)
+                       _tensor_right, d_diagram, has_universal_directed_joins,
+                       has_universal_finite_joins, is_locale_based, is_stiff,
+                       subunit_semilattice)
 
 Triple = tuple[int, int, int, int, int]  # (B, C, h, x-index, y-index)
 
@@ -858,8 +860,6 @@ def extend_functor(completion: BroadCompletion, functor: CatFunctor,
     a functor agreeing with the original along the embedding and to
     carry each family spec to the join of its image.
     """
-    from .subunits import (has_universal_directed_joins,
-                           has_universal_finite_joins, is_locale_based)
     mc = completion.source
     target = functor.target
     functor.check_strict_monoidal()

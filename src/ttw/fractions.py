@@ -20,6 +20,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, MonoidalCategory, _tabulate, _tabulate_monoidal,
                      assert_valid, is_iso)
+from .restriction import restriction_category
 from .subunits import (PropertyReport, Subunit, _tensor_left, _tensor_right,
                        enumerate_subunits)
 
@@ -329,7 +330,6 @@ def restriction_localisation_equivalence(mc: MonoidalCategory, s: Subunit,
     """Restriction to s is the localisation at its tensored inclusions:
     the coreflector inverts them, and the induced factor puts each
     localised hom-set in bijection with the restricted one."""
-    from .restriction import restriction_category
     loc = localise(mc, sigma(mc, [s]), caps=caps)
     rc = restriction_category(mc, s)
     factored = localisation_factor(loc, rc.coreflector)

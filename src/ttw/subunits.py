@@ -37,7 +37,7 @@ from .fincat import (Cocone, DiagramSpec, MonoidalCategory, SubobjectClass,
                      colimit, factors_through, initial_object, is_cocone,
                      is_colimit, is_iso, is_mono, is_pullback, is_pushout,
                      mediating_morphisms, subobjects)
-from .orderkit import FinPoset, Semilattice, is_frame
+from .orderkit import FinPoset, Semilattice, is_distributive, is_frame
 
 
 @dataclass(frozen=True)
@@ -369,7 +369,6 @@ def has_universal_finite_joins(mc: MonoidalCategory,
                         details={"stage": "square", "reason": "not a pushout"})
     # a proven consequence: the subunits form a distributive lattice with
     # least element the initial subunit
-    from .orderkit import is_distributive
     if not is_distributive(lat.lattice.poset):
         raise ConsistencyError(
             "universal finite joins hold but the subunit lattice is not "

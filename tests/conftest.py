@@ -355,12 +355,13 @@ def generic_hierarchy_sweeps():
     """Within this block, ``MonoidalCategory.is_thin`` answers False, so
     the characterisation and the locale-based check of ``subunits`` run
     the sweeps they run on every non-thin category, over D(U, X)
-    diagrams, and the coreflection, coreflector, comonad and graded
-    monad checks of ``restriction`` sweep every law square instead of
-    checking typing and existence only; the fincat kernels (colimits,
-    ``is_mono``, ``is_iso``) still read the up-set masks.
-    ``has_universal_directed_joins`` has one path for every category, and
-    ``sweep_universal_directed_joins`` is its oracle."""
+    diagrams, and the coreflection, coreflector and comonad checks of
+    ``restriction`` sweep every law square instead of checking typing
+    and existence only; the fincat kernels (colimits, ``is_mono``,
+    ``is_iso``) still read the up-set masks.
+    ``has_universal_directed_joins`` and ``verify_graded_monad`` have one
+    path for every category, and ``sweep_universal_directed_joins`` and
+    ``sweep_graded_monad`` are their oracles."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fincat.MonoidalCategory, "is_thin", lambda self: False)
         yield
@@ -420,6 +421,141 @@ def sweep_universal_directed_joins(mc, include_empty=True, caps=DEFAULT_CAPS):
                         details={"stage": "preservation",
                                  "reason": "X (x) (-) does not preserve the colimit"})
     return PropertyReport("universal_directed_joins", True)
+
+
+GRADING_NOT_CLOSED = "tensor of subunit monos escapes the grading"
+
+
+def sweep_graded_monad(mc):
+    """``verify_graded_monad`` with every law of the graded monad swept,
+    on thin and non-thin categories alike, in stages: the closure of the
+    grading under the tensor (the one stage the library keeps), then
+    naturality and functoriality of the grading action s -> (-) (x) S,
+    unit naturality, associativity of the grading tensor and the
+    associativity and unit diagrams, componentwise over the identity unit
+    and multiplication components of the strict model."""
+    grading = restriction._subunit_monos(mc)
+    g_set = set(grading)
+    for s in grading:
+        for t in grading:
+            st = mc.tensor_mor(s, t)
+            if st not in g_set:
+                return PropertyReport("graded_monad", False, witness=(s, t, st),
+                                      details={"reason": GRADING_NOT_CLOSED})
+    homs = {(s, t): tuple(f for f in mc.hom(mc.dom(s), mc.dom(t))
+                          if mc.compose(t, f) == s)
+            for s in grading for t in grading}
+    n_obj = len(mc.objects)
+    unit_components = tuple(mc.identity(a) for a in range(n_obj))
+    mult_components = {
+        (s, t): tuple(mc.identity(mc.tensor_obj(a, mc.tensor_obj(mc.dom(s), mc.dom(t))))
+                      for a in range(n_obj))
+        for s in grading for t in grading}
+
+    def act_obj(s, a):
+        return mc.tensor_obj(a, mc.dom(s))
+
+    def act_mor(s, f):
+        return _tensor_right(mc, f, mc.dom(s))
+
+    def fail(witness, reason):
+        return PropertyReport("graded_monad", False, witness=witness,
+                              details={"reason": reason})
+
+    for (s, t), fs in homs.items():
+        for f in fs:
+            for u in mc.morphisms:
+                lhs = mc.compose(_tensor_left(mc, u.cod, f), act_mor(s, u.mid))
+                rhs = mc.compose(act_mor(t, u.mid), _tensor_left(mc, u.dom, f))
+                if lhs != rhs:
+                    return fail((s, t, f, u.mid), "grading action not natural")
+    for (s, t), fs in homs.items():
+        for (t2, r), gs in homs.items():
+            if t2 != t:
+                continue
+            for f in fs:
+                for g in gs:
+                    gf = mc.compose(g, f)
+                    for a in range(n_obj):
+                        if _tensor_left(mc, a, gf) != mc.compose(
+                                _tensor_left(mc, a, g), _tensor_left(mc, a, f)):
+                            return fail((s, t, r, f, g, a), "functoriality fails")
+    unit_mor = mc.identity(mc.unit)
+    for u in mc.morphisms:
+        lhs = mc.compose(act_mor(unit_mor, u.mid), unit_components[u.dom])
+        if lhs != mc.compose(unit_components[u.cod], u.mid):
+            return fail((u.mid,), "unit naturality fails")
+    for r in grading:
+        for s in grading:
+            rs = mc.tensor_mor(r, s)
+            for t in grading:
+                st = mc.tensor_mor(s, t)
+                if mc.tensor_mor(rs, t) != mc.tensor_mor(r, st):
+                    return fail((r, s, t), "grading tensor not associative")
+                for a in range(n_obj):
+                    one_way = mc.compose(mult_components[(rs, t)][a],
+                                         act_mor(t, mult_components[(r, s)][a]))
+                    other = mc.compose(mult_components[(r, st)][a],
+                                       mult_components[(s, t)][act_obj(r, a)])
+                    if one_way != other:
+                        return fail((r, s, t, a), "associativity diagram fails")
+        if mc.tensor_mor(unit_mor, r) != r or mc.tensor_mor(r, unit_mor) != r:
+            return fail((r,), "unit grade is not strict")
+        for a in range(n_obj):
+            first = mc.compose(mult_components[(unit_mor, r)][a],
+                               act_mor(r, unit_components[a]))
+            second = mc.compose(mult_components[(r, unit_mor)][a],
+                                unit_components[act_obj(r, a)])
+            ident = mc.identity(act_obj(r, a))
+            if first != ident or second != ident:
+                return fail((r, a), "unit diagrams fail componentwise")
+    return PropertyReport("graded_monad", True,
+                          details={"grading_objects": len(grading)})
+
+
+def sweep_coreflection(mc, s, inverses):
+    """``restriction._verify_coreflection`` on a category that is not
+    thin, with the loops its reduction leaves out: per pair, the
+    roundtrip of f -> (S (x) f) o inv through the counit before the
+    bijection check, then naturality of the correspondence in the source
+    and in the target, by whisker enumeration."""
+    counit = [_tensor_right(mc, s.rep, b) for b in range(len(mc.objects))]
+    for a, inv in inverses.items():
+        for b in range(len(mc.objects)):
+            sb = mc.tensor_obj(s.domain, b)
+            forward = {}
+            for f in mc.hom(a, b):
+                g = mc.compose(_tensor_left(mc, s.domain, f), inv)
+                forward[f] = g
+                if mc.compose(counit[b], g) != f:
+                    raise ConsistencyError(
+                        "coreflection bijection fails roundtrip",
+                        details={"a": a, "b": b, "f": f})
+            image = set(forward.values())
+            if len(image) != len(forward) or image != set(mc.hom(a, sb)):
+                raise ConsistencyError(
+                    "coreflection correspondence is not a bijection",
+                    details={"a": a, "b": b})
+    for a, inv_a in inverses.items():
+        for b in range(len(mc.objects)):
+            for f in mc.hom(a, b):
+                phi_f = mc.compose(_tensor_left(mc, s.domain, f), inv_a)
+                for a2, inv_a2 in inverses.items():
+                    for u in mc.hom(a2, a):
+                        lhs = mc.compose(_tensor_left(mc, s.domain, mc.compose(f, u)),
+                                         inv_a2)
+                        if lhs != mc.compose(phi_f, u):
+                            raise ConsistencyError(
+                                "coreflection bijection not natural in the source",
+                                details={"f": f, "u": u})
+                for b2 in range(len(mc.objects)):
+                    for v in mc.hom(b, b2):
+                        lhs = mc.compose(_tensor_left(mc, s.domain, mc.compose(v, f)),
+                                         inv_a)
+                        if lhs != mc.compose(_tensor_left(mc, s.domain, v), phi_f):
+                            raise ConsistencyError(
+                                "coreflection bijection not natural in the target",
+                                details={"f": f, "v": v})
 
 
 def outcome(call, *args, **kwargs):

@@ -158,12 +158,45 @@ def test_dot_output(capsys, emitted, tmp_path):
     assert "rankdir=BT" in text
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_dot_file_gets_the_mode_of_a_plain_write(capsys, emitted, tmp_path, umask):
+    # a new file: 0o666 less the umask, as open(path, "w") leaves it
+    path = emitted("c3")
+    dot_path = tmp_path / "c3.dot"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "subunits", "--dot", str(dot_path), path)
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert dot_path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_dot_file_keeps_the_mode_of_the_file_it_replaces(capsys, emitted, tmp_path):
+    path = emitted("c3")
+    dot_path = tmp_path / "c3.dot"
+    dot_path.write_text("old\n")
+    dot_path.chmod(0o640)
+    code, _, _ = run_cli(capsys, "subunits", "--dot", str(dot_path), path)
+    assert code == 0
+    assert "rankdir=BT" in dot_path.read_text()
+    assert dot_path.stat().st_mode & 0o777 == 0o640
+
+
 def test_render_dot_five_downsets():
     from ttw.orderkit import downsets
     poset = FinPoset.from_pairs(["a", "b", "1"], [("a", "1"), ("b", "1")])
     dl = downsets(poset)
     text = render_dot(dl.poset, "antichain")
     assert text.count("[label=") == 5
+
+
+def test_render_dot_escapes_quotes_and_backslashes():
+    poset = FinPoset.from_pairs(['a"b', "c\\d"], [('a"b', "c\\d")])
+    text = render_dot(poset, 'my "cat"')
+    assert text.splitlines()[0] == 'digraph "my \\"cat\\"" {'
+    assert '  n0 [label="a\\"b"];' in text
+    assert '  n1 [label="c\\\\d"];' in text
 
 
 def test_exit_code_schema_error(capsys, tmp_path):
