@@ -9,12 +9,17 @@ TABLE is ``hierarchy`` (``check_characterisation`` and
 flavour, and of B3 "finite" and "directed"), ``restriction`` (the
 graded monad, the comonad bijection, ``restriction_category`` at every
 subunit with how many are strict, the ideal bijection and the
-composition law, on each gallery entry and its three completions) or
+composition law, on each gallery entry and its three completions),
 ``day`` (three Day tensors among the representables of the first
 object, the last object and the unit, and the unitors of the first, as
 ``document_digests.py`` picks them, with the morphisms slid along and
 the classes of the three tensors, on the b2, c3 and q3 "all"
-completions and the simple quotient of m3 "directed").  A row gives the
+completions and the simple quotient of m3 "directed") or ``localise``
+(``simple_quotient`` with the morphisms of the quotient, and
+``localise`` at every subunit with the morphisms of the localisations
+summed, on each gallery entry, its "all" completion and m3
+"directed", after the size of the class the simple quotient
+inverts).  A row gives the
 sizes, then the seconds and result of each call, run on a freshly built
 category so that no derived fact is reused; the build is not timed.  A
 call that raises prints its error (the cap for a refused completion,
@@ -35,7 +40,7 @@ from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
                         day_unitors, slide_generators)
 from ttw.errors import BuildError, TtwError
 from ttw.fincat import from_semilattice
-from ttw.fractions import simple_quotient
+from ttw.fractions import localise, sigma, simple_quotient
 from ttw.orderkit import FinPoset, Semilattice
 from ttw.restriction import (restriction_category, restriction_composition_law,
                              verify_comonad_bijection, verify_graded_monad,
@@ -173,6 +178,29 @@ def day_row(source, flavour) -> list:
             *cells, error or seconds]
 
 
+def localise_sources():
+    """Each gallery entry and its "all" completion, then m3 "directed"."""
+    yield from sources((None, "all"))
+    yield "m3/directed", lambda: gallery.build("m3"), "directed"
+
+
+def localise_all(mc) -> int:
+    """``localise`` at every subunit: the morphisms of the results, summed."""
+    return sum(len(localise(mc, sigma(mc, [s])).category.morphisms)
+               for s in enumerate_subunits(mc))
+
+
+def localise_row(source, flavour) -> list:
+    build = under_test(source, flavour)
+    mc = build()
+    cells = [len(mc.objects), len(mc.morphisms), len(enumerate_subunits(mc)),
+             len(sigma(mc).members)]
+    for call in (lambda mc: len(simple_quotient(mc).category.morphisms), localise_all):
+        seconds, result, error = timed(call, build, digits=3)
+        cells += [seconds, error or result]
+    return cells
+
+
 # per table: its columns, its row format, its sources and its row
 TABLES = {
     "hierarchy": (
@@ -193,6 +221,10 @@ TABLES = {
         ("category", "objects", "morphisms", "slid", "classes", "day01_s",
          "day12_s", "day20_s", "unitors_s"),
         "{:<22}" + "{:>10}" * 8, lambda: day_sources(), day_row),
+    "localise": (
+        ("category", "objects", "morphisms", "subunits", "inverted", "quotient_s",
+         "quotient", "localise_s", "localised"),
+        "{:<20}" + "{:>11}" * 8, lambda: localise_sources(), localise_row),
 }
 
 

@@ -87,8 +87,11 @@ class Report:
 def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` through a temporary file renamed over ``path``,
     with the mode ``open(path, "w")`` would leave: the existing file's,
-    or else 0o666 less the umask (``mkstemp`` alone gives 0o600)."""
-    directory = os.path.dirname(os.path.abspath(path))
+    or else 0o666 less the umask (``mkstemp`` alone gives 0o600).  A
+    symlink is followed, as ``open`` follows it, so the link stays and
+    its target gets the text."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:

@@ -54,9 +54,10 @@ from dataclasses import dataclass
 from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
-from .fincat import (CatFunctor, MonoidalCategory, _one_variable_pairs,
-                     _tabulate, _tabulate_monoidal, factors_through, is_iso,
-                     is_mono, objects_isomorphic, validate)
+from .fincat import (CatFunctor, MonoidalCategory, ValidationReport, Violation,
+                     _one_variable_pairs, _tabulate, _tabulate_monoidal,
+                     factors_through, is_iso, is_mono, objects_isomorphic,
+                     validate)
 from .orderkit import _bits, _mask, _unions
 from .subunits import (PropertyReport, Subunit, _per_category, _tensor_left,
                        _tensor_right, enumerate_subunits, retract_pairs,
@@ -131,21 +132,20 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
     The coreflection bijection C(A, B) = C|s(A, S (x) B) is verified
     hom-set by hom-set, and strong monoidality of the coreflector is
     verified via its comparison isomorphisms.  Inputs whose restriction
-    is not strictly unital (impossible for thin or one-object ambient
-    categories) are rejected.
+    is not strictly unital are rejected.  That cannot happen when the
+    ambient category has one object, but it is common on thin ones: the
+    "all" completions of c3, q3, boolean2x2 and m3 refuse 3, 2, 5 and 9
+    of their subunits.  Unitality on objects, S (x) A = A = A (x) S for
+    every A of the restriction, is read from the object tensor before
+    any table is built, and a refusal there carries those violations as
+    its report; a restriction that passes it is tabulated and validated
+    in full, since the unit law on morphisms can still fail.
     """
     # each object A of the restriction, with the inverse of s (x) A
     inverses = {a: inv for a in range(len(mc.objects))
                 if (inv := is_iso(mc, _tensor_right(mc, s.rep, a))) is not None}
     keep = list(inverses)
     obj_index = {a: k for k, a in enumerate(keep)}
-    mors = [m for m in mc.morphisms if m.dom in keep and m.cod in keep]
-    mor_index = {m.mid: k for k, m in enumerate(mors)}
-    cat = _tabulate(
-        [mc.obj_label(a) for a in keep],
-        [(obj_index[m.dom], obj_index[m.cod], m.label) for m in mors],
-        [mor_index[mc.identity(a)] for a in keep],
-        lambda g, f: mor_index[mc.compose(mors[g].mid, mors[f].mid)])
     for a in keep:
         for b in keep:
             if mc.tensor_obj(a, b) not in obj_index:
@@ -155,6 +155,21 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
     if s.domain not in obj_index:
         raise ConsistencyError("subunit domain is outside its own restriction",
                                details={"subunit": s.rep})
+    not_unital = "restriction of this category is not strictly unital at " \
+        f"{mc.obj_label(s.domain)}; only strict restrictions are supported"
+    unit_violations = [
+        Violation("strict_unit_obj", (k,), "unit is not strict on objects")
+        for k, a in enumerate(keep)
+        if mc.tensor_obj(s.domain, a) != a or mc.tensor_obj(a, s.domain) != a]
+    if unit_violations:
+        raise BuildError(not_unital, ValidationReport(unit_violations))
+    mors = [m for m in mc.morphisms if m.dom in obj_index and m.cod in obj_index]
+    mor_index = {m.mid: k for k, m in enumerate(mors)}
+    cat = _tabulate(
+        [mc.obj_label(a) for a in keep],
+        [(obj_index[m.dom], obj_index[m.cod], m.label) for m in mors],
+        [mor_index[mc.identity(a)] for a in keep],
+        lambda g, f: mor_index[mc.compose(mors[g].mid, mors[f].mid)])
     t_obj = [[obj_index[mc.tensor_obj(a, b)] for b in keep] for a in keep]
     try:
         sub = _tabulate_monoidal(
@@ -166,10 +181,7 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
                                details={"missing": exc.args}) from exc
     report = validate(sub.cat, sub.mon)
     if not report.ok():
-        raise BuildError(
-            "restriction of this category is not strictly unital at "
-            f"{mc.obj_label(s.domain)}; only strict restrictions are supported",
-            report)
+        raise BuildError(not_unital, report)
 
     # coreflector on ambient objects and morphisms
     cor_obj = tuple(obj_index[mc.tensor_obj(s.domain, a)]

@@ -342,12 +342,25 @@ def all_morphism_pairs(mc):
 @contextlib.contextmanager
 def all_pair_sweeps():
     """Within this block, the naturality sweeps of ``restriction`` and
-    ``CatFunctor.check_strict_monoidal`` walk ``all_morphism_pairs``
-    instead of ``fincat._one_variable_pairs``."""
+    ``CatFunctor.check_strict_monoidal`` (on a target that is not thin)
+    walk ``all_morphism_pairs`` instead of ``fincat._one_variable_pairs``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fincat, "_one_variable_pairs", all_morphism_pairs)
         patch.setattr(restriction, "_one_variable_pairs", all_morphism_pairs)
         yield
+
+
+def sweep_functor_tensor(functor):
+    """The first pair (f, g) of ``fincat._one_variable_pairs`` of the
+    source with F(f (x) g) != F f (x) F g, or None: the sweep that
+    ``CatFunctor.check_strict_monoidal`` runs on a target that is not
+    thin, kept as the oracle of its thin branch, which checks no pair."""
+    src, tgt = functor.source, functor.target
+    for f, g in fincat._one_variable_pairs(src):
+        if functor.on_mor(src.tensor_mor(f, g)) != \
+                tgt.tensor_mor(functor.on_mor(f), functor.on_mor(g)):
+            return f, g
+    return None
 
 
 @contextlib.contextmanager
@@ -357,8 +370,11 @@ def generic_hierarchy_sweeps():
     the sweeps they run on every non-thin category, over D(U, X)
     diagrams, and the coreflection, coreflector and comonad checks of
     ``restriction`` sweep every law square instead of checking typing
-    and existence only; the fincat kernels (colimits, ``is_mono``,
-    ``is_iso``) still read the up-set masks.
+    and existence only; ``verify_right_fractions`` walks every member
+    pair and searches every Ore filler, ``localise`` builds the span
+    construction, and ``CatFunctor.check_strict_monoidal`` sweeps the
+    one-variable tensor pairs on every target; the fincat kernels (colimits, ``is_mono``, ``is_iso``)
+    still read the up-set masks.
     ``has_universal_directed_joins`` and ``verify_graded_monad`` have one
     path for every category, and ``sweep_universal_directed_joins`` and
     ``sweep_graded_monad`` are their oracles."""

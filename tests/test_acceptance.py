@@ -230,8 +230,7 @@ def test_criterion_12_fault_sensitivity():
             assert report.violations[0].witness, name
             # right fractions: drop an identity from the inverted class
             sig = sigma(mc)
-            dropped = SigmaClass(
-                mc, sig.members - {mc.identity(mc.unit)}, sig.origin)
+            dropped = SigmaClass(mc, sig.members - {mc.identity(mc.unit)})
             fraction_report = verify_right_fractions(mc, dropped)
             assert not fraction_report.holds, name
             assert fraction_report.witness, name

@@ -183,6 +183,22 @@ def test_dot_file_keeps_the_mode_of_the_file_it_replaces(capsys, emitted, tmp_pa
     assert dot_path.stat().st_mode & 0o777 == 0o640
 
 
+def test_dot_file_writes_through_a_symlink(capsys, emitted, tmp_path):
+    # as open(path, "w") would: the link stays a link, and its target gets
+    # the new text with its mode kept
+    path = emitted("c3")
+    target = tmp_path / "real.dot"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.dot"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "subunits", "--dot", str(link), path)
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert "rankdir=BT" in target.read_text()
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
 def test_render_dot_five_downsets():
     from ttw.orderkit import downsets
     poset = FinPoset.from_pairs(["a", "b", "1"], [("a", "1"), ("b", "1")])

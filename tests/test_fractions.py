@@ -4,16 +4,25 @@ import itertools
 
 import pytest
 
-from conftest import (OUT_OF_RANGE, build_cached, mor_by_label, out_of_range_entry,
-                      subunit_by_domain)
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (OUT_OF_RANGE, build_cached, closure_lattices, completion_cached,
+                      generic_hierarchy_sweeps, mor_by_label, out_of_range_entry,
+                      subunit_by_domain, sweep_functor_tensor, thin_monoidal_preorders)
+from ttw import gallery
+from ttw.caps import DEFAULT_CAPS
 from ttw.errors import BuildError, MalformedTableError
-from ttw.fincat import CatFunctor, is_iso, objects_isomorphic
-from ttw.fractions import (FractionSpan, SigmaClass, _span_equivalent,
-                           is_simple, localisation_factor, localise,
-                           restriction_localisation_equivalence, sigma,
+from ttw.fincat import CatFunctor, from_semilattice, is_iso, objects_isomorphic
+from ttw.fractions import (FractionSpan, SigmaClass, _localise_spans,
+                           _span_equivalent, is_simple, localisation_factor,
+                           localise, restriction_localisation_equivalence, sigma,
                            simple_quotient, verify_right_fractions)
+from ttw.orderkit import Semilattice
 from ttw.restriction import restriction_category
-from ttw.subunits import enumerate_subunits
+from ttw.subunits import _tensor_left, _tensor_right, enumerate_subunits
 
 
 def top_subunit(mc):
@@ -66,7 +75,7 @@ def test_adversarial_sigma_fails_with_witness(q3):
     members = {q3.identity(a) for a in range(3)}
     members.add(mor_by_label(q3, "0->eps"))
     members.add(mor_by_label(q3, "eps->1"))
-    sig = SigmaClass(q3, frozenset(members), {})
+    sig = SigmaClass(q3, frozenset(members))
     report = verify_right_fractions(q3, sig)
     assert not report.holds
     assert report.witness[0] in ("composition", "tensor")
@@ -187,11 +196,11 @@ def test_localise_requires_fraction_calculus(q3):
     # there identifies 0 with eps); dropping closure breaks it
     members = {q3.identity(a) for a in range(3)}
     members.add(mor_by_label(q3, "0->eps"))
-    good = SigmaClass(q3, frozenset(members), {})
+    good = SigmaClass(q3, frozenset(members))
     loc = localise(q3, good)
     assert objects_isomorphic(loc.category, 0, 1) is not None
     members.add(mor_by_label(q3, "eps->1"))
-    bad = SigmaClass(q3, frozenset(members), {})
+    bad = SigmaClass(q3, frozenset(members))
     with pytest.raises(BuildError):
         localise(q3, bad)
 
@@ -215,3 +224,112 @@ def test_factor_of_a_corrupted_coreflector_is_refused(name, count):
                             loc, CatFunctor(mc, cor.target, cor.obj_map, bad))
                     corruptions += 1
     assert corruptions == count
+
+
+# ---------------------------------------------------------------------------
+# the thin localisation by typing against the span construction
+
+THIN_GALLERY = [name for name in gallery.names() if build_cached(name).is_thin()]
+# the span construction and the member walk take 15-16 s on each of these
+SPANS_TOO_SLOW = {("m3", "finite"), ("m3", "all")}
+THIN_SOURCES = [(name, flavour) for name in THIN_GALLERY
+                for flavour in (None, "finite", "directed", "all")]
+
+
+def thin_source(name, flavour):
+    return (build_cached(name) if flavour is None
+            else completion_cached(name, flavour).category)
+
+
+def localisation_tables(loc):
+    cat = loc.category
+    return (cat.objects, cat.morphisms, cat.cat.identity, cat.cat.compose_table,
+            cat.unit, cat.mon.tensor_obj, cat.mon.tensor_mor, cat.mon.braiding,
+            loc.classes, loc.reps, loc.quotient.obj_map, loc.quotient.mor_map)
+
+
+def assert_thin_route_matches_spans(mc, sig):
+    """The mask checks give the report of the member walk, and where the
+    calculus holds the localisation by typing equals the span
+    construction: tables, labels, classes, representatives and quotient
+    functor.  Returns the report."""
+    assert mc.is_thin()
+    report = verify_right_fractions(mc, sig)
+    with generic_hierarchy_sweeps():
+        assert verify_right_fractions(mc, sig) == report
+    if report.holds:
+        assert localisation_tables(localise(mc, sig)) == \
+            localisation_tables(_localise_spans(mc, sig, DEFAULT_CAPS))
+    return report
+
+
+def assert_thin_localisations_match_spans(mc):
+    """At every subunit at once (the simple quotient) and at each one."""
+    assert_thin_route_matches_spans(mc, sigma(mc))
+    for s in enumerate_subunits(mc):
+        assert_thin_route_matches_spans(mc, sigma(mc, [s]))
+
+
+@pytest.mark.parametrize("name, flavour", [
+    source for source in THIN_SOURCES if source not in SPANS_TOO_SLOW])
+def test_thin_localisation_matches_the_span_construction(name, flavour):
+    assert_thin_localisations_match_spans(thin_source(name, flavour))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(thin_monoidal_preorders(),
+                 closure_lattices().map(
+                     lambda poset: from_semilattice(Semilattice.from_poset(poset)))))
+def test_thin_localisation_matches_the_span_construction_on_generated_categories(mc):
+    assert_thin_localisations_match_spans(mc)
+
+
+def closed_class(mc, members, compose: bool) -> frozenset[int]:
+    """``members`` closed under tensoring with objects on either side,
+    and under composition when ``compose`` is set."""
+    members = set(members)
+    while True:
+        new = {h for f in members for a in range(len(mc.objects))
+               for h in (_tensor_right(mc, f, a), _tensor_left(mc, a, f))}
+        if compose:
+            new |= {mc.compose(g, f) for f in members for g in members
+                    if mc.dom(g) == mc.cod(f)}
+        if new <= members:
+            return frozenset(members)
+        members |= new
+
+
+@pytest.mark.parametrize("name, verdicts", [
+    ("b2", {"holds": 38, "ore": 12}),
+    ("c3", {"holds": 110, "ore": 78}),
+    ("q3", {"holds": 70, "ore": 27, "composition": 11})])
+def test_hand_made_thin_classes_get_the_same_report_on_both_routes(name, verdicts):
+    # per morphism g of the "all" completion, identities and g closed
+    # under the tensor alone (some fail composition closure) and under
+    # composition too (some fail the Ore condition)
+    mc = completion_cached(name, "all").category
+    identities = {mc.identity(a) for a in range(len(mc.objects))}
+    seen = Counter()
+    for g in range(len(mc.morphisms)):
+        for compose in (False, True):
+            sig = SigmaClass(mc, closed_class(mc, identities | {g}, compose))
+            report = assert_thin_route_matches_spans(mc, sig)
+            seen["holds" if report.holds else report.witness[0]] += 1
+    assert seen == verdicts
+
+
+@pytest.mark.parametrize("name, flavour", THIN_SOURCES)
+def test_thin_target_functors_pass_the_tensor_sweep(name, flavour):
+    # check_strict_monoidal checks no tensor pair on a thin target; the
+    # sweep it skips holds on the quotient functors and completion
+    # embeddings the library builds
+    mc = thin_source(name, flavour)
+    functors = [simple_quotient(mc).quotient]
+    if (name, flavour) not in SPANS_TOO_SLOW:
+        functors += [localise(mc, sigma(mc, [s])).quotient
+                     for s in enumerate_subunits(mc)]
+    if flavour is not None:
+        functors.append(completion_cached(name, flavour).embedding)
+    for functor in functors:
+        assert functor.target.is_thin()
+        assert sweep_functor_tensor(functor) is None

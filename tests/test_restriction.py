@@ -17,9 +17,10 @@ import ttw.restriction
 from ttw import gallery
 from ttw.daycat import broad_category
 from ttw.errors import BuildError, TtwError
-from ttw.fincat import (CatFunctor, FinCategory, MonoidalCategory,
-                        from_commutative_monoid, from_semilattice, identity_functor,
-                        is_iso, is_mono, validate)
+from ttw.fincat import (CatFunctor, FinCategory, MonoidalCategory, _tabulate,
+                        _tabulate_monoidal, from_commutative_monoid,
+                        from_semilattice, identity_functor, is_iso, is_mono,
+                        validate)
 from ttw.orderkit import FinMonoid, Semilattice
 from ttw.restriction import (ComonadData, _coreflector_comparisons, _subunit_monos,
                              _verify_coreflection, _verify_coreflector_monoidal,
@@ -678,3 +679,52 @@ def test_thin_route_rejects_a_comultiplication_without_inverse():
         ("BuildError", "comonad law comultiplication_invertible fails")
     with generic_hierarchy_sweeps():
         assert outcome(check_restriction_comonad, data)[0] != "value"
+
+
+# ---------------------------------------------------------------------------
+# the unitality refusal before any table is built
+
+
+def tabulated_restriction_report(mc, s):
+    """``validate`` on the tables of the restriction to s, tabulated in
+    full whether or not it is strictly unital: the oracle of the early
+    refusal of ``restriction_category``."""
+    keep = [a for a in range(len(mc.objects))
+            if is_iso(mc, _tensor_right(mc, s.rep, a)) is not None]
+    obj_index = {a: k for k, a in enumerate(keep)}
+    mors = [m for m in mc.morphisms if m.dom in obj_index and m.cod in obj_index]
+    mor_index = {m.mid: k for k, m in enumerate(mors)}
+    cat = _tabulate([mc.obj_label(a) for a in keep],
+                    [(obj_index[m.dom], obj_index[m.cod], m.label) for m in mors],
+                    [mor_index[mc.identity(a)] for a in keep],
+                    lambda g, f: mor_index[mc.compose(mors[g].mid, mors[f].mid)])
+    sub = _tabulate_monoidal(
+        cat, obj_index[s.domain],
+        [[obj_index[mc.tensor_obj(a, b)] for b in keep] for a in keep],
+        lambda f, g: mor_index[mc.tensor_mor(mors[f].mid, mors[g].mid)],
+        lambda a, b: mor_index[mc.braiding(keep[a], keep[b])])
+    return validate(sub.cat, sub.mon)
+
+
+@pytest.mark.parametrize("name, refused", [
+    ("c3", 3), ("q3", 2), ("boolean2x2", 5), ("m3", 9)])
+def test_unitality_refusal_reports_what_validate_reports(name, refused):
+    # the refusal reads S (x) A = A = A (x) S off the object tensor before
+    # any table is built; validate on the full tables rejects the same
+    # subunits, and on these inputs with the same violations and no other
+    mc = completion_cached(name, "all").category
+    seen = 0
+    for s in enumerate_subunits(mc):
+        full = tabulated_restriction_report(mc, s)
+        try:
+            restriction_category(mc, s)
+        except BuildError as exc:
+            assert str(exc) == (
+                "restriction of this category is not strictly unital at "
+                f"{mc.obj_label(s.domain)}; only strict restrictions are supported")
+            assert exc.report.laws() == {"strict_unit_obj"}
+            assert exc.report == full
+            seen += 1
+        else:
+            assert full.ok()
+    assert seen == refused

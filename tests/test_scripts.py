@@ -16,6 +16,7 @@ from ttw import gallery
 from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
                         slide_generators)
 from ttw.errors import BuildError, CapExceededError
+from ttw.fractions import localise, sigma, simple_quotient
 from ttw.restriction import restriction_category
 from ttw.subunits import (check_characterisation, enumerate_subunits,
                           is_locale_based)
@@ -126,6 +127,25 @@ def test_day_rows(timings, monkeypatch, capsys):
             str(len(mc.objects)), str(len(mc.morphisms)),
             str(len(slide_generators(mc))), str(classes)]
         assert len(day_s) == 4 and all(map(seconds, day_s))
+
+
+def test_localise_rows(timings, monkeypatch, capsys):
+    printed = table_rows(timings, monkeypatch, capsys, "localise",
+                         [("b2", None), ("b2/all", "all"), ("z2", None),
+                          ("b3/directed", "directed")], sources="localise_sources")
+    assert printed["b3/directed"] == ["max_objects"]
+    for label in ("b2", "b2/all", "z2"):
+        mc = build_cached("z2") if label == "z2" else category(label)
+        subs = enumerate_subunits(mc)
+        localised = sum(len(localise(mc, sigma(mc, [s])).category.morphisms)
+                        for s in subs)
+        objects, morphisms, subunits, inverted, quotient_s, quotient, \
+            localise_s, localised_cell = printed[label]
+        assert [objects, morphisms, subunits, inverted, quotient, localised_cell] == [
+            str(len(mc.objects)), str(len(mc.morphisms)), str(len(subs)),
+            str(len(sigma(mc).members)),
+            str(len(simple_quotient(mc).category.morphisms)), str(localised)]
+        assert seconds(quotient_s) and seconds(localise_s)
 
 
 def test_unknown_table_is_a_usage_error():
