@@ -9,9 +9,10 @@ components, closed with union-find.  One variable at a time suffices:
 the slides of the pairs (f, id) and (id, g) generate the relation, so
 each triple is slid outward and no morphism into the tensor is searched
 for.  Slides compose, so only a generating set of morphisms is slid
-along: on a thin category a cycle through each isomorphism class and one
-morphism per cover between classes (``thin_generators``), on any other
-every non-identity morphism (see ``day_tensor``).
+along: on a thin category, read from its up- and down-sets, a cycle
+through each isomorphism class and one morphism per cover between
+classes (``thin_generators``), on any other every non-identity morphism
+(see ``day_tensor``).
 
 Broad presheaves are presented intensionally by a pair (U, X) of a
 downward-closed subunit family and an object; morphisms between them
@@ -296,12 +297,13 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
 
     values = tuple(tuple(grp[0] for grp in all_classes[a]) for a in range(n_obj))
     action = {}
-    comp = mc.cat.compose_table
+    out_of = _outgoing(mc.morphisms, n_obj)
     for m in mc.morphisms:
         row = []
         f, class_of = m.mid, all_class_of[m.dom]
+        after = {h: mc.compose(h, f) for h in out_of[m.cod]}  # h -> h o f
         for grp in all_classes[m.cod]:
-            images = {class_of[(b, c, comp[(h, f)], x, y)] for (b, c, h, x, y) in grp}
+            images = {class_of[(b, c, after[h], x, y)] for (b, c, h, x, y) in grp}
             if len(images) != 1:
                 raise ConsistencyError(
                     "Day action not well defined on a class",
@@ -326,18 +328,18 @@ def slide_generators(mc: MonoidalCategory) -> tuple[int, ...]:
 @_per_category
 def thin_generators(mc: MonoidalCategory) -> tuple[int, ...]:
     """The mids of a generating set of a thin category, read from its
-    up-set masks: a cycle through each isomorphism class of two or more
-    objects, its members in increasing order, and one morphism from the
-    least member of each class to the least member of each class that
-    covers it.  Every non-identity morphism a -> b is a composite of
-    these: along the cycle within a class when a and b are isomorphic;
-    otherwise from a round its cycle to the least member of its class,
-    up a chain of covers to the class of b, which is finite, and round
-    that cycle to b.  The category is thin, so any such path is that
-    morphism."""
-    up = mc.cat.up
+    preorder, where the isomorphism class of a is ``up[a] & down[a]``: a
+    cycle through each class of two or more objects, its members in
+    increasing order, and one morphism from the least member of each
+    class to the least member of each class that covers it.  Every
+    non-identity morphism a -> b is a composite of these: along the
+    cycle within a class when a and b are isomorphic; otherwise from a
+    round its cycle to the least member of its class, up a chain of
+    covers to the class of b, which is finite, and round that cycle to
+    b.  The category is thin, so any such path is that morphism."""
+    up, down = mc.cat.up, mc.cat.down
     n = len(up)
-    iso = [sum(1 << b for b in _bits(up[a]) if up[b] >> a & 1) for a in range(n)]
+    iso = [up[a] & down[a] for a in range(n)]
     strictly_up = [up[a] & ~iso[a] for a in range(n)]
     out = []
     for a in range(n):
@@ -602,21 +604,18 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     checked as the cocones are listed.  The embedding sends an object A
     to the pair (all subunits, A).
 
-    On a thin source the completion is thin, and it is composed and
-    braided by typing.  A cocone's legs are then the unique morphisms
-    S (x) X -> Y, so each completion hom-set holds at most one cocone,
-    and a cocone is named by its (source spec, target spec) alone.  The
-    pasted composite of alpha: (U, X) -> (V, Y) and
-    beta: (V, Y) -> (W, Z) always exists: a leg of alpha restricts into
-    V, so it factors as (t (x) Y) o h with t in V, and the pasted leg
-    beta_t o h restricts into W wherever beta_t does; the factorisations
-    it compares give parallel morphisms, so they agree.  The composite
-    is therefore the one cocone (U, X) -> (W, Z), and likewise the
-    identities, the braiding and the embedded morphisms are the one
-    cocone of their hom-sets.  ``hom_cocones`` still lists and checks
-    every cocone, the result is still validated, and the embedding is
-    still checked strict monoidal.  Other sources paste every composite,
-    and that path is the test oracle for this one.
+    On a thin source the completion is thin: a cocone's legs are the
+    unique morphisms S (x) X -> Y, so a completion hom-set holds at most
+    one cocone, named by its (source spec, target spec) alone.  It keeps
+    no composition table, and its identities, braiding and embedded
+    morphisms are the one cocone of their hom-sets.  The pasted
+    composite of alpha: (U, X) -> (V, Y) and beta: (V, Y) -> (W, Z)
+    always exists, as the construction checks: a leg of alpha factors
+    as (t (x) Y) o h with t in V, and beta_t o h restricts into W
+    wherever beta_t does.  ``hom_cocones`` still lists and checks every
+    cocone, the result is validated and the embedding checked strict
+    monoidal.  Other sources paste every composite, the test oracle of
+    this path.
     """
     stiff = is_stiff(mc)
     if not stiff.holds:
@@ -675,7 +674,6 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     # (leg, middle spec) -> every (position, h) with (t (x) Y) o h = leg
     # for t the member at that position; the outer cocone plays no part
     factorisations: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    comp = mc.cat.compose_table
 
     def leg_factorisations(leg: int, mid: int) -> list[tuple[int, int]]:
         mid_spec = specs[mid]
@@ -688,7 +686,7 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
             target = _tensor_right(mc, lat.subunits[t].rep, mid_spec.obj)
             found.extend((pos, h)
                          for h in mc.hom(mc.dom(leg), mc.dom(target))
-                         if comp[(target, h)] == leg)
+                         if mc.compose(target, h) == leg)
         return found
 
     def compose_cocones(kb: int, ka: int) -> int:
@@ -702,7 +700,7 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
             found = factorisations.get((leg, a_dst))
             if found is None:
                 found = leg_factorisations(leg, a_dst)
-            candidates = {comp[(b_legs[pos], h)] for pos, h in found}
+            candidates = {mc.compose(b_legs[pos], h) for pos, h in found}
             if len(candidates) != 1:
                 raise ConsistencyError(
                     "cocone pasting depends on the factorisation",
@@ -711,9 +709,6 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
             new_legs.append(candidates.pop())
         return cocone(a_src, b_dst, new_legs, "composite cocone")
 
-    def compose_by_typing(kb: int, ka: int) -> int:
-        return cocone(mor_defs[ka][0], mor_defs[kb][1], (), "composite cocone")
-
     cat = _tabulate(
         [f"{_downset_label(lat.lattice.poset, s.family)}[{mc.obj_label(s.obj)}]"
          for s in specs],
@@ -721,7 +716,7 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
         [cocone(k, k, (_tensor_right(mc, lat.subunits[i].rep, spec.obj)
                        for i in spec.family), "identity cocone")
          for k, spec in enumerate(specs)],
-        compose_by_typing if thin else compose_cocones)
+        None if thin else compose_cocones)
 
     def tensor_family(fu, fv):
         meets = {lat.meet(i, j) for i in fu for j in fv}

@@ -13,18 +13,16 @@ fast path is cross-checked against the generic one in the test suite.
 
 The same fact turns colimits, pullbacks, pushouts and monos of a thin
 category into order theory on the preorder a <= b iff hom(a, b) is
-nonempty.  A thin category records this preorder once, at
-construction, as one up-set bitmask per object (``FinCategory.up``),
-and ``all_cocones``, ``colimit``, ``is_colimit``, ``is_pullback``,
-``is_pushout`` and ``is_mono`` decide from those masks; each states its
-reduction in its docstring.  Every other category runs the full sweep.
-The reductions take the composition table to be well typed, as
-``validate`` checks, and are cross-checked against the sweeps in the
-test suite.
-
-A thin category's tensor on morphisms is forced by typing, so the
-derived thin categories keep no table for it: ``MonoidalData.tensor_mor``
-is ``None`` and f (x) g is read off the hom table.
+nonempty, recorded once at construction as an up-set and a down-set
+bitmask per object (``FinCategory.up`` and ``down``).  ``all_cocones``,
+``colimit``, ``is_colimit``, ``is_pullback``, ``is_pushout`` and
+``is_mono`` decide from those masks, each stating its reduction, which
+takes any composition table to be typed, as ``validate`` checks; every
+other category runs the full sweep.  Typing forces g o f and f (x) g on
+a thin category, so the thin categories built here keep neither table:
+``compose_table`` and ``MonoidalData.tensor_mor`` are ``None``, each
+such morphism is the one of its hom-set, and construction checks
+transitivity where it would check the table (``check_composites``).
 """
 
 from __future__ import annotations
@@ -52,24 +50,27 @@ class FinCategory:
     objects: tuple[str, ...]
     morphisms: tuple[Morphism, ...]
     identity: tuple[int, ...]
-    compose_table: dict[tuple[int, int], int]
+    compose_table: dict[tuple[int, int], int] | None  # None: forced by typing
     hom_table: dict[tuple[int, int], tuple[int, ...]] = field(repr=False, default=None)
-    # on a thin category, up[a] has bit b set exactly when hom(a, b) is
-    # nonempty; None when some hom-set holds two morphisms
+    # on a thin category, up[a] has bit b and down[b] bit a set exactly
+    # when hom(a, b) is nonempty; None when some hom-set holds two morphisms
     up: tuple[int, ...] | None = field(init=False, repr=False, default=None)
+    down: tuple[int, ...] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         check_structure(self)
         homs: dict[tuple[int, int], list[int]] = {}
         for m in self.morphisms:
             homs.setdefault((m.dom, m.cod), []).append(m.mid)
-        table = {key: tuple(v) for key, v in homs.items()}
-        object.__setattr__(self, "hom_table", table)
+        object.__setattr__(self, "hom_table", {key: tuple(v) for key, v in homs.items()})
         if all(len(v) <= 1 for v in homs.values()):
-            up = [0] * len(self.objects)
+            up, down = [0] * len(self.objects), [0] * len(self.objects)
             for a, b in homs:
                 up[a] |= 1 << b
+                down[b] |= 1 << a
             object.__setattr__(self, "up", tuple(up))
+            object.__setattr__(self, "down", tuple(down))
+        check_composites(self)
 
     # -- queries ----------------------------------------------------------
 
@@ -77,7 +78,14 @@ class FinCategory:
         return self.hom_table.get((a, b), ())
 
     def compose(self, g: int, f: int) -> int:
-        return self.compose_table[(g, f)]
+        """g o f; a KeyError unless cod f = dom g."""
+        table = self.compose_table
+        if table is not None:
+            return table[(g, f)]
+        mf, mg = self.morphisms[f], self.morphisms[g]
+        if mf.cod != mg.dom:
+            raise KeyError((g, f))
+        return self.hom_table[(mf.dom, mg.cod)][0]
 
     def dom(self, f: int) -> int:
         return self.morphisms[f].dom
@@ -135,7 +143,7 @@ class MonoidalCategory:
         return self.cat.hom(a, b)
 
     def compose(self, g: int, f: int) -> int:
-        return self.cat.compose_table[(g, f)]
+        return self.cat.compose(g, f)
 
     def dom(self, f: int) -> int:
         return self.cat.morphisms[f].dom
@@ -210,9 +218,9 @@ class ValidationReport:
 
 
 def check_structure(cat: FinCategory) -> None:
-    """Raise MalformedTableError on shape problems: bad indices, missing
-    or extraneous composition entries.  Law violations are not checked
-    here; ``validate`` reports those."""
+    """Raise MalformedTableError on bad indices of the morphisms and
+    identities.  Law violations are not checked here; ``validate``
+    reports those."""
     n_obj = len(cat.objects)
     n_mor = len(cat.morphisms)
     for k, m in enumerate(cat.morphisms):
@@ -225,17 +233,28 @@ def check_structure(cat: FinCategory) -> None:
     for a, i in enumerate(cat.identity):
         if not (0 <= i < n_mor):
             raise MalformedTableError(f"identity of object {a} out of range")
-    table = cat.compose_table
-    n_composable = 0
-    missing = None
-    for pair in _composable_pairs(cat.morphisms, n_obj):
-        n_composable += 1
-        if pair not in table and (missing is None or pair < missing):
-            missing = pair
-    if missing is not None:
-        raise MalformedTableError(f"compose table missing entry {missing}")
-    if len(table) != n_composable:
-        mors = cat.morphisms
+
+
+def check_composites(cat: FinCategory) -> None:
+    """Raise MalformedTableError naming the least composable pair (g, f)
+    with no composite: no table entry, or with no table (a thin category)
+    no morphism dom f -> cod g, sought only when some ``up[b]`` is not
+    inside ``up[a]`` for a <= b.  A table holds mids on composable pairs."""
+    n_obj, n_mor, mors = len(cat.objects), len(cat.morphisms), cat.morphisms
+    table, up = cat.compose_table, cat.up
+    if table is None:
+        if up is None:
+            raise MalformedTableError("compose table missing on a category that is not thin")
+        if any(up[b] & ~up[a] for a, b in cat.hom_table):
+            missing = min((g, f) for g, f in _composable_pairs(mors, n_obj)
+                          if not up[mors[f].dom] >> mors[g].cod & 1)
+            raise MalformedTableError(f"no morphism for the composite {missing}")
+        return
+    pairs = list(_composable_pairs(mors, n_obj))
+    missing = [pair for pair in pairs if pair not in table]
+    if missing:
+        raise MalformedTableError(f"compose table missing entry {min(missing)}")
+    if len(table) != len(pairs):
         extra = min((g, f) for g, f in table
                     if not (0 <= g < n_mor and 0 <= f < n_mor
                             and mors[g].dom == mors[f].cod))
@@ -330,7 +349,8 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
     So typing costs one lookup per morphism, object and side, and a
     failure is reported at (f, id_b) or (id_b, f).  ``force_generic``
     then runs the generic laws over the forced values, once that typing
-    holds.
+    holds.  Forced composites (no ``compose_table``) are typed by
+    construction, and ``force_generic`` tabulates them likewise.
 
     The interchange and braiding-naturality equations compose only
     well-typed morphisms, and the hexagons also need the object tensor
@@ -342,13 +362,15 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
     thin = cat.is_thin() and not force_generic
     mors = cat.morphisms
     comp = cat.compose_table
+    if comp is None and not thin:
+        comp = {pair: cat.compose(*pair) for pair in _composable_pairs(mors, len(cat.objects))}
 
     for a, i in enumerate(cat.identity):
         m = mors[i]
         if m.dom != a or m.cod != a:
             out.append(Violation("identity_typing", (a, i),
                                  f"identity of {cat.objects[a]} is not an endomorphism"))
-    for (g, f), h in comp.items():
+    for (g, f), h in (comp or {}).items():
         if mors[h].dom != mors[f].dom or mors[h].cod != mors[g].cod:
             out.append(Violation("compose_typing", (g, f, h),
                                  "composite has wrong dom/cod"))
@@ -521,11 +543,9 @@ def is_mono(mc: MonoidalCategory | FinCategory, f: int) -> bool:
     dom = cat.dom(f)
     if cat.up is not None:
         return True
-    comp = cat.compose_table
     for a in range(len(cat.objects)):
-        candidates = cat.hom(a, dom)
-        for g, h in itertools.combinations(candidates, 2):
-            if comp[(f, g)] == comp[(f, h)]:
+        for g, h in itertools.combinations(cat.hom(a, dom), 2):
+            if cat.compose(f, g) == cat.compose(f, h):
                 return False
     return True
 
@@ -534,10 +554,9 @@ def is_iso(mc: MonoidalCategory | FinCategory, f: int) -> int | None:
     """The two-sided inverse of f, or None."""
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
     m = cat.morphisms[f]
-    comp = cat.compose_table
     for g in cat.hom(m.cod, m.dom):
-        if (comp[(g, f)] == cat.identity[m.dom]
-                and comp[(f, g)] == cat.identity[m.cod]):
+        if (cat.compose(g, f) == cat.identity[m.dom]
+                and cat.compose(f, g) == cat.identity[m.cod]):
             return g
     return None
 
@@ -556,9 +575,8 @@ def factors_through(mc: MonoidalCategory | FinCategory, f: int, g: int) -> int |
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
     if cat.cod(f) != cat.cod(g):
         return None
-    comp = cat.compose_table
     for h in cat.hom(cat.dom(f), cat.dom(g)):
-        if comp[(g, h)] == f:
+        if cat.compose(g, h) == f:
             return h
     return None
 
@@ -685,7 +703,7 @@ def is_cocone(mc: MonoidalCategory | FinCategory, diagram: DiagramSpec,
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
     legs = cocone.legs
     return (_has_typed_legs(cat, diagram.nodes, cocone)
-            and all(cat.compose_table[(legs[tgt], mid)] == legs[src]
+            and all(cat.compose(legs[tgt], mid) == legs[src]
                     for src, tgt, mid in diagram.edges))
 
 
@@ -693,9 +711,8 @@ def mediating_morphisms(mc: MonoidalCategory | FinCategory, source: Cocone,
                         target: Cocone) -> list[int]:
     """All u with u o source.legs[i] = target.legs[i] for every node."""
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
-    comp = cat.compose_table
     return [u for u in cat.hom(source.apex, target.apex)
-            if all(comp[(u, leg)] == target.legs[i]
+            if all(cat.compose(u, leg) == target.legs[i]
                    for i, leg in enumerate(source.legs))]
 
 
@@ -764,27 +781,27 @@ def is_pullback(mc: MonoidalCategory | FinCategory, f: int, g: int,
 
     On a thin category every cone over the cospan commutes and has at
     most one filler, so the square is a pullback exactly when every
-    common lower bound of A and B lies below the apex.
+    common lower bound of A and B lies below the apex: one AND of their
+    down-sets.
     """
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
-    comp = cat.compose_table
+    comp = cat.compose
     if cat.cod(f) != cat.cod(g) or cat.dom(f) != cat.cod(p) or \
             cat.dom(g) != cat.cod(q) or cat.dom(p) != cat.dom(q):
         raise NonCommutingSquareError("square sides do not typecheck")
-    if comp[(f, p)] != comp[(g, q)]:
+    if comp(f, p) != comp(g, q):
         raise NonCommutingSquareError("square does not commute")
     apex = cat.dom(p)
-    up = cat.up
-    if up is not None:
-        ends = 1 << cat.dom(f) | 1 << cat.dom(g)
-        return all(above >> apex & 1 for above in up if above & ends == ends)
+    down = cat.down
+    if down is not None:
+        return down[cat.dom(f)] & down[cat.dom(g)] & ~down[apex] == 0
     for r in range(len(cat.objects)):
         for p2 in cat.hom(r, cat.dom(f)):
             for q2 in cat.hom(r, cat.dom(g)):
-                if comp[(f, p2)] != comp[(g, q2)]:
+                if comp(f, p2) != comp(g, q2):
                     continue
                 fillers = [u for u in cat.hom(r, apex)
-                           if comp[(p, u)] == p2 and comp[(q, u)] == q2]
+                           if comp(p, u) == p2 and comp(q, u) == q2]
                 if len(fillers) != 1:
                     return False
     return True
@@ -801,11 +818,11 @@ def is_pushout(mc: MonoidalCategory | FinCategory, f: int, g: int,
     common upper bound of A and B lies above the apex.
     """
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
-    comp = cat.compose_table
+    comp = cat.compose
     if cat.dom(f) != cat.dom(g) or cat.cod(f) != cat.dom(p) or \
             cat.cod(g) != cat.dom(q) or cat.cod(p) != cat.cod(q):
         raise NonCommutingSquareError("square sides do not typecheck")
-    if comp[(p, f)] != comp[(q, g)]:
+    if comp(p, f) != comp(q, g):
         raise NonCommutingSquareError("square does not commute")
     apex = cat.cod(p)
     up = cat.up
@@ -814,10 +831,10 @@ def is_pushout(mc: MonoidalCategory | FinCategory, f: int, g: int,
     for r in range(len(cat.objects)):
         for p2 in cat.hom(cat.cod(f), r):
             for q2 in cat.hom(cat.cod(g), r):
-                if comp[(p2, f)] != comp[(q2, g)]:
+                if comp(p2, f) != comp(q2, g):
                     continue
                 fillers = [u for u in cat.hom(apex, r)
-                           if comp[(u, p)] == p2 and comp[(u, q)] == q2]
+                           if comp(u, p) == p2 and comp(u, q) == q2]
                 if len(fillers) != 1:
                     return False
     return True
@@ -831,12 +848,12 @@ def _tabulate(objects, morphisms, identity, compose) -> FinCategory:
     """The category on these objects whose k-th morphism is the k-th
     (dom, cod, label) triple, with the given identity mids; its
     composition table holds ``compose(g, f)`` for each composable pair
-    of mids, called once per pair, f outer and g inner."""
+    of mids, called once per pair, f outer and g inner, or is None with
+    ``compose`` (on a thin category, whose composites typing forces)."""
     mors = tuple(Morphism(k, a, b, label)
                  for k, (a, b, label) in enumerate(morphisms))
-    table = {}
-    for g, f in _composable_pairs(mors, len(objects)):
-        table[(g, f)] = compose(g, f)
+    table = None if compose is None else {
+        (g, f): compose(g, f) for g, f in _composable_pairs(mors, len(objects))}
     return FinCategory(tuple(objects), mors, tuple(identity), table)
 
 
@@ -863,8 +880,7 @@ def _thin_category(poset_elements, leq):
     mor_index = {pair: k for k, pair in enumerate(pairs)}
     return _tabulate(objects,
                      [(a, b, f"{objects[a]}->{objects[b]}") for a, b in pairs],
-                     [mor_index[(a, a)] for a in range(n)],
-                     lambda g, f: mor_index[(pairs[f][0], pairs[g][1])])
+                     [mor_index[(a, a)] for a in range(n)], None)
 
 
 def thin_category_from_poset(poset) -> FinCategory:

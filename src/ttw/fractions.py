@@ -39,7 +39,6 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, MonoidalCategory, _tabulate, _tabulate_monoidal,
                      assert_valid, is_iso)
-from .orderkit import _bits
 from .restriction import restriction_category
 from .subunits import (PropertyReport, Subunit, _tensor_left, _tensor_right,
                        enumerate_subunits)
@@ -130,15 +129,6 @@ def _sigma_masks(mc: MonoidalCategory,
     return out_of, into
 
 
-def _down_masks(mc: MonoidalCategory) -> list[int]:
-    """On a thin category, per object B the mask of the P with P <= B."""
-    down = [0] * len(mc.objects)
-    for p, up in enumerate(mc.cat.up):
-        for b in _bits(up):
-            down[b] |= 1 << p
-    return down
-
-
 def verify_right_fractions(mc: MonoidalCategory, sig: SigmaClass) -> PropertyReport:
     """Closure properties plus the two right-fraction conditions, all
     checked exhaustively with witnesses on failure.  On a thin category
@@ -157,7 +147,7 @@ def verify_right_fractions(mc: MonoidalCategory, sig: SigmaClass) -> PropertyRep
     thin = mc.is_thin()
     if thin:
         sigma_out, sigma_in = _sigma_masks(mc, members)
-        down = _down_masks(mc)
+        down = mc.cat.down
 
     def has_filler(s: int, f: int) -> bool:
         if thin:
@@ -279,23 +269,20 @@ def localise(mc: MonoidalCategory, sig: SigmaClass,
 def _localise_thin(mc: MonoidalCategory, sig: SigmaClass,
                    caps: Caps) -> LocalisedCategory:
     """``localise`` of a thin category at a class with right fractions:
-    the spans of each hom-pair form one class, so every table is a
-    lookup by pair."""
+    the spans of each hom-pair form one class, so the result is thin
+    and each table it keeps is a lookup by pair."""
     spans_by_pair = _spans_by_pair(mc, sig)
     pairs = sorted(spans_by_pair)
     index = {pair: k for k, pair in enumerate(pairs)}
 
-    def lookup(pair: tuple[int, int]) -> int:
-        k = index.get(pair)
-        if k is None:
+    def classify(d: int, n: int) -> int:
+        pair = (mc.cod(d), mc.cod(n))
+        if pair not in index:
             raise _escaped(pair=pair)
-        return k
+        return index[pair]
 
-    return _assemble(
-        mc, sig, [frozenset(spans_by_pair[pair]) for pair in pairs],
-        [spans_by_pair[pair][0] for pair in pairs],
-        lambda d, n: lookup((mc.cod(d), mc.cod(n))),
-        lambda g, f: lookup((pairs[f][0], pairs[g][1])), caps)
+    return _assemble(mc, sig, [frozenset(spans_by_pair[pair]) for pair in pairs],
+                     [spans_by_pair[pair][0] for pair in pairs], classify, None, caps)
 
 
 def _localise_spans(mc: MonoidalCategory, sig: SigmaClass,
@@ -353,8 +340,8 @@ def _assemble(mc: MonoidalCategory, sig: SigmaClass, classes, reps, classify,
               compose, caps: Caps) -> LocalisedCategory:
     """The localised category on the given classes, the k-th labelled by
     its representative ``reps[k]``: ``classify(d, n)`` is the class of
-    the span (d, n) and ``compose(g, f)`` that of the composite of
-    classes; then the quotient functor, checked."""
+    the span (d, n) and ``compose(g, f)`` that of a composite, or None
+    on a thin result; then the quotient functor, checked."""
     n_obj = len(mc.objects)
     cat = _tabulate(
         mc.objects,

@@ -169,7 +169,8 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
         [mc.obj_label(a) for a in keep],
         [(obj_index[m.dom], obj_index[m.cod], m.label) for m in mors],
         [mor_index[mc.identity(a)] for a in keep],
-        lambda g, f: mor_index[mc.compose(mors[g].mid, mors[f].mid)])
+        None if mc.is_thin()
+        else lambda g, f: mor_index[mc.compose(mors[g].mid, mors[f].mid)])
     t_obj = [[obj_index[mc.tensor_obj(a, b)] for b in keep] for a in keep]
     try:
         sub = _tabulate_monoidal(

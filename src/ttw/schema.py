@@ -15,8 +15,8 @@ from functools import cache
 from .caps import DEFAULT_CAPS, Caps
 from .errors import MalformedTableError
 from .fincat import (FinCategory, MonoidalCategory, MonoidalData, Morphism,
-                     assert_valid, from_commutative_monoid, from_quantale,
-                     from_semilattice)
+                     _composable_pairs, assert_valid, from_commutative_monoid,
+                     from_quantale, from_semilattice)
 from .orderkit import FinMonoid, FinPoset, Quantale, Semilattice
 
 SCHEMA_VERSION = 1
@@ -293,8 +293,8 @@ def category_to_document(mc: MonoidalCategory, name: str) -> dict:
                        "label": mc.mor_label(m.mid)} for m in mc.morphisms],
         "identity": [mc.mor_label(mc.identity(a))
                      for a in range(len(mc.objects))],
-        "compose": [[mc.mor_label(g), mc.mor_label(f), mc.mor_label(h)]
-                    for (g, f), h in sorted(mc.cat.compose_table.items())],
+        "compose": [[mc.mor_label(g), mc.mor_label(f), mc.mor_label(mc.compose(g, f))]
+                    for g, f in sorted(_composable_pairs(mc.morphisms, len(mc.objects)))],
         "unit": mc.obj_label(mc.unit),
         "tensor_obj": [[mc.obj_label(mc.tensor_obj(a, b))
                         for b in range(len(mc.objects))]

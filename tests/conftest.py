@@ -3,6 +3,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import types
+import weakref
 
 import pytest
 from hypothesis import strategies as st
@@ -101,6 +103,37 @@ def explicit_tensor(mc) -> dict[tuple[int, int], int]:
     return {(f, g): mc.tensor_mor(f, g) for f in n for g in n}
 
 
+_FORCED_COMPOSE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def explicit_compose(mc) -> types.MappingProxyType:
+    """The composition as an explicit table over every composable pair
+    of mids, f outer and g inner, for tests that read single entries or
+    corrupt a ``dict`` copy: the category's own table, or on a thin
+    category that keeps none, the one morphism dom f -> cod g of each
+    pair, read off the hom table once per category object."""
+    cat = _cat_of(mc)
+    table = cat.compose_table
+    if table is None:
+        table = _FORCED_COMPOSE.get(cat)
+    if table is None:
+        out = [[] for _ in cat.objects]
+        for g in cat.morphisms:
+            out[g.dom].append(g)
+        table = _FORCED_COMPOSE[cat] = {
+            (g.mid, f.mid): cat.hom(f.dom, g.cod)[0]
+            for f in cat.morphisms for g in out[f.cod]}
+    return types.MappingProxyType(table)
+
+
+def with_explicit_compose(mc):
+    """A copy of ``mc`` over the same tables that carries
+    ``explicit_compose(mc)`` as its composition table."""
+    cat = fincat.FinCategory(mc.cat.objects, mc.cat.morphisms, mc.cat.identity,
+                             dict(explicit_compose(mc)))
+    return fincat.MonoidalCategory(cat, mc.mon)
+
+
 def brute_untyped_tensor_pairs(cat, tensor_obj) -> list[tuple[int, int]]:
     """Every pair (f, g) of mids with no morphism
     dom f (x) dom g -> cod f (x) cod g, by a sweep over all pairs."""
@@ -122,7 +155,7 @@ def _cat_of(mc):
 def brute_all_cocones(mc, diagram, caps=DEFAULT_CAPS):
     cat = _cat_of(mc)
     fincat.check_diagram(cat, diagram)
-    mors, comp = cat.morphisms, cat.compose_table
+    mors, comp = cat.morphisms, explicit_compose(cat)
     out = []
     for apex in range(len(cat.objects)):
         leg_choices = [cat.hom(node, apex) for node in diagram.nodes]
@@ -145,8 +178,9 @@ def brute_all_cocones(mc, diagram, caps=DEFAULT_CAPS):
 
 def brute_mediating(mc, source, target):
     cat = _cat_of(mc)
+    comp = explicit_compose(cat)
     return [u for u in cat.hom(source.apex, target.apex)
-            if all(cat.compose_table[(u, leg)] == target.legs[i]
+            if all(comp[(u, leg)] == target.legs[i]
                    for i, leg in enumerate(source.legs))]
 
 
@@ -167,7 +201,7 @@ def brute_colimit(mc, diagram, caps=DEFAULT_CAPS):
 
 def brute_is_pullback(mc, f, g, p, q):
     cat = _cat_of(mc)
-    comp = cat.compose_table
+    comp = explicit_compose(cat)
     if cat.cod(f) != cat.cod(g) or cat.dom(f) != cat.cod(p) or \
             cat.dom(g) != cat.cod(q) or cat.dom(p) != cat.dom(q):
         raise NonCommutingSquareError("square sides do not typecheck")
@@ -188,7 +222,7 @@ def brute_is_pullback(mc, f, g, p, q):
 
 def brute_is_pushout(mc, f, g, p, q):
     cat = _cat_of(mc)
-    comp = cat.compose_table
+    comp = explicit_compose(cat)
     if cat.dom(f) != cat.dom(g) or cat.cod(f) != cat.dom(p) or \
             cat.cod(g) != cat.dom(q) or cat.cod(p) != cat.cod(q):
         raise NonCommutingSquareError("square sides do not typecheck")
@@ -209,10 +243,10 @@ def brute_is_pushout(mc, f, g, p, q):
 
 def brute_is_mono(mc, f):
     cat = _cat_of(mc)
-    dom = cat.dom(f)
+    dom, comp = cat.dom(f), explicit_compose(cat)
     for a in range(len(cat.objects)):
         for g, h in itertools.combinations(cat.hom(a, dom), 2):
-            if cat.compose_table[(f, g)] == cat.compose_table[(f, h)]:
+            if comp[(f, g)] == comp[(f, h)]:
                 return False
     return True
 
@@ -372,9 +406,15 @@ def generic_hierarchy_sweeps():
     ``restriction`` sweep every law square instead of checking typing
     and existence only; ``verify_right_fractions`` walks every member
     pair and searches every Ore filler, ``localise`` builds the span
-    construction, and ``CatFunctor.check_strict_monoidal`` sweeps the
-    one-variable tensor pairs on every target; the fincat kernels (colimits, ``is_mono``, ``is_iso``)
-    still read the up-set masks.
+    construction, ``broad_category`` pastes every composite cocone,
+    ``restriction_category`` tabulates its composites, and
+    ``CatFunctor.check_strict_monoidal`` sweeps the one-variable tensor
+    pairs on every target.  Those constructions build an explicit
+    composition table where the thin route builds none, so their
+    results are compared through ``explicit_compose``.
+    ``FinCategory.is_thin`` is untouched: the fincat kernels (colimits,
+    pullbacks, ``is_mono``) still read the up- and down-set masks, and a
+    thin result of either route keeps no tensor table.
     ``has_universal_directed_joins`` and ``verify_graded_monad`` have one
     path for every category, and ``sweep_universal_directed_joins`` and
     ``sweep_graded_monad`` are their oracles."""

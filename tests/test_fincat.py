@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from conftest import (OUT_OF_RANGE, brute_all_cocones, brute_colimit, brute_is_colimit,
                       brute_is_mono, brute_is_pullback, brute_is_pushout,
                       brute_untyped_tensor_pairs, build_cached, completion_cached,
-                      explicit_tensor, max_monoid, mor_by_label, obj_by_label,
-                      out_of_range_entry, outcome, shuffled_posets)
+                      explicit_compose, explicit_tensor, max_monoid, mor_by_label, obj_by_label,
+                      out_of_range_entry, outcome, quotient_cached, shuffled_posets,
+                      thin_monoidal_preorders, with_explicit_compose)
 from ttw import fincat, gallery
 from ttw.caps import Caps
 from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
@@ -26,6 +29,8 @@ from ttw.fincat import (CatFunctor, Cocone, DiagramSpec, FinCategory, all_cocone
                         thin_category_from_poset, validate)
 from ttw.gallery import idem_monoid, zero_one_monoid
 from ttw.orderkit import FinPoset, Semilattice
+from ttw.restriction import restriction_category
+from ttw.subunits import enumerate_subunits
 
 
 def thin_mor(mc, src, dst):
@@ -45,7 +50,7 @@ def test_validate_reports_corrupted_compose(b2):
     # redirect (0->1) o id_0 to id_0: the composite no longer typechecks
     f = thin_mor(b2, "0", "1")
     i0 = b2.identity(0)
-    bad = dict(b2.cat.compose_table)
+    bad = dict(explicit_compose(b2))
     bad[(f, i0)] = i0
     cat = FinCategory(b2.cat.objects, b2.cat.morphisms, b2.cat.identity, bad)
     report = validate(cat, b2.mon)
@@ -62,7 +67,7 @@ def test_validate_idempotent_monoid_generic():
 
 
 def test_validate_missing_compose_entry_is_structural(b2):
-    bad = dict(b2.cat.compose_table)
+    bad = dict(explicit_compose(b2))
     del bad[next(iter(bad))]
     with pytest.raises(MalformedTableError):
         FinCategory(b2.cat.objects, b2.cat.morphisms, b2.cat.identity, bad)
@@ -89,7 +94,7 @@ def test_validate_law_break_in_one_object_category():
     # force a o a = 1 while keeping a o 1 = a: breaks associativity or
     # identity laws, caught by the generic path
     mc = from_commutative_monoid(idem_monoid())
-    bad = dict(mc.cat.compose_table)
+    bad = dict(explicit_compose(mc))
     bad[(1, 1)] = 0
     cat = FinCategory(mc.cat.objects, mc.cat.morphisms, mc.cat.identity, bad)
     report = validate(cat, mc.mon)
@@ -106,17 +111,40 @@ def test_compose_table_shape_errors_name_the_least_pair(c3):
     pairs = scan_composable(c3.morphisms)
     # two pairs that the f-outer sweep meets in the opposite of sorted order
     later, least = next((p, q) for i, p in enumerate(pairs) for q in pairs[i:] if q < p)
-    table = dict(c3.cat.compose_table)
+    table = dict(explicit_compose(c3))
     del table[later], table[least]
     with pytest.raises(MalformedTableError) as exc:
         FinCategory(c3.cat.objects, c3.cat.morphisms, c3.cat.identity, table)
     assert str(exc.value) == f"compose table missing entry {least}"
     # 0->1 after 1->2, then id_0 after id_1: neither composes
-    table = dict(c3.cat.compose_table)
+    table = dict(explicit_compose(c3))
     table[(1, 4)] = table[(0, 3)] = 0
     with pytest.raises(MalformedTableError) as exc:
         FinCategory(c3.cat.objects, c3.cat.morphisms, c3.cat.identity, table)
     assert str(exc.value) == "compose table defined on non-composable pair (0, 3)"
+
+
+def test_a_table_less_category_must_be_thin(z2):
+    with pytest.raises(MalformedTableError, match="not thin"):
+        FinCategory(z2.cat.objects, z2.cat.morphisms, z2.cat.identity, None)
+
+
+def test_a_table_less_relation_must_be_transitive():
+    # 2 -> 3, 0 -> 1 and 1 -> 2 with identities, and neither 0 -> 2 nor
+    # 1 -> 3: the f-outer sweep meets (m2, m1) before the least pair (m0, m2)
+    ends = [(2, 3), (0, 1), (1, 2), (0, 0), (1, 1), (2, 2), (3, 3)]
+    mors = tuple(fincat.Morphism(k, a, b) for k, (a, b) in enumerate(ends))
+    hom = set(ends)
+    missing = [(g, f) for g, f in scan_composable(mors)
+               if (mors[f].dom, mors[g].cod) not in hom]
+    assert missing == [(2, 1), (0, 2)]
+    with pytest.raises(MalformedTableError) as exc:
+        FinCategory(tuple("0123"), mors, (3, 4, 5, 6), None)
+    assert str(exc.value) == "no morphism for the composite (0, 2)"
+    # the same relation with 1 -> 3 added still lacks 0 -> 2
+    mors += (fincat.Morphism(7, 1, 3),)
+    with pytest.raises(MalformedTableError, match=r"composite \(2, 1\)$"):
+        FinCategory(tuple("0123"), mors, (3, 4, 5, 6), None)
 
 
 @st.composite
@@ -153,7 +181,7 @@ def typed_tables(draw):
 @given(typed_tables(), st.data())
 def test_composable_sweeps_match_the_pair_scan(mc, data):
     cat, t_mor = mc.cat, mc.mon.tensor_mor
-    comp = cat.compose_table
+    comp = explicit_compose(cat)
     pairs = scan_composable(cat.morphisms)
     report = validate(cat, mc.mon, force_generic=True)
     assert [v.witness for v in report.violations if v.law == "associativity"] == [
@@ -190,6 +218,15 @@ def test_thin_fast_path_agrees_with_generic():
 def test_thin_categories_keep_no_tensor_table(gallery_category):
     name, mc = gallery_category
     assert (mc.mon.tensor_mor is None) == mc.is_thin()
+
+
+def test_thin_categories_keep_no_composition_table(gallery_category):
+    name, mc = gallery_category
+    assert (mc.cat.compose_table is None) == mc.is_thin()
+    n = len(mc.objects)
+    if mc.is_thin():
+        assert mc.cat.down == tuple(sum(1 << a for a in range(n) if mc.hom(a, b))
+                                    for b in range(n))
 
 
 def test_tensor_table_is_required_off_thin_categories(z2):
@@ -691,11 +728,12 @@ def test_every_single_entry_corruption_detected_exhaustively():
     for name in ("b2", "q3", "z2", "monoid_idem"):
         mc = build_cached(name)
         mids = [m.mid for m in mc.morphisms]
-        for key in mc.cat.compose_table:
+        table = explicit_compose(mc)
+        for key in table:
             for wrong in mids:
-                if wrong == mc.cat.compose_table[key]:
+                if wrong == table[key]:
                     continue
-                bad = dict(mc.cat.compose_table)
+                bad = dict(table)
                 bad[key] = wrong
                 cat = FinCategory(mc.cat.objects, mc.cat.morphisms,
                                   mc.cat.identity, bad)
@@ -731,12 +769,13 @@ def test_single_entry_corruption_is_detected(name, data):
     mc = build_cached(name)
     table = data.draw(st.sampled_from(("compose", "tensor_mor", "braiding")))
     if table == "compose":
-        keys = sorted(mc.cat.compose_table)
+        table = explicit_compose(mc)
+        keys = sorted(table)
         key = data.draw(st.sampled_from(keys))
-        old = mc.cat.compose_table[key]
+        old = table[key]
         new = data.draw(st.sampled_from(
             [m.mid for m in mc.morphisms if m.mid != old]))
-        bad = dict(mc.cat.compose_table)
+        bad = dict(table)
         bad[key] = new
         cat = FinCategory(mc.cat.objects, mc.cat.morphisms, mc.cat.identity, bad)
         report = validate(cat, mc.mon)
@@ -765,3 +804,98 @@ def test_single_entry_corruption_is_detected(name, data):
         report = validate(mc.cat, mon)
     assert not report.ok()
     assert report.violations[0].witness is not None
+
+
+# ---------------------------------------------------------------------------
+# composition forced by typing, against an explicit table
+
+
+BENCH_COMMON = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+
+
+@pytest.mark.parametrize("name, flavour", [("b2", None), ("z2", None), ("b2", "all")])
+def test_the_benchmark_rebuild_keeps_every_answer(name, flavour):
+    # perfbench/common.py's ``clone`` rebuilds each category from its
+    # tables with positional arguments; the copy must answer alike
+    spec = importlib.util.spec_from_file_location("perfbench_common", BENCH_COMMON)
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    mc = build_cached(name) if flavour is None else completion_cached(name, flavour).category
+    assert (mc.cat.compose_table is None) == mc.is_thin() == (name == "b2")
+    copy = common.clone(mc)
+    n, mids = range(len(mc.objects)), range(len(mc.morphisms))
+    assert [copy.hom(a, b) for a in n for b in n] == [mc.hom(a, b) for a in n for b in n]
+    pairs = scan_composable(mc.morphisms)
+    assert [copy.compose(g, f) for g, f in pairs] == [mc.compose(g, f) for g, f in pairs]
+    assert [copy.tensor_mor(f, g) for f in mids for g in mids] == \
+        [mc.tensor_mor(f, g) for f in mids for g in mids]
+    assert validate(copy.cat, copy.mon).ok()
+
+
+def thin_family(name):
+    """The thin gallery entry ``name``, its three completions, the simple
+    quotient of each of these and the restriction of each to every
+    subunit where one is built, all built by typing."""
+    for flavour in (None, "finite", "directed", "all"):
+        mc = build_cached(name) if flavour is None \
+            else completion_cached(name, flavour).category
+        yield mc
+        yield quotient_cached(name, flavour)
+        for s in enumerate_subunits(mc):
+            if outcome(restriction_category, mc, s)[0] == "value":
+                yield restriction_category(mc, s).subcategory
+
+
+def assert_forced_composition_matches_the_table(mc, rng, generic=True):
+    """``mc`` keeps no composition table, and a copy carrying
+    ``explicit_compose`` gets the same ``validate`` reports (the generic
+    one when ``generic``) and the same answers from the fincat kernels:
+    ``is_iso`` on every morphism, and ``factors_through``, squares as
+    pullbacks and pushouts, and colimits of diagrams on up to three
+    objects, drawn from ``rng``."""
+    assert mc.cat.compose_table is None
+    copy = with_explicit_compose(mc)
+    assert validate(copy.cat, copy.mon) == validate(mc.cat, mc.mon)
+    if generic:
+        assert validate(copy.cat, copy.mon, force_generic=True) == \
+            validate(mc.cat, mc.mon, force_generic=True)
+    n, mids = len(mc.objects), range(len(mc.morphisms))
+    assert [is_iso(copy, f) for f in mids] == [is_iso(mc, f) for f in mids]
+    for _ in range(100):
+        f, g = rng.choice(mids), rng.choice(mids)
+        assert factors_through(copy, f, g) == factors_through(mc, f, g)
+    for _ in range(25):
+        p = rng.randrange(n)
+        a, b = (rng.choice([v for v in range(n) if mc.hom(p, v)]) for _ in "ab")
+        x = rng.choice([v for v in range(n) if mc.hom(a, v) and mc.hom(b, v)] or [a])
+        f, g, p_leg, q_leg = (rng.choice(mc.hom(u, v) or (0,)) for u, v in
+                              ((a, x), (b, x), (p, a), (p, b)))
+        assert outcome(is_pullback, copy, f, g, p_leg, q_leg) == \
+            outcome(is_pullback, mc, f, g, p_leg, q_leg)
+        assert outcome(is_pushout, copy, p_leg, q_leg, f, g) == \
+            outcome(is_pushout, mc, p_leg, q_leg, f, g)
+        nodes = tuple(rng.choices(range(n), k=rng.randint(0, 3)))
+        diagram = DiagramSpec(nodes, tuple(
+            (i, j, h) for i, u in enumerate(nodes)
+            for j, v in enumerate(nodes) for h in mc.hom(u, v)))
+        assert outcome(colimit, copy, diagram) == outcome(colimit, mc, diagram)
+
+
+THIN_GALLERY = [name for name in gallery.names() if build_cached(name).is_thin()]
+
+
+@pytest.mark.parametrize("name", THIN_GALLERY)
+def test_forced_composition_matches_the_table_on_derived_categories(name):
+    # the generic validation sweeps every composable pair against every
+    # other (interchange), so it runs on the categories of at most 60
+    # morphisms: b2 and q3 "all" have 25 and 54
+    rng = random.Random(name)
+    for mc in thin_family(name):
+        assert_forced_composition_matches_the_table(
+            mc, rng, generic=len(mc.morphisms) <= 60)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thin_monoidal_preorders(), st.randoms(use_true_random=False))
+def test_forced_composition_matches_the_table_on_generated_categories(mc, rng):
+    assert_forced_composition_matches_the_table(mc, rng)

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (OUT_OF_RANGE, build_cached, closure_lattices, completion_cached,
-                      generic_hierarchy_sweeps, mor_by_label, out_of_range_entry,
-                      subunit_by_domain, sweep_functor_tensor, thin_monoidal_preorders)
+                      explicit_compose, generic_hierarchy_sweeps, mor_by_label,
+                      out_of_range_entry, subunit_by_domain, sweep_functor_tensor,
+                      thin_monoidal_preorders)
 from ttw import gallery
 from ttw.caps import DEFAULT_CAPS
 from ttw.errors import BuildError, MalformedTableError
@@ -243,7 +244,7 @@ def thin_source(name, flavour):
 
 def localisation_tables(loc):
     cat = loc.category
-    return (cat.objects, cat.morphisms, cat.cat.identity, cat.cat.compose_table,
+    return (cat.objects, cat.morphisms, cat.cat.identity, explicit_compose(cat),
             cat.unit, cat.mon.tensor_obj, cat.mon.tensor_mor, cat.mon.braiding,
             loc.classes, loc.reps, loc.quotient.obj_map, loc.quotient.mor_map)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import (GRADING_NOT_CLOSED, _MONOID_FAMILIES, _product_monoid,
                       all_pair_sweeps, build_cached, closure_lattices,
-                      commutative_monoids, completion_cached,
+                      commutative_monoids, completion_cached, explicit_compose,
                       generic_hierarchy_sweeps, mor_by_label, null_monoid,
                       obj_by_label, outcome, product_category,
                       subunit_by_domain, sweep_coreflection, sweep_graded_monad,
@@ -304,7 +304,7 @@ def test_validate_rejects_what_only_the_deleted_sweeps_reject():
     for mc in _corruptible_categories():
         subs = enumerate_subunits(mc)
         mids = [m.mid for m in mc.morphisms]
-        for name, table in (("compose_table", mc.cat.compose_table),
+        for name, table in (("compose_table", dict(explicit_compose(mc))),
                             ("tensor_mor", mc.mon.tensor_mor)):
             for bad_table in _corruptions(table, mids):
                 bad = _with_table(mc, name, bad_table)
@@ -585,7 +585,7 @@ def _restriction_tables(mc, s):
     """Every table ``restriction_category(mc, s)`` returns."""
     result = restriction_category(mc, s)
     sub = result.subcategory
-    return (sub.objects, sub.morphisms, sub.cat.identity, sub.cat.compose_table,
+    return (sub.objects, sub.morphisms, sub.cat.identity, explicit_compose(sub),
             sub.unit, sub.mon.tensor_obj, sub.mon.braiding, result.inclusion.obj_map,
             result.inclusion.mor_map, result.coreflector.obj_map,
             result.coreflector.mor_map, result.counit)

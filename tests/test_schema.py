@@ -8,14 +8,17 @@ the full ``CATEGORY_SCHEMA`` built independently of ``ttw.schema``.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
+from conftest import build_cached, completion_cached, explicit_compose, quotient_cached
 from ttw import gallery
+from ttw.errors import BuildError
 from ttw.schema import (CATEGORY_SCHEMA, DocumentError, _kind_validators,
-                        category_to_document, parse_category_document)
+                        build_category, category_to_document, parse_category_document)
 
 ORACLE = Draft202012Validator(CATEGORY_SCHEMA)
 KINDS = CATEGORY_SCHEMA["properties"]["kind"]["enum"]
@@ -102,3 +105,25 @@ def _near_documents(draw):
 @given(st.one_of(_JSON, _near_documents()))
 def test_kind_first_validation_matches_the_full_schema_on_generated_values(data):
     _check_against_oracle(data)
+
+
+# ---------------------------------------------------------------------------
+# documents of categories that keep no composition table
+
+
+def test_a_table_less_category_exports_its_forced_composition():
+    for mc in (build_cached("b2"), completion_cached("c3", "all").category,
+               quotient_cached("q3", "directed")):
+        assert mc.cat.compose_table is None
+        rebuilt = build_category(parse_category_document(category_to_document(mc, "x")))
+        assert rebuilt.cat.compose_table == explicit_compose(mc)
+
+
+def test_a_thin_document_with_a_redirected_compose_row_is_refused():
+    # (0->1) o (0->0) redirected to 0->0: well formed, but mistyped
+    doc = category_to_document(build_cached("b2"), "b2")
+    row = doc["compose"].index(["0->1", "0->0", "0->1"])
+    doc["compose"][row] = ["0->1", "0->0", "0->0"]
+    with pytest.raises(BuildError) as exc:
+        build_category(parse_category_document(doc))
+    assert exc.value.report.violations[0].law == "compose_typing"
