@@ -3,8 +3,9 @@
 
     python scripts/timings.py TABLE [TABLE ...]
 
-TABLE is ``hierarchy`` (``check_characterisation`` and
-``is_locale_based`` on each gallery entry and its "all" completion),
+TABLE is ``hierarchy`` (``check_characterisation``,
+``is_locale_based``, ``is_stiff`` and ``has_universal_finite_joins`` on
+each gallery entry and its "all" completion),
 ``completion`` (``broad_category`` of each gallery entry in each
 flavour, and of B3 "finite" and "directed"), ``restriction`` (the
 graded monad, the comonad bijection, ``restriction_category`` at every
@@ -24,8 +25,8 @@ sizes, then the seconds and result of each call, run on a freshly built
 category so that no derived fact is reused; the build is not timed.  A
 call that raises prints its error (the cap for a refused completion,
 else the error class) in place of its result, or of its seconds in the
-restriction and day tables; a row whose category cannot be built prints
-that error alone.
+restriction and day tables and the stiffness and finite-join columns;
+a row whose category cannot be built prints that error alone.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ttw.restriction import (restriction_category, restriction_composition_law,
                              verify_comonad_bijection, verify_graded_monad,
                              verify_ideal_bijection)
 from ttw.subunits import (check_characterisation, enumerate_subunits,
-                          is_locale_based)
+                          has_universal_finite_joins, is_locale_based, is_stiff)
 
 
 def b3():
@@ -97,8 +98,11 @@ def hierarchy_row(source, flavour) -> list:
     verdicts = ([char_error, "", ""] if char_error else
                 [char.details["verdicts"][k] for k in ("all", "finite", "directed")])
     locale_s, locale, locale_error = timed(is_locale_based, build)
+    stiff_s, _, stiff_error = timed(is_stiff, build)
+    finite_s, _, finite_error = timed(has_universal_finite_joins, build)
     return [len(mc.objects), len(mc.morphisms), len(enumerate_subunits(mc)),
-            char_s, *verdicts, locale_s, locale_error or locale.holds]
+            char_s, *verdicts, locale_s, locale_error or locale.holds,
+            stiff_error or stiff_s, finite_error or finite_s]
 
 
 def composable_pairs(cat) -> int:
@@ -205,8 +209,8 @@ def localise_row(source, flavour) -> list:
 TABLES = {
     "hierarchy": (
         ("category", "objects", "morphisms", "subunits", "char_s", "all",
-         "finite", "directed", "locale_s", "locale"),
-        "{:<16}" + "{:>10}" * 9, lambda: sources((None, "all")), hierarchy_row),
+         "finite", "directed", "locale_s", "locale", "stiff_s", "finite_s"),
+        "{:<16}" + "{:>10}" * 11, lambda: sources((None, "all")), hierarchy_row),
     "completion": (
         ("completion", "objects", "morphisms", "pairs", "build_s"),
         "{:<20}" + "{:>14}" + "{:>10}" * 3,

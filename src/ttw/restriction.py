@@ -56,8 +56,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, MonoidalCategory, ValidationReport, Violation,
                      _one_variable_pairs, _tabulate, _tabulate_monoidal,
-                     factors_through, is_iso, is_mono, objects_isomorphic,
-                     validate)
+                     factors_through, identity_functor, is_iso, is_mono,
+                     objects_isomorphic, validate)
 from .orderkit import _bits, _mask, _unions
 from .subunits import (PropertyReport, Subunit, _per_category, _tensor_left,
                        _tensor_right, enumerate_subunits, retract_pairs,
@@ -128,6 +128,25 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
     """The full subcategory of objects A with s (x) A invertible, as a
     strict monoidal category with unit S, together with the inclusion
     and the coreflector A -> S (x) A.
+
+    At the top subunit, whose representative is id_I, that is ``mc``
+    itself, and nothing is tabulated: S = I and s (x) A = id_A, so every
+    object is kept, the tensor, braiding and unit are those of ``mc``,
+    the inclusion and the coreflector A -> I (x) A = A, f -> id_I (x) f = f
+    are identity functors, the counit is the identities, and the
+    coreflection bijection and the comparisons are identities as well.
+    The test is on the representative, not on S = I: in z2 the top class
+    also holds a non-identity automorphism of I.  Every other subunit is
+    built by ``_tabulated_restriction``.
+    """
+    if s.rep == mc.identity(mc.unit):
+        functor = identity_functor(mc)
+        return RestrictionResult(mc, functor, functor, mc.cat.identity)
+    return _tabulated_restriction(mc, s)
+
+
+def _tabulated_restriction(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
+    """The restriction to s, tabulated and validated.
 
     The coreflection bijection C(A, B) = C|s(A, S (x) B) is verified
     hom-set by hom-set, and strong monoidality of the coreflector is

@@ -13,7 +13,11 @@ On a thin category a colimit is a least upper bound, so the join
 hierarchy needs no diagram.  ``_characterisation_conditions`` and
 ``_locale_based_direct`` decide it from the up-set masks of
 ``FinCategory.up`` through one helper, ``_join_preserved`` ("X (x) -
-preserves the join of U"), whose docstring states the reduction; other
+preserves the join of U"), and ``is_stiff`` and
+``has_universal_finite_joins`` read their squares, a pullback as a meet
+and a pushout as a join, from the down- and up-set masks through
+``_thin_square_failures``, building the morphisms of a square only where
+it fails; each helper's docstring states its reduction, and other
 categories run the full sweeps.  On a stiff category a nonempty finite
 directed family holds its own join, its colimit at every X, so
 ``has_universal_directed_joins`` sweeps no family past the empty one.
@@ -272,14 +276,52 @@ def _join_preserved(mc: MonoidalCategory, lat: SubunitSemilattice, family,
 # the property hierarchy
 
 
+def _thin_square_failures(mc: MonoidalCategory, s: Subunit, t: Subunit,
+                          v: Subunit | None = None) -> list[int]:
+    """The objects X at which the square of s and t fails, on a thin
+    category: the square of S (x) T (x) X over S (x) X and T (x) X is not
+    a pullback, or, given their join v, its square into V (x) X is not a
+    pushout.
+
+    The reduction: in a thin category every morphism is monic, every
+    square commutes, as its two composites are parallel, and each side
+    the sweeps build (s (x) X, t (x) X, S (x) t (x) X, s (x) T (x) X, and
+    i_s (x) X, i_t (x) X for the hom entries i_s: S -> V, i_t: T -> V) is
+    the hom entry between its objects.  So the monic stage never fails,
+    and the square fails exactly where ``fincat.is_pullback`` and
+    ``fincat.is_pushout`` read it from the masks: it is a pullback when
+    every common lower bound of S (x) X and T (x) X lies below
+    S (x) T (x) X, down[S (x) X] & down[T (x) X] inside
+    down[S (x) T (x) X], and a pushout when every common upper bound lies
+    above V (x) X, up[S (x) X] & up[T (x) X] inside up[V (x) X].  No
+    morphism, ``factors_through`` or ``is_mono`` is needed where the
+    square holds; the callers build them at a failing X, where the
+    sweep's stages give the sweep's report and witness.
+    """
+    cat, tensor = mc.cat, mc.mon.tensor_obj
+    down, up = cat.down, cat.up
+    s_row, t_row = tensor[s.domain], tensor[t.domain]
+    v_row = None if v is None else tensor[v.domain]
+    failures = []
+    for x, (sx, tx) in enumerate(zip(s_row, t_row)):
+        if down[sx] & down[tx] & ~down[s_row[tx]] or \
+                v_row is not None and up[sx] & up[tx] & ~up[v_row[x]]:
+            failures.append(x)
+    return failures
+
+
 @_per_category
 def is_stiff(mc: MonoidalCategory) -> PropertyReport:
     """For all subunits s, t and objects X the square of tensored
-    inclusions into X is a pullback of monomorphisms."""
+    inclusions into X is a pullback of monomorphisms.  On a thin
+    category only the objects ``_thin_square_failures`` returns are
+    swept, which gives the same report and witness."""
     lat = subunit_semilattice(mc)
+    thin = mc.is_thin()
     for s in lat.subunits:
         for t in lat.subunits:
-            for x in range(len(mc.objects)):
+            for x in (_thin_square_failures(mc, s, t) if thin
+                      else range(len(mc.objects))):
                 tx = mc.tensor_obj(t.domain, x)
                 top = _tensor_right(mc, s.rep, tx)                # S.T.X -> T.X
                 left = _tensor_left(mc, s.domain,
@@ -323,7 +365,9 @@ def has_universal_finite_joins(mc: MonoidalCategory,
                                caps: Caps = DEFAULT_CAPS) -> PropertyReport:
     """Initial object absorbed by the tensor, finite joins of subunits,
     and for all s, t, X a join square that is both a pullback and a
-    pushout of monomorphisms."""
+    pushout of monomorphisms.  On a thin category only the objects
+    ``_thin_square_failures`` returns are swept, which gives the same
+    report and witness."""
     lat = subunit_semilattice(mc)
     ini, zero_arrow, problem = _initial_with_zero_tensor(mc, caps)
     if problem:
@@ -341,12 +385,17 @@ def has_universal_finite_joins(mc: MonoidalCategory,
                 return PropertyReport(
                     "universal_finite_joins", False, witness=(i, j),
                     details={"stage": "joins", "reason": "binary join missing"})
+    thin = mc.is_thin()
     for i, s in enumerate(lat.subunits):
         for j, t in enumerate(lat.subunits):
             v = lat.subunits[lat.join((i, j))]
+            objects = _thin_square_failures(mc, s, t, v) if thin \
+                else range(len(mc.objects))
+            if not objects:
+                continue
             i_s = factors_through(mc, s.rep, v.rep)
             i_t = factors_through(mc, t.rep, v.rep)
-            for x in range(len(mc.objects)):
+            for x in objects:
                 left = _tensor_left(mc, s.domain, _tensor_right(mc, t.rep, x))
                 top = _tensor_right(mc, s.rep, mc.tensor_obj(t.domain, x))
                 bottom_leg = _tensor_right(mc, i_s, x)

@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import strategies as st
 
-from ttw import fincat, gallery, restriction
+from ttw import fincat, gallery, restriction, subunits
 from ttw.caps import DEFAULT_CAPS
 from ttw._unionfind import UnionFind
 from ttw.daycat import Sieve, broad_category, presheaf_cap_check
@@ -402,11 +402,12 @@ def generic_hierarchy_sweeps():
     """Within this block, ``MonoidalCategory.is_thin`` answers False, so
     the characterisation and the locale-based check of ``subunits`` run
     the sweeps they run on every non-thin category, over D(U, X)
-    diagrams, and the coreflection, coreflector and comonad checks of
-    ``restriction`` sweep every law square instead of checking typing
-    and existence only; ``verify_right_fractions`` walks every member
-    pair and searches every Ore filler, ``localise`` builds the span
-    construction, ``broad_category`` pastes every composite cocone,
+    diagrams, ``is_stiff`` and ``has_universal_finite_joins`` build and
+    test every square, and the coreflection, coreflector and comonad
+    checks of ``restriction`` sweep every law square instead of checking
+    typing and existence only; ``verify_right_fractions`` walks every
+    member pair and searches every Ore filler, ``localise`` builds the
+    span construction, ``broad_category`` pastes every composite cocone,
     ``restriction_category`` tabulates its composites, and
     ``CatFunctor.check_strict_monoidal`` sweeps the one-variable tensor
     pairs on every target.  Those constructions build an explicit
@@ -415,11 +416,18 @@ def generic_hierarchy_sweeps():
     ``FinCategory.is_thin`` is untouched: the fincat kernels (colimits,
     pullbacks, ``is_mono``) still read the up- and down-set masks, and a
     thin result of either route keeps no tensor table.
+    ``is_stiff``, as ``subunits`` calls it, skips its memo in
+    ``mc.derived``, which may hold the thin route's report, and
+    ``restriction.restriction_category`` tabulates the top subunit's
+    restriction too, where it would return the category itself.
     ``has_universal_directed_joins`` and ``verify_graded_monad`` have one
     path for every category, and ``sweep_universal_directed_joins`` and
     ``sweep_graded_monad`` are their oracles."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fincat.MonoidalCategory, "is_thin", lambda self: False)
+        patch.setattr(subunits, "is_stiff", is_stiff.__wrapped__)
+        patch.setattr(restriction, "restriction_category",
+                      restriction._tabulated_restriction)
         yield
 
 

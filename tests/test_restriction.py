@@ -149,12 +149,18 @@ def test_object_restriction_sweep(gallery_category):
 
 
 def test_restriction_at_identity_is_whole_category(gallery_category):
-    name, mc = gallery_category
-    subs = enumerate_subunits(mc)
-    top = next(s for s in subs if mc.identity(mc.unit) in s.cls.members)
-    result = restriction_category(mc, top)
-    assert len(result.subcategory.objects) == len(mc.objects)
-    assert len(result.subcategory.morphisms) == len(mc.morphisms)
+    # the top subunit's restriction is the category itself, with identity
+    # inclusion, coreflector and counit, and tabulating it gives the same
+    # tables, on the entry and its completions, thin or not (the top
+    # class of z2 also holds the non-identity automorphism)
+    name, source = gallery_category
+    for mc in (source, *(completion_cached(name, flavour).category
+                         for flavour in ("finite", "directed", "all"))):
+        top, = (s for s in enumerate_subunits(mc) if s.rep == mc.identity(mc.unit))
+        result = restriction_category(mc, top)
+        assert result.subcategory is mc
+        assert _result_tables(result) == \
+            _result_tables(ttw.restriction._tabulated_restriction(mc, top))
 
 
 def test_restriction_of_semilattice_is_downset(boolean2x2):
@@ -582,8 +588,14 @@ def _full_outcome(call, *args):
 
 
 def _restriction_tables(mc, s):
-    """Every table ``restriction_category(mc, s)`` returns."""
-    result = restriction_category(mc, s)
+    """Every table ``restriction_category(mc, s)`` returns, looked up on
+    the module, so that ``generic_hierarchy_sweeps`` tabulates the top
+    subunit's restriction."""
+    return _result_tables(ttw.restriction.restriction_category(mc, s))
+
+
+def _result_tables(result):
+    """Every table of a ``RestrictionResult``."""
     sub = result.subcategory
     return (sub.objects, sub.morphisms, sub.cat.identity, explicit_compose(sub),
             sub.unit, sub.mon.tensor_obj, sub.mon.braiding, result.inclusion.obj_map,

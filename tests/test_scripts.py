@@ -67,16 +67,20 @@ def test_b3_directed_is_refused_by_max_objects(timings):
 
 def test_hierarchy_rows(timings, monkeypatch, capsys):
     printed = table_rows(timings, monkeypatch, capsys, "hierarchy", ROWS)
+    assert timings.TABLES["hierarchy"][0] == (
+        "category", "objects", "morphisms", "subunits", "char_s", "all",
+        "finite", "directed", "locale_s", "locale", "stiff_s", "finite_s")
     assert printed["b3/directed"] == ["max_objects"]
     for label in ("b2", "b2/all"):
         mc = category(label)
         verdicts = check_characterisation(mc).details["verdicts"]
         cells = printed[label]
+        assert len(cells) == 11
         assert cells[:3] == [str(len(mc.objects)), str(len(mc.morphisms)),
                              str(len(enumerate_subunits(mc)))]
         assert cells[4:7] == [str(verdicts[k]) for k in ("all", "finite", "directed")]
         assert cells[8] == str(is_locale_based(mc).holds)
-        assert seconds(cells[3]) and seconds(cells[7])
+        assert all(seconds(cells[k]) for k in (3, 7, 9, 10))
 
 
 def test_completion_rows(timings, monkeypatch, capsys):

@@ -8,20 +8,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_d_diagram, brute_is_pushout, build_cached,
-                      closure_lattices, commutative_monoids, completion_cached,
-                      generic_hierarchy_sweeps, obj_by_label, outcome,
-                      scan_is_distributive, split_monoid_category,
-                      subunit_by_domain, sweep_universal_directed_joins,
-                      thin_monoidal_preorders)
+from conftest import (brute_d_diagram, brute_is_pullback, brute_is_pushout,
+                      build_cached, closure_lattices, commutative_monoids,
+                      completion_cached, generic_hierarchy_sweeps,
+                      obj_by_label, outcome, scan_is_distributive,
+                      split_monoid_category, subunit_by_domain,
+                      sweep_universal_directed_joins, thin_monoidal_preorders)
 import ttw.subunits
 from ttw import gallery
 from ttw.daycat import broad_category
 from ttw.errors import BuildError, CapExceededError, TtwError
 from ttw.fincat import (FinCategory, MonoidalCategory, MonoidalData, Morphism,
                         all_cocones, colimit, from_commutative_monoid,
-                        from_quantale, from_semilattice, is_iso, is_pushout,
-                        objects_isomorphic, subobjects)
+                        from_quantale, from_semilattice, is_iso, is_pullback,
+                        is_pushout, objects_isomorphic, subobjects)
 from ttw.fractions import simple_quotient
 from ttw.orderkit import (FinPoset, Quantale, Semilattice, ideal_quantale,
                           is_distributive, is_preframe, poset_isomorphism,
@@ -399,7 +399,7 @@ def test_empty_family_counts_for_all_and_finite_joins(name):
 
 
 def hierarchy_outcomes(mc) -> list:
-    """The outcome of has_universal_finite_joins, and of
+    """The outcome of is_stiff and has_universal_finite_joins, and of
     check_characterisation, is_locale_based and
     has_universal_directed_joins under both conventions for the empty
     family.  The checks call one another with the same arguments, so
@@ -424,7 +424,8 @@ def hierarchy_outcomes(mc) -> list:
         for check in (has_universal_finite_joins, is_locale_based,
                       has_universal_directed_joins):
             patch.setattr(ttw.subunits, check.__name__, once(check))
-        out = [outcome(ttw.subunits.has_universal_finite_joins, mc)]
+        out = [outcome(ttw.subunits.is_stiff, mc),
+               outcome(ttw.subunits.has_universal_finite_joins, mc)]
         for include_empty in (True, False):
             for name in ("check_characterisation", "is_locale_based",
                          "has_universal_directed_joins"):
@@ -434,16 +435,26 @@ def hierarchy_outcomes(mc) -> list:
 
 
 def replay_hierarchy_witness(mc, report) -> None:
-    """Replays the witness of a negative verdict from a swept stage of
-    the characterisation or the locale-based check through ``colimit``
-    on ``d_diagram`` and ``is_iso``.  The directed joins fail only at
-    the stiffness and empty-family stages, on every category, so they
-    have no swept witness to replay."""
+    """Replays the witness of a negative verdict: a square of stiffness
+    or of universal finite joins (also where the directed joins or the
+    locale-based check stop at stiffness) through ``replay_square``, and
+    a swept stage of the characterisation or the locale-based check
+    through ``colimit`` on ``d_diagram`` and ``is_iso``.  The directed
+    joins fail only at the stiffness and empty-family stages, on every
+    category, so they have no swept witness of their own."""
     lat = subunit_semilattice(mc)
 
     def col(family, x):
         return colimit(mc, d_diagram(mc, lat, family, x))
-    if report.name == "characterisation":
+    if report.name == "stiff":
+        replay_square(mc, lat, "stiff", report.witness, report.details["reason"])
+    elif report.details.get("stage") == "stiff":
+        replay_square(mc, lat, "stiff", report.witness,
+                      is_stiff(mc).details["reason"])
+    elif report.name == "universal_finite_joins" and \
+            report.details["stage"] == "square":
+        replay_square(mc, lat, report.name, report.witness, report.details["reason"])
+    elif report.name == "characterisation":
         for family, x, *rest in report.details["witnesses"].values():
             if rest in (["no colimit over the unit"], ["no colimit"]):
                 assert col(family, x) is None
@@ -460,6 +471,37 @@ def replay_hierarchy_witness(mc, report) -> None:
         found = col(family, x)
         assert found is None or objects_isomorphic(
             mc, found.apex, mc.tensor_obj(lat.subunits[v].domain, x)) is None
+
+
+def replay_square(mc, lat, name, witness, reason) -> None:
+    """The witness (s, t, X, *sides) of a square of stiffness (``name``
+    "stiff": bottom, right, left, top into X) or of universal finite
+    joins (left, top, bottom, right into V (x) X, for the join v) that
+    is not a pullback or not a pushout: each side runs between the
+    tensored objects, and the named square test fails on the sides, as
+    does its brute-force oracle.  Every side of the thin inputs replayed
+    here is monic."""
+    s_rep, t_rep, x, *sides = witness
+    index = {s.rep: k for k, s in enumerate(lat.subunits)}
+    i, j = index[s_rep], index[t_rep]
+    sd, td = lat.subunits[i].domain, lat.subunits[j].domain
+    sx, tx = mc.tensor_obj(sd, x), mc.tensor_obj(td, x)
+    if name == "stiff":
+        bottom, right, left, top = sides
+        target = x
+    else:
+        left, top, bottom, right = sides
+        target = mc.tensor_obj(lat.subunits[lat.join((i, j))].domain, x)
+    stx = mc.tensor_obj(sd, tx)
+    assert [(mc.dom(m), mc.cod(m)) for m in (left, top, bottom, right)] == \
+        [(stx, sx), (stx, tx), (sx, target), (tx, target)]
+    if reason == "not a pushout":
+        assert not is_pushout(mc, left, top, bottom, right)
+        assert not brute_is_pushout(mc, left, top, bottom, right)
+    else:
+        assert reason in ("square is not a pullback", "not a pullback")
+        assert not is_pullback(mc, bottom, right, left, top)
+        assert not brute_is_pullback(mc, bottom, right, left, top)
 
 
 def assert_thin_hierarchy_matches_sweep(mc) -> None:
@@ -492,6 +534,19 @@ def test_thin_hierarchy_matches_sweep_on_closure_lattices(poset):
 @settings(max_examples=40, deadline=None)
 @given(thin_monoidal_preorders())
 def test_thin_hierarchy_matches_sweep_on_monoidal_preorders(mc):
+    assert_thin_hierarchy_matches_sweep(mc)
+
+
+@pytest.mark.parametrize("build, stiff, finite", [
+    (split_monoid_category, "square is not a pullback", "not a pullback"),
+    (lambda: gallery.build("m3"), None, "not a pushout")], ids=["split", "m3"])
+def test_thin_squares_fail_at_each_stage_like_the_sweep(build, stiff, finite):
+    # the "split" preorder is not stiff, so its squares fail at the
+    # pullback; m3 is stiff, and its join squares fail at the pushout
+    mc = build()
+    assert is_stiff(mc).details.get("reason") == stiff
+    assert has_universal_finite_joins(mc).details == \
+        {"stage": "square", "reason": finite}
     assert_thin_hierarchy_matches_sweep(mc)
 
 
