@@ -7,7 +7,8 @@ TABLE is ``hierarchy`` (``check_characterisation``,
 ``is_locale_based``, ``is_stiff`` and ``has_universal_finite_joins`` on
 each gallery entry and its "all" completion),
 ``completion`` (``broad_category`` of each gallery entry in each
-flavour, and of B3 "finite" and "directed"), ``restriction`` (the
+flavour, and of B3 "finite" and "directed", then ``validate`` on the
+built completion), ``restriction`` (the
 graded monad, the comonad bijection, ``restriction_category`` at every
 subunit with how many are strict, the ideal bijection and the
 composition law, on each gallery entry and its three completions),
@@ -40,7 +41,7 @@ from ttw import gallery
 from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
                         day_unitors, slide_generators)
 from ttw.errors import BuildError, TtwError
-from ttw.fincat import from_semilattice
+from ttw.fincat import from_semilattice, validate
 from ttw.fractions import localise, sigma, simple_quotient
 from ttw.orderkit import FinPoset, Semilattice
 from ttw.restriction import (restriction_category, restriction_composition_law,
@@ -115,9 +116,11 @@ def composable_pairs(cat) -> int:
 def completion_row(source, flavour) -> list:
     seconds, cat, error = timed(lambda mc: broad_category(mc, flavour).category,
                                 source, digits=3)
-    counts = ([error, "", ""] if error else
-              [len(cat.objects), len(cat.morphisms), composable_pairs(cat)])
-    return [*counts, seconds]
+    if error:
+        return [error, "", "", seconds]
+    validate_s, _, _ = timed(lambda mc: validate(mc.cat, mc.mon), lambda: cat, digits=4)
+    return [len(cat.objects), len(cat.morphisms), composable_pairs(cat), seconds,
+            validate_s]
 
 
 def restrict_all(mc) -> str:
@@ -212,8 +215,8 @@ TABLES = {
          "finite", "directed", "locale_s", "locale", "stiff_s", "finite_s"),
         "{:<16}" + "{:>10}" * 11, lambda: sources((None, "all")), hierarchy_row),
     "completion": (
-        ("completion", "objects", "morphisms", "pairs", "build_s"),
-        "{:<20}" + "{:>14}" + "{:>10}" * 3,
+        ("completion", "objects", "morphisms", "pairs", "build_s", "validate_s"),
+        "{:<20}" + "{:>14}" + "{:>10}" * 3 + "{:>11}",
         lambda: sources(("all", "finite", "directed"), ("finite", "directed")),
         completion_row),
     "restriction": (

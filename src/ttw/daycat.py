@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import fincat
 from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
@@ -327,35 +328,8 @@ def slide_generators(mc: MonoidalCategory) -> tuple[int, ...]:
 
 @_per_category
 def thin_generators(mc: MonoidalCategory) -> tuple[int, ...]:
-    """The mids of a generating set of a thin category, read from its
-    preorder, where the isomorphism class of a is ``up[a] & down[a]``: a
-    cycle through each class of two or more objects, its members in
-    increasing order, and one morphism from the least member of each
-    class to the least member of each class that covers it.  Every
-    non-identity morphism a -> b is a composite of these: along the
-    cycle within a class when a and b are isomorphic; otherwise from a
-    round its cycle to the least member of its class, up a chain of
-    covers to the class of b, which is finite, and round that cycle to
-    b.  The category is thin, so any such path is that morphism."""
-    up, down = mc.cat.up, mc.cat.down
-    n = len(up)
-    iso = [up[a] & down[a] for a in range(n)]
-    strictly_up = [up[a] & ~iso[a] for a in range(n)]
-    out = []
-    for a in range(n):
-        members = list(_bits(iso[a]))
-        if members[0] != a:
-            continue  # a is not the least member of its class
-        if len(members) > 1:
-            out.extend(mc.hom(x, y)[0]
-                       for x, y in zip(members, members[1:] + members[:1]))
-        # the classes above that of a and above no other class above it
-        covers = strictly_up[a]
-        for b in _bits(strictly_up[a]):
-            covers &= ~strictly_up[b]
-        out.extend(mc.hom(a, b)[0] for b in _bits(covers)
-                   if iso[b] & -iso[b] == 1 << b)  # b least in its class
-    return tuple(sorted(out))
+    """``fincat.thin_generators`` of the thin ``mc``, once per category."""
+    return fincat.thin_generators(mc.cat)
 
 
 def day_tensor_mor(day_src: DayTensorResult, day_tgt: DayTensorResult,

@@ -17,7 +17,8 @@ preserves the join of U"), and ``is_stiff`` and
 ``has_universal_finite_joins`` read their squares, a pullback as a meet
 and a pushout as a join, from the down- and up-set masks through
 ``_thin_square_failures``, building the morphisms of a square only where
-it fails; each helper's docstring states its reduction, and other
+it fails, and ``_initial_with_zero_tensor`` reads "X (x) 0 is initial"
+off an up-set; each helper's docstring states its reduction, and other
 categories run the full sweeps.  On a stiff category a nonempty finite
 directed family holds its own join, its colimit at every X, so
 ``has_universal_directed_joins`` sweeps no family past the empty one.
@@ -343,7 +344,13 @@ def is_stiff(mc: MonoidalCategory) -> PropertyReport:
 
 def _initial_with_zero_tensor(mc: MonoidalCategory,
                               caps: Caps) -> tuple[Cocone | None, int | None, str]:
-    """Initial object plus its arrow to I; reports what failed."""
+    """Initial object plus its arrow to I; reports what failed.
+
+    On a thin category an object is initial exactly when its up-set is
+    every object (the empty diagram's cocones are the objects, see
+    ``fincat.is_colimit``), so X (x) 0 is tested on its mask and no
+    cocone is listed; ``initial_object`` checks the ``max_cocones`` cap
+    with the count that ``all_cocones`` would."""
     ini = initial_object(mc, caps=caps)
     if ini is None:
         return None, None, "no initial object"
@@ -352,11 +359,18 @@ def _initial_with_zero_tensor(mc: MonoidalCategory,
     arrow = arrows[0]
     if not is_mono(mc, arrow):
         return ini, arrow, "initial arrow to the unit is not monic"
-    empty = DiagramSpec((), ())
-    cocones = all_cocones(mc, empty, caps=caps)
-    for x in range(len(mc.objects)):
-        xz = mc.tensor_obj(x, zero)
-        if not is_colimit(mc, empty, Cocone(xz, ()), cocones):
+    n = len(mc.objects)
+    if mc.is_thin():
+        def initial(a):
+            return mc.cat.up[a] == (1 << n) - 1
+    else:
+        empty = DiagramSpec((), ())
+        cocones = all_cocones(mc, empty, caps=caps)
+
+        def initial(a):
+            return is_colimit(mc, empty, Cocone(a, ()), cocones)
+    for x in range(n):
+        if not initial(mc.tensor_obj(x, zero)):
             return ini, arrow, f"X (x) 0 is not initial at X={x}"
     return ini, arrow, ""
 

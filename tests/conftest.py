@@ -403,14 +403,16 @@ def generic_hierarchy_sweeps():
     the characterisation and the locale-based check of ``subunits`` run
     the sweeps they run on every non-thin category, over D(U, X)
     diagrams, ``is_stiff`` and ``has_universal_finite_joins`` build and
-    test every square, and the coreflection, coreflector and comonad
+    test every square, ``_initial_with_zero_tensor`` tests each X (x) 0
+    against every cocone over the empty diagram, and the coreflection, coreflector and comonad
     checks of ``restriction`` sweep every law square instead of checking
     typing and existence only; ``verify_right_fractions`` walks every
     member pair and searches every Ore filler, ``localise`` builds the
     span construction, ``broad_category`` pastes every composite cocone,
     ``restriction_category`` tabulates its composites, and
-    ``CatFunctor.check_strict_monoidal`` sweeps the one-variable tensor
-    pairs on every target.  Those constructions build an explicit
+    ``CatFunctor.check_functor`` sweeps every composable pair and
+    ``check_strict_monoidal`` the one-variable tensor pairs on every
+    target.  Those constructions build an explicit
     composition table where the thin route builds none, so their
     results are compared through ``explicit_compose``.
     ``FinCategory.is_thin`` is untouched: the fincat kernels (colimits,

@@ -312,6 +312,79 @@ def test_thin_tensor_reduction_matches_the_pair_sweep(mc):
             assert mc.tensor_mor(f.mid, g.mid) == mor_by_label(mc, f"{src}->{dst}")
 
 
+def sweep_untyped_one_variable(cat, t_obj) -> list[tuple[int, int]]:
+    """The pairs (f, identity[b]) and (identity[b], f), for every morphism
+    f and object b, whose tensor has no morphism, sorted: what the thin
+    ``validate`` lists as ``tensor_typing`` witnesses."""
+    ids = cat.identity
+    return sorted({(f.mid, ids[b]) for f in cat.morphisms for b in range(len(t_obj))
+                   if not cat.hom(t_obj[f.dom][b], t_obj[f.cod][b])}
+                  | {(ids[b], f.mid) for f in cat.morphisms for b in range(len(t_obj))
+                     if not cat.hom(t_obj[b][f.dom], t_obj[b][f.cod])})
+
+
+def sweep_non_associative(t_obj) -> list[tuple[int, int, int]]:
+    n = range(len(t_obj))
+    return [(a, b, c) for a in n for b in n for c in n
+            if t_obj[t_obj[a][b]][c] != t_obj[a][t_obj[b][c]]]
+
+
+def with_tensor_entry(mon, a, b, value):
+    rows = [list(r) for r in mon.tensor_obj]
+    rows[a][b] = value
+    return dataclasses.replace(mon, tensor_obj=tuple(map(tuple, rows)))
+
+
+def assert_object_laws_match_the_sweeps(cat, mon):
+    violations = validate(cat, mon).violations
+    assert [v.witness for v in violations if v.law == "tensor_typing"] == \
+        sweep_untyped_one_variable(cat, mon.tensor_obj)
+    assert [v.witness for v in violations if v.law == "strict_assoc_obj"] == \
+        sweep_non_associative(mon.tensor_obj)
+    return violations
+
+
+@settings(max_examples=80, deadline=None)
+@given(thin_monoidal_preorders(), st.data())
+def test_thin_object_laws_match_the_sweeps_on_monoidal_preorders(mc, data):
+    # preorders of monoids have isomorphism classes, whose cycles are
+    # generators; one corrupted entry may break monotonicity or
+    # associativity anywhere
+    n = len(mc.objects)
+    a, b, value = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    assert_object_laws_match_the_sweeps(mc.cat, mc.mon)
+    assert_object_laws_match_the_sweeps(mc.cat, with_tensor_entry(mc.mon, a, b, value))
+
+
+def test_a_tensor_monotone_along_covers_but_not_within_a_class_is_untyped():
+    # {}[a] lies in the class of the initial {}[0]; sending {}[a] (x) {}[a]
+    # up to {}[0] -> {0}[0] breaks monotonicity along the class's cycle
+    # only, never along a cover between classes
+    mc = completion_cached("m3", "all").category
+    cat = mc.cat
+    a = obj_by_label(mc, "{}[a]")
+    mon = with_tensor_entry(mc.mon, a, a, obj_by_label(mc, "{0}[0]"))
+    violations = assert_object_laws_match_the_sweeps(cat, mon)
+    witnesses = {w for v in violations if v.law == "tensor_typing" for w in v.witness}
+    generators = set(fincat.thin_generators(cat)) & witnesses
+    assert generators
+    assert all(cat.hom(cat.cod(g), cat.dom(g)) for g in generators)
+
+
+def test_a_thin_category_with_a_mistyped_identity_is_reported():
+    # the identity of object 1 is 0 -> 1 and no morphism 1 -> 1 exists:
+    # the preorder is not reflexive, so it has no generating set
+    cat = FinCategory(("0", "1"), (fincat.Morphism(0, 0, 0), fincat.Morphism(1, 0, 1)),
+                      (0, 1), None)
+    t_obj = ((0, 1), (1, 1))
+    braiding = tuple(tuple(cat.identity[x] for x in row) for row in t_obj)
+    violations = assert_object_laws_match_the_sweeps(
+        cat, fincat.MonoidalData(0, t_obj, None, braiding))
+    assert violations[0] == fincat.Violation(
+        "identity_typing", (1, 1), "identity of 1 is not an endomorphism")
+    assert any(v.law == "tensor_typing" for v in violations)
+
+
 # ---------------------------------------------------------------------------
 # monos, isos, subobjects
 

@@ -85,14 +85,16 @@ def test_hierarchy_rows(timings, monkeypatch, capsys):
 
 def test_completion_rows(timings, monkeypatch, capsys):
     printed = table_rows(timings, monkeypatch, capsys, "completion", ROWS[1:])
+    assert timings.TABLES["completion"][0] == (
+        "completion", "objects", "morphisms", "pairs", "build_s", "validate_s")
     cap, build_s = printed["b3/directed"]
     assert cap == "max_objects" and seconds(build_s)
     cat = category("b2/all")
     pairs = sum(cat.cod(f) == cat.dom(g) for f in range(len(cat.morphisms))
                 for g in range(len(cat.morphisms)))
-    *counts, build_s = printed["b2/all"]
+    *counts, build_s, validate_s = printed["b2/all"]
     assert counts == [str(len(cat.objects)), str(len(cat.morphisms)), str(pairs)]
-    assert seconds(build_s)
+    assert seconds(build_s) and seconds(validate_s)
 
 
 def test_restriction_rows(timings, monkeypatch, capsys):

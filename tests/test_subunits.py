@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import (brute_d_diagram, brute_is_pullback, brute_is_pushout,
                       build_cached, closure_lattices, commutative_monoids,
                       completion_cached, generic_hierarchy_sweeps,
-                      obj_by_label, outcome, scan_is_distributive,
-                      split_monoid_category, subunit_by_domain,
+                      obj_by_label, ordered_monoid_category, outcome,
+                      scan_is_distributive, split_monoid_category, subunit_by_domain,
                       sweep_universal_directed_joins, thin_monoidal_preorders)
 import ttw.subunits
 from ttw import gallery
@@ -547,6 +547,16 @@ def test_thin_squares_fail_at_each_stage_like_the_sweep(build, stiff, finite):
     assert is_stiff(mc).details.get("reason") == stiff
     assert has_universal_finite_joins(mc).details == \
         {"stage": "square", "reason": finite}
+    assert_thin_hierarchy_matches_sweep(mc)
+
+
+def test_a_zero_tensor_that_is_not_initial_fails_like_the_sweep():
+    # the chain e0 < e1 under max, unit e0: the unit is initial, and
+    # e1 (x) e0 = e1 is not
+    mc = ordered_monoid_category(((0, 1), (1, 1)), 0, [(0, 1)])
+    report = has_universal_finite_joins(mc)
+    assert (report.witness, report.details) == (
+        ("X (x) 0 is not initial at X=1",), {"stage": "initial"})
     assert_thin_hierarchy_matches_sweep(mc)
 
 
