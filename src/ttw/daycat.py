@@ -33,9 +33,9 @@ from . import fincat
 from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
-from .fincat import (CatFunctor, Cocone, MonoidalCategory, _outgoing, _tabulate,
-                     _tabulate_monoidal, assert_valid, factors_through, is_cocone,
-                     mediating_morphisms, terminal_object)
+from .fincat import (CatFunctor, Cocone, MonoidalCategory, _composable_pairs,
+                     _outgoing, _tabulate, _tabulate_monoidal, assert_valid,
+                     factors_through, is_cocone, mediating_morphisms, terminal_object)
 from .orderkit import (_bits, _downset_label, _mask, _unions, directed_downsets,
                        downsets, finitely_bounded_downsets)
 from .restriction import restriction_table, restricts_to
@@ -77,15 +77,11 @@ def check_presheaf(p: Presheaf) -> None:
         ida = p.action[mc.identity(a)]
         if any(ida[x] != x for x in range(p.size(a))):
             raise BuildError(f"presheaf action not identity at object {a}")
-    for f in mc.morphisms:
-        for g in mc.morphisms:
-            if g.dom != f.cod:
-                continue
-            gf = mc.compose(g.mid, f.mid)
-            for x in range(p.size(g.cod)):
-                if p.action[gf][x] != p.action[f.mid][p.action[g.mid][x]]:
-                    raise BuildError(
-                        f"presheaf not functorial at ({g.mid}, {f.mid})")
+    for g, f in _composable_pairs(mc.morphisms, len(mc.objects)):
+        gf = mc.compose(g, f)
+        for x in range(p.size(mc.cod(g))):
+            if p.action[gf][x] != p.action[f][p.action[g][x]]:
+                raise BuildError(f"presheaf not functorial at ({g}, {f})")
 
 
 def presheaf_cap_check(p: Presheaf, caps: Caps) -> None:

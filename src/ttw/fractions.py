@@ -49,9 +49,6 @@ class SigmaClass:
     mc: MonoidalCategory
     members: frozenset[int]
 
-    def __contains__(self, mid: int) -> bool:
-        return mid in self.members
-
 
 @dataclass(frozen=True, order=True)
 class FractionSpan:
@@ -67,12 +64,6 @@ class LocalisedCategory:
     quotient: CatFunctor                       # source -> localised
     classes: tuple[frozenset[FractionSpan], ...]  # per localised morphism
     reps: tuple[FractionSpan, ...]
-
-    def class_of(self, span: FractionSpan) -> int:
-        for k, members in enumerate(self.classes):
-            if span in members:
-                return k
-        raise KeyError(span)
 
 
 def sigma(mc: MonoidalCategory,

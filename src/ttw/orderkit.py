@@ -126,9 +126,6 @@ class FinPoset:
     def index(self, label) -> int:
         return self.elements.index(label)
 
-    def le(self, i: int, j: int) -> bool:
-        return self.leq[i][j]
-
     @cached_property
     def _by_up(self) -> dict[int, int]:
         return {mask: i for i, mask in enumerate(self.up)}

@@ -29,22 +29,36 @@ axioms ``validate`` proved are not checked again, on any category:
   S (x) (-) being a functor (``interchange``) and from the same square
   s (x) f = f o (s (x) A).  What remains is the bijection itself: the
   correspondence is injective and onto hom(A, S (x) B).
+- the strong monoidality of the coreflector, with nothing left to check.
+  Its comparison at (A, B) is (s (x) id_{S (x) A (x) B}) o
+  (id_S (x) sigma_{A,S} (x) id_B), from (S (x) A) (x) (S (x) B) to
+  S (x) (A (x) B).  It is invertible: s (x) S is, which is the definition
+  ``enumerate_subunits`` checks, the braiding is
+  (``braiding_invertible``), and tensoring with identities keeps both
+  so (``tensor_identities``, ``interchange``).  It is natural in each
+  variable by ``braiding_naturality`` and ``interchange``, and coherent
+  by the hexagons (``hexagon``, ``hexagon_2``), braiding naturality,
+  ``interchange`` and ``strict_assoc_mor``: both sides move the second
+  and third copies of S past the same objects, and
+  (s (x) S) o (s (x) S (x) S) = (s (x) S) o (S (x) s (x) S) = s (x) s (x) S.
+  On a thin category all three are existence facts, which the thin
+  ``validate`` and the subunit definition already give.
 
-The comonad laws, the coreflector comparisons and the Frobenius law are
-checked on the tables they are handed, which ``validate`` never saw.
+The comonad laws and the Frobenius law are checked, since
+``check_restriction_comonad`` also takes comonad data from outside,
+through ``extract_subunit``.
 
 On a thin category (every hom-set has at most one element) each law
 these checks sweep (naturality, coherence, counit squares) equates two
 composites with the same source and target, and two parallel morphisms
 of a thin category are equal, so the law holds once its composites are
-defined.  There ``_verify_coreflection``, ``_verify_coreflector_monoidal``
-and ``check_restriction_comonad`` check only the typing of the
-components they are handed and the existence facts: the coreflection
-bijection (hom(A, B) is nonempty iff hom(A, S (x) B) is), invertibility
-of the comparison maps and of the comultiplication.  Every morphism of
-a thin category is monic, the counit at the unit included.  Every other
-category runs the full sweeps, which the test suite keeps as the oracle
-of these branches.
+defined.  There ``_verify_coreflection`` and
+``check_restriction_comonad`` check only the typing of the components
+they are handed and the existence facts: the coreflection bijection
+(hom(A, B) is nonempty iff hom(A, S (x) B) is) and the invertibility of
+the comultiplication.  Every morphism of a thin category is monic, the
+counit at the unit included.  Every other category runs the full
+sweeps, which the test suite keeps as the oracle of these branches.
 """
 
 from __future__ import annotations
@@ -134,7 +148,7 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
     object is kept, the tensor, braiding and unit are those of ``mc``,
     the inclusion and the coreflector A -> I (x) A = A, f -> id_I (x) f = f
     are identity functors, the counit is the identities, and the
-    coreflection bijection and the comparisons are identities as well.
+    coreflection bijection is the identity as well.
     The test is on the representative, not on S = I: in z2 the top class
     also holds a non-identity automorphism of I.  Every other subunit is
     built by ``_tabulated_restriction``.
@@ -149,8 +163,8 @@ def _tabulated_restriction(mc: MonoidalCategory, s: Subunit) -> RestrictionResul
     """The restriction to s, tabulated and validated.
 
     The coreflection bijection C(A, B) = C|s(A, S (x) B) is verified
-    hom-set by hom-set, and strong monoidality of the coreflector is
-    verified via its comparison isomorphisms.  Inputs whose restriction
+    hom-set by hom-set; the coreflector is strong monoidal by the laws
+    ``validate`` proved (module docstring).  Inputs whose restriction
     is not strictly unital are rejected.  That cannot happen when the
     ambient category has one object, but it is common on thin ones: the
     "all" completions of c3, q3, boolean2x2 and m3 refuse 3, 2, 5 and 9
@@ -215,7 +229,6 @@ def _tabulated_restriction(mc: MonoidalCategory, s: Subunit) -> RestrictionResul
     counit = tuple(_tensor_right(mc, s.rep, a) for a in range(len(mc.objects)))
 
     _verify_coreflection(mc, s, inverses)
-    _verify_coreflector_monoidal(mc, s, _coreflector_comparisons(mc, s))
     return RestrictionResult(sub, inclusion, coreflector, counit)
 
 
@@ -243,68 +256,6 @@ def _verify_coreflection(mc, s, inverses):
                 raise ConsistencyError(
                     "coreflection correspondence is not a bijection",
                     details={"a": a, "b": b})
-
-
-def _coreflector_comparisons(mc, s) -> dict[tuple[int, int], int]:
-    """The comparison maps (S (x) A) (x) (S (x) B) -> S (x) A (x) B of
-    the coreflector A -> S (x) A, per pair of objects (A, B)."""
-    mult = _tensor_right(mc, s.rep, s.domain)        # S (x) S -> S
-    comparisons = {}
-    for a in range(len(mc.objects)):
-        for b in range(len(mc.objects)):
-            shuffle = mc.tensor_mor(
-                mc.tensor_mor(mc.identity(s.domain), mc.braiding(a, s.domain)),
-                mc.identity(b))
-            comparisons[(a, b)] = mc.compose(
-                mc.tensor_mor(mult, mc.identity(mc.tensor_obj(a, b))), shuffle)
-    return comparisons
-
-
-def _verify_coreflector_monoidal(mc, s, comparisons):
-    """Strong monoidality of A -> S (x) A: the comparison maps are
-    invertible, natural and coherent; the unit comparison is the identity
-    at S.  Naturality is checked at the pairs of ``_one_variable_pairs``:
-    S (x) (-) is a functor, by interchange, so both sides of the square
-    are functorial in the pair.  On a thin category the comparison maps
-    are checked for invertibility and typing only (module docstring)."""
-    thin = mc.is_thin()
-    for (a, b), comp in comparisons.items():
-        if is_iso(mc, comp) is None:
-            raise ConsistencyError(
-                "coreflector comparison map is not invertible",
-                details={"a": a, "b": b})
-        if thin and (mc.dom(comp) != mc.tensor_obj(mc.tensor_obj(s.domain, a),
-                                                   mc.tensor_obj(s.domain, b))
-                     or mc.cod(comp) != mc.tensor_obj(s.domain, mc.tensor_obj(a, b))):
-            raise ConsistencyError(
-                "coreflector comparison map is mistyped",
-                details={"a": a, "b": b})
-    if thin:
-        return
-    for f, g in _one_variable_pairs(mc):
-        lhs = mc.compose(_tensor_left(mc, s.domain, mc.tensor_mor(f, g)),
-                         comparisons[(mc.dom(f), mc.dom(g))])
-        rhs = mc.compose(comparisons[(mc.cod(f), mc.cod(g))],
-                         mc.tensor_mor(_tensor_left(mc, s.domain, f),
-                                       _tensor_left(mc, s.domain, g)))
-        if lhs != rhs:
-            raise ConsistencyError("coreflector comparison not natural",
-                                   details={"f": f, "g": g})
-    for a in range(len(mc.objects)):
-        for b in range(len(mc.objects)):
-            for c in range(len(mc.objects)):
-                left = mc.compose(
-                    comparisons[(mc.tensor_obj(a, b), c)],
-                    mc.tensor_mor(comparisons[(a, b)],
-                                  mc.identity(mc.tensor_obj(s.domain, c))))
-                right = mc.compose(
-                    comparisons[(a, mc.tensor_obj(b, c))],
-                    mc.tensor_mor(mc.identity(mc.tensor_obj(s.domain, a)),
-                                  comparisons[(b, c)]))
-                if left != right:
-                    raise ConsistencyError(
-                        "coreflector comparison not coherent",
-                        details={"a": a, "b": b, "c": c})
 
 
 # ---------------------------------------------------------------------------

@@ -375,9 +375,10 @@ def all_morphism_pairs(mc):
 
 @contextlib.contextmanager
 def all_pair_sweeps():
-    """Within this block, the naturality sweeps of ``restriction`` and
-    ``CatFunctor.check_strict_monoidal`` (on a target that is not thin)
-    walk ``all_morphism_pairs`` instead of ``fincat._one_variable_pairs``."""
+    """Within this block, the naturality sweeps of ``restriction``, of
+    ``sweep_coreflector_monoidal`` and of ``CatFunctor.check_strict_monoidal``
+    (on a target that is not thin) walk ``all_morphism_pairs`` instead of
+    ``fincat._one_variable_pairs``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fincat, "_one_variable_pairs", all_morphism_pairs)
         patch.setattr(restriction, "_one_variable_pairs", all_morphism_pairs)
@@ -404,9 +405,10 @@ def generic_hierarchy_sweeps():
     the sweeps they run on every non-thin category, over D(U, X)
     diagrams, ``is_stiff`` and ``has_universal_finite_joins`` build and
     test every square, ``_initial_with_zero_tensor`` tests each X (x) 0
-    against every cocone over the empty diagram, and the coreflection, coreflector and comonad
-    checks of ``restriction`` sweep every law square instead of checking
-    typing and existence only; ``verify_right_fractions`` walks every
+    against every cocone over the empty diagram, and the coreflection
+    and comonad checks of ``restriction`` and the coreflector oracle
+    ``sweep_coreflector_monoidal`` sweep every law square instead of
+    checking typing and existence only; ``verify_right_fractions`` walks every
     member pair and searches every Ore filler, ``localise`` builds the
     span construction, ``broad_category`` pastes every composite cocone,
     ``restriction_category`` tabulates its composites, and
@@ -622,6 +624,70 @@ def sweep_coreflection(mc, s, inverses):
                             raise ConsistencyError(
                                 "coreflection bijection not natural in the target",
                                 details={"f": f, "v": v})
+
+
+def coreflector_comparisons(mc, s) -> dict[tuple[int, int], int]:
+    """The comparison maps (S (x) A) (x) (S (x) B) -> S (x) A (x) B of
+    the coreflector A -> S (x) A, per pair of objects (A, B)."""
+    mult = _tensor_right(mc, s.rep, s.domain)        # S (x) S -> S
+    comparisons = {}
+    for a in range(len(mc.objects)):
+        for b in range(len(mc.objects)):
+            shuffle = mc.tensor_mor(
+                mc.tensor_mor(mc.identity(s.domain), mc.braiding(a, s.domain)),
+                mc.identity(b))
+            comparisons[(a, b)] = mc.compose(
+                mc.tensor_mor(mult, mc.identity(mc.tensor_obj(a, b))), shuffle)
+    return comparisons
+
+
+def sweep_coreflector_monoidal(mc, s, comparisons):
+    """Strong monoidality of A -> S (x) A: the comparison maps are
+    invertible, natural and coherent; the unit comparison is the identity
+    at S.  Naturality is checked at the pairs of ``_one_variable_pairs``:
+    S (x) (-) is a functor, by interchange, so both sides of the square
+    are functorial in the pair.  On a thin category the comparison maps
+    are checked for invertibility and typing only.  The oracle of the
+    reduction in the ``restriction`` module docstring, which checks none
+    of this at run time."""
+    thin = mc.is_thin()
+    for (a, b), comp in comparisons.items():
+        if fincat.is_iso(mc, comp) is None:
+            raise ConsistencyError(
+                "coreflector comparison map is not invertible",
+                details={"a": a, "b": b})
+        if thin and (mc.dom(comp) != mc.tensor_obj(mc.tensor_obj(s.domain, a),
+                                                   mc.tensor_obj(s.domain, b))
+                     or mc.cod(comp) != mc.tensor_obj(s.domain, mc.tensor_obj(a, b))):
+            raise ConsistencyError(
+                "coreflector comparison map is mistyped",
+                details={"a": a, "b": b})
+    if thin:
+        return
+    for f, g in fincat._one_variable_pairs(mc):
+        lhs = mc.compose(_tensor_left(mc, s.domain, mc.tensor_mor(f, g)),
+                         comparisons[(mc.dom(f), mc.dom(g))])
+        rhs = mc.compose(comparisons[(mc.cod(f), mc.cod(g))],
+                         mc.tensor_mor(_tensor_left(mc, s.domain, f),
+                                       _tensor_left(mc, s.domain, g)))
+        if lhs != rhs:
+            raise ConsistencyError("coreflector comparison not natural",
+                                   details={"f": f, "g": g})
+    for a in range(len(mc.objects)):
+        for b in range(len(mc.objects)):
+            for c in range(len(mc.objects)):
+                left = mc.compose(
+                    comparisons[(mc.tensor_obj(a, b), c)],
+                    mc.tensor_mor(comparisons[(a, b)],
+                                  mc.identity(mc.tensor_obj(s.domain, c))))
+                right = mc.compose(
+                    comparisons[(a, mc.tensor_obj(b, c))],
+                    mc.tensor_mor(mc.identity(mc.tensor_obj(s.domain, a)),
+                                  comparisons[(b, c)]))
+                if left != right:
+                    raise ConsistencyError(
+                        "coreflector comparison not coherent",
+                        details={"a": a, "b": b, "c": c})
 
 
 def outcome(call, *args, **kwargs):

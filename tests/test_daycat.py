@@ -110,6 +110,47 @@ def test_yoneda_monoidal():
                 assert presheaves_isomorphic(lhs, rhs) is not None
 
 
+def first_non_functorial_pair(p):
+    """The first composable pair (g, f), f outer and g inner over every
+    pair of morphisms, with P(g o f) != P(f) o P(g), or None."""
+    mc = p.mc
+    for f in mc.morphisms:
+        for g in mc.morphisms:
+            if g.dom == f.cod and any(
+                    p.action[mc.compose(g.mid, f.mid)][x] !=
+                    p.action[f.mid][p.action[g.mid][x]] for x in range(p.size(g.cod))):
+                return g.mid, f.mid
+    return None
+
+
+@pytest.mark.parametrize("name", ["z2", "monoid_idem", "q3", "boolean2x2", "m3"])
+def test_a_non_functorial_presheaf_names_the_first_failing_pair(name):
+    # the sum of all representables with one entry of a non-identity
+    # action moved to another value in range: the range and identity
+    # checks pass, and the functoriality check names the pair the
+    # all-pairs sweep meets first
+    mc = build_cached(name)
+    p = coproduct_of_representables(mc, list(range(len(mc.objects))))
+    identities = {mc.identity(a) for a in range(len(mc.objects))}
+    refused = 0
+    for m in mc.morphisms:
+        if m.mid in identities:
+            continue
+        for k, value in enumerate(p.action[m.mid]):
+            for wrong in range(p.size(m.dom)):
+                if wrong == value:
+                    continue
+                row = list(p.action[m.mid])
+                row[k] = wrong
+                bad = Presheaf(mc, p.values, {**p.action, m.mid: tuple(row)})
+                pair = first_non_functorial_pair(bad)
+                expected = (("value", None) if pair is None else
+                            ("BuildError", f"presheaf not functorial at {pair}"))
+                assert outcome(check_presheaf, bad) == expected
+                refused += pair is not None
+    assert refused
+
+
 # ---------------------------------------------------------------------------
 # the Day tensor
 

@@ -20,8 +20,9 @@ from ttw import fincat, gallery
 from ttw.caps import Caps
 from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
                         NonCommutingSquareError)
-from ttw.fincat import (CatFunctor, Cocone, DiagramSpec, FinCategory, all_cocones,
-                        check_monoidal_structure, colimit, factors_through,
+from ttw.fincat import (CatFunctor, Cocone, DiagramSpec, FinCategory, MonoidalData,
+                        Morphism, all_cocones, check_monoidal_structure, colimit,
+                        factors_through,
                         from_commutative_monoid, from_semilattice,
                         initial_object, is_cocone, is_colimit, is_iso, is_mono,
                         is_pullback, is_pushout, objects_isomorphic,
@@ -88,6 +89,46 @@ def test_tensor_table_must_be_total_on_morphism_pairs(b2, change):
     mon = dataclasses.replace(b2.mon, tensor_mor=bad)
     with pytest.raises(MalformedTableError, match="not total"):
         check_monoidal_structure(b2.cat, mon)
+
+
+# Z2 as a one-object category: identity e, generator g, and the group
+# product as both the composition and the morphism tensor
+_Z2_PRODUCT = {(f, g): f ^ g for f in range(2) for g in range(2)}
+_Z2_TABLES = {"objects": ("*",),
+              "morphisms": (Morphism(0, 0, 0, "e"), Morphism(1, 0, 0, "g")),
+              "identity": (0,), "compose_table": _Z2_PRODUCT, "unit": 0,
+              "tensor_obj": ((0,),), "tensor_mor": _Z2_PRODUCT, "braiding": ((0,),)}
+
+
+def _z2_validated(**changes):
+    """``validate`` on the Z2 tables with ``changes`` made, each dataclass
+    built directly: ``FinCategory`` checks the indices of its own tables
+    and ``validate`` those of the monoidal data before any law."""
+    t = _Z2_TABLES | changes
+    cat = FinCategory(t["objects"], t["morphisms"], t["identity"], t["compose_table"])
+    return validate(cat, MonoidalData(t["unit"], t["tensor_obj"], t["tensor_mor"],
+                                      t["braiding"]))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"morphisms": (Morphism(0, 0, 0), Morphism(0, 0, 0))},
+     "morphism at position 1 has mid 0"),
+    ({"morphisms": (Morphism(0, 0, 0), Morphism(1, 0, 1))},
+     "morphism 1 has out-of-range dom/cod"),
+    ({"identity": (0, 0)}, "identity table has wrong length"),
+    ({"identity": (2,)}, "identity of object 0 out of range"),
+    ({"compose_table": _Z2_PRODUCT | {(1, 1): 2}}, "compose table entry out of range"),
+    ({"unit": 1}, "unit object out of range"),
+    ({"tensor_obj": ((0, 0),)}, "tensor_obj table has wrong shape"),
+    ({"tensor_obj": ((1,),)}, "tensor_obj entry out of range"),
+    ({"braiding": ()}, "braiding table has wrong shape"),
+    ({"braiding": ((-1,),)}, "braiding entry out of range"),
+    ({"tensor_mor": _Z2_PRODUCT | {(0, 1): 2}}, "tensor_mor entry out of range")])
+def test_malformed_tables_are_refused_with_their_message(changes, message):
+    assert _z2_validated().ok()
+    with pytest.raises(MalformedTableError) as exc:
+        _z2_validated(**changes)
+    assert str(exc.value) == message
 
 
 def test_validate_law_break_in_one_object_category():

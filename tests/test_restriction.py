@@ -8,10 +8,11 @@ from hypothesis import given, settings
 
 from conftest import (GRADING_NOT_CLOSED, _MONOID_FAMILIES, _product_monoid,
                       all_pair_sweeps, build_cached, closure_lattices,
-                      commutative_monoids, completion_cached, explicit_compose,
-                      generic_hierarchy_sweeps, mor_by_label, null_monoid,
-                      obj_by_label, outcome, product_category,
-                      subunit_by_domain, sweep_coreflection, sweep_graded_monad,
+                      commutative_monoids, completion_cached, coreflector_comparisons,
+                      explicit_compose, generic_hierarchy_sweeps, mor_by_label,
+                      null_monoid, obj_by_label, outcome, product_category,
+                      subunit_by_domain, sweep_coreflection,
+                      sweep_coreflector_monoidal, sweep_graded_monad,
                       thin_monoidal_preorders)
 import ttw.restriction
 from ttw import gallery
@@ -22,8 +23,7 @@ from ttw.fincat import (CatFunctor, FinCategory, MonoidalCategory, _tabulate,
                         from_semilattice, identity_functor, is_iso, is_mono,
                         validate)
 from ttw.orderkit import FinMonoid, Semilattice
-from ttw.restriction import (ComonadData, _coreflector_comparisons, _subunit_monos,
-                             _verify_coreflection, _verify_coreflector_monoidal,
+from ttw.restriction import (ComonadData, _subunit_monos, _verify_coreflection,
                              check_restriction_comonad,
                              extract_subunit, frobenius_law_holds,
                              object_restriction_equivalences, restricting_subunits,
@@ -285,14 +285,25 @@ def _corruptible_categories():
 
 
 def _with_table(mc, name, table):
-    """``mc`` with its ``compose_table`` or ``tensor_mor`` replaced, left
-    unvalidated."""
+    """``mc`` with its ``compose_table``, ``tensor_mor`` or ``braiding``
+    replaced, left unvalidated; a braiding is handed as a dict keyed by
+    pairs of objects."""
     cat, mon = mc.cat, mc.mon
     if name == "compose_table":
         cat = FinCategory(cat.objects, cat.morphisms, cat.identity, table)
+    elif name == "braiding":
+        n_obj = len(mc.objects)
+        mon = dataclasses.replace(mon, braiding=tuple(
+            tuple(table[(a, b)] for b in range(n_obj)) for a in range(n_obj)))
     else:
         mon = dataclasses.replace(mon, tensor_mor=table)
     return MonoidalCategory(cat, mon)
+
+
+def _comparison_oracle(mc, s):
+    """``sweep_coreflector_monoidal`` on the comparisons of s, built from
+    the tables of ``mc`` as they stand."""
+    return sweep_coreflector_monoidal(mc, s, coreflector_comparisons(mc, s))
 
 
 def _coreflection_args(mc, s):
@@ -302,17 +313,23 @@ def _coreflection_args(mc, s):
 
 
 def test_validate_rejects_what_only_the_deleted_sweeps_reject():
-    # every single-entry corruption of the composition and tensor tables:
-    # the library keeps the closure stage of the graded monad sweep and
-    # the bijection of the coreflection, and whatever the rest of either
-    # sweep rejects, validate rejects too
+    # every single-entry corruption of the composition, tensor and
+    # braiding tables: the library keeps the closure stage of the graded
+    # monad sweep and the bijection of the coreflection, and whatever the
+    # rest of either sweep, or the coreflector comparison oracle, rejects,
+    # validate rejects too
     reasons = set()
+    braidings = 0
     for mc in _corruptible_categories():
         subs = enumerate_subunits(mc)
         mids = [m.mid for m in mc.morphisms]
+        braiding = {(a, b): mc.braiding(a, b) for a in range(len(mc.objects))
+                    for b in range(len(mc.objects))}
         for name, table in (("compose_table", dict(explicit_compose(mc))),
-                            ("tensor_mor", mc.mon.tensor_mor)):
+                            ("tensor_mor", mc.mon.tensor_mor),
+                            ("braiding", braiding)):
             for bad_table in _corruptions(table, mids):
+                braidings += name == "braiding"
                 bad = _with_table(mc, name, bad_table)
                 rejected = not validate(bad.cat, bad.mon).ok()
                 library = outcome(verify_graded_monad, bad)
@@ -335,10 +352,56 @@ def test_validate_rejects_what_only_the_deleted_sweeps_reject():
                                 if found[0] == "ConsistencyError"}
                     if swept[0] != "value":
                         assert rejected, (mc.objects, name, swept)
-    # the kept checks refuse some tables, and both sweeps reach past them
+                    compared = outcome(_comparison_oracle, bad, s)
+                    if compared[0] == "ConsistencyError":
+                        reasons.add(compared[1])
+                    if compared[0] != "value":
+                        assert rejected, (mc.objects, name, compared)
+    assert braidings == 32
+    # the kept checks refuse some tables, and the sweeps reach past them
     assert {GRADING_NOT_CLOSED, "coreflection correspondence is not a bijection",
             "grading action not natural",
-            "coreflection bijection fails roundtrip"} <= reasons, reasons
+            "coreflection bijection fails roundtrip",
+            "coreflector comparison map is not invertible",
+            "coreflector comparison not natural"} <= reasons, reasons
+
+
+def assert_coreflector_oracle_holds(mc):
+    """``sweep_coreflector_monoidal`` passes at every subunit of ``mc``
+    whose restriction builds: the comparisons are invertible, natural and
+    coherent, as the ``restriction`` module docstring derives from the
+    laws ``validate`` proved."""
+    for s in enumerate_subunits(mc):
+        try:
+            restriction_category(mc, s)
+        except BuildError:
+            continue
+        _comparison_oracle(mc, s)
+
+
+def test_coreflector_oracle_holds_wherever_a_restriction_builds():
+    # the gallery, its completions (as SWEEPS_TOO_SLOW allows), the
+    # corruptible categories and drawn monoids and preorders
+    for name in gallery.names():
+        assert_coreflector_oracle_holds(build_cached(name))
+        for flavour in ("finite", "directed", "all"):
+            if (name, flavour) not in SWEEPS_TOO_SLOW:
+                assert_coreflector_oracle_holds(completion_cached(name, flavour).category)
+    for mc in _corruptible_categories():
+        assert_coreflector_oracle_holds(mc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(commutative_monoids())
+    def on_monoids(monoid):
+        assert_coreflector_oracle_holds(from_commutative_monoid(monoid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(thin_monoidal_preorders())
+    def on_preorders(mc):
+        assert_coreflector_oracle_holds(mc)
+
+    on_monoids()
+    on_preorders()
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +558,9 @@ def _naturality_sweeps_agree(mc) -> set:
             for bad in _corruptions(table, mids):
                 agree(check_restriction_comonad,
                       dataclasses.replace(data, **{name: bad}))
-        comparisons = _coreflector_comparisons(mc, s)
+        comparisons = coreflector_comparisons(mc, s)
         for bad in _corruptions(comparisons, mids):
-            agree(_verify_coreflector_monoidal, mc, s, bad)
+            agree(sweep_coreflector_monoidal, mc, s, bad)
     ident = identity_functor(mc)
     for bad in _corruptions(ident.mor_map, mids):
         agree(CatFunctor(mc, mc, ident.obj_map, bad).check_strict_monoidal)
@@ -564,8 +627,8 @@ def test_comparisons_natural_in_one_variable_only_are_rejected(side):
     swap = [next(m for m in mc.hom(o, o) if m != mc.identity(o))
             for o in range(len(mc.objects))]
     comparisons = {key: swap[mc.tensor_obj(*key)] if key[side] == mc.unit else comp
-                   for key, comp in _coreflector_comparisons(mc, s).items()}
-    reduced, full = _both_sweeps(_verify_coreflector_monoidal, mc, s, comparisons)
+                   for key, comp in coreflector_comparisons(mc, s).items()}
+    reduced, full = _both_sweeps(sweep_coreflector_monoidal, mc, s, comparisons)
     assert reduced == full == ("ConsistencyError", "coreflector comparison not natural")
 
 
@@ -658,19 +721,19 @@ def test_both_routes_reject_every_corrupted_entry(name):
             comonads += [dataclasses.replace(data, **{field: bad})
                          for bad in _corruptions(getattr(data, field), mids)]
         comparisons += [(s, bad) for bad in
-                        _corruptions(_coreflector_comparisons(mc, s), mids)]
+                        _corruptions(coreflector_comparisons(mc, s), mids)]
     for data in comonads:
         kind, message = outcome(check_restriction_comonad, data)
         assert kind == "BuildError" and "typing" in message, message
     for s, bad in comparisons:
-        assert outcome(_verify_coreflector_monoidal, mc, s, bad) in (
+        assert outcome(sweep_coreflector_monoidal, mc, s, bad) in (
             ("ConsistencyError", "coreflector comparison map is not invertible"),
             ("ConsistencyError", "coreflector comparison map is mistyped"))
     with generic_hierarchy_sweeps():
         for data in comonads:
             assert outcome(check_restriction_comonad, data)[0] != "value"
         for s, bad in comparisons:
-            assert outcome(_verify_coreflector_monoidal, mc, s, bad)[0] != "value"
+            assert outcome(sweep_coreflector_monoidal, mc, s, bad)[0] != "value"
 
 
 def test_thin_route_rejects_a_comultiplication_without_inverse():
