@@ -232,7 +232,7 @@ def cmd_localise(args, caps: Caps) -> Report:
     from .fractions import localise, sigma, simple_quotient
     mc, name = _build(args.file, caps)
     lat = subunit_semilattice(mc)
-    if args.simple or not args.subunit:
+    if not args.subunit:
         loc = simple_quotient(mc, caps=caps)
         mode = "simple"
     else:
@@ -349,9 +349,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_restrict)
 
     p = sub.add_parser("localise", help="localise at subunit inclusions")
-    p.add_argument("--simple", action="store_true",
-                   help="invert every subunit (the default)")
-    p.add_argument("--subunit")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--simple", action="store_true",
+                      help="invert every subunit (the default)")
+    mode.add_argument("--subunit")
     p.add_argument("file")
     p.set_defaults(func=cmd_localise)
 

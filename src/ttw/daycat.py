@@ -8,11 +8,8 @@ equivalence relation generated by sliding morphisms f, g across the
 components, closed with union-find.  One variable at a time suffices:
 the slides of the pairs (f, id) and (id, g) generate the relation, so
 each triple is slid outward and no morphism into the tensor is searched
-for.  Slides compose, so only a generating set of morphisms is slid
-along: on a thin category, read from its up- and down-sets, a cycle
-through each isomorphism class and one morphism per cover between
-classes (``thin_generators``), on any other every non-identity morphism
-(see ``day_tensor``).
+for.  Slides compose, so only the category's one generating set,
+``FinCategory.generators``, is slid along (see ``day_tensor``).
 
 Broad presheaves are presented intensionally by a pair (U, X) of a
 downward-closed subunit family and an object; morphisms between them
@@ -29,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import fincat
 from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
@@ -39,10 +35,9 @@ from .fincat import (CatFunctor, Cocone, MonoidalCategory, _composable_pairs,
 from .orderkit import (_bits, _downset_label, _mask, _unions, directed_downsets,
                        downsets, finitely_bounded_downsets)
 from .restriction import restriction_table, restricts_to
-from .subunits import (SubunitSemilattice, _per_category, _tensor_left,
-                       _tensor_right, d_diagram, has_universal_directed_joins,
-                       has_universal_finite_joins, is_locale_based, is_stiff,
-                       subunit_semilattice)
+from .subunits import (SubunitSemilattice, _tensor_left, _tensor_right, d_diagram,
+                       has_universal_directed_joins, has_universal_finite_joins,
+                       is_locale_based, is_stiff, subunit_semilattice)
 
 Triple = tuple[int, int, int, int, int]  # (B, C, h, x-index, y-index)
 
@@ -231,8 +226,8 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
     (f', id), and likewise in the second variable.  A set of morphisms
     whose closure under composition holds every non-identity morphism
     therefore gives the same classes (Mac Lane, *CWM* II.7-8), and
-    ``slide_generators`` is such a set.  The classes are sorted, so no
-    output depends on the order of the unions or on the set slid along.
+    ``FinCategory.generators`` is such a set.  The classes are sorted, so
+    no output depends on the order of the unions or on the set slid along.
     The action of the quotient (precomposition on h) is verified well
     defined on classes, and the resulting presheaf is verified
     functorial.
@@ -241,7 +236,7 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
     presheaf_cap_check(right, caps)
     n_obj = len(mc.objects)
     ids = [mc.identity(b) for b in range(n_obj)]
-    outgoing = _outgoing([mc.morphisms[f] for f in slide_generators(mc)], n_obj)
+    outgoing = _outgoing([mc.morphisms[f] for f in mc.cat.generators], n_obj)
     l_size = [left.size(b) for b in range(n_obj)]
     r_size = [right.size(c) for c in range(n_obj)]
     # per (B, C) holding triples, its slides (B', C', f (x) g, F f, G g)
@@ -311,21 +306,6 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
     check_presheaf(quotient)
     return DayTensorResult(mc, left, right, tuple(all_triples),
                            tuple(all_class_of), tuple(all_classes), quotient)
-
-
-def slide_generators(mc: MonoidalCategory) -> tuple[int, ...]:
-    """The mids ``day_tensor`` slides along, a set whose closure under
-    composition holds every non-identity morphism: ``thin_generators``
-    on a thin category, and every non-identity morphism on any other."""
-    if mc.is_thin():
-        return thin_generators(mc)
-    return tuple(m.mid for m in mc.morphisms if m.mid != mc.identity(m.dom))
-
-
-@_per_category
-def thin_generators(mc: MonoidalCategory) -> tuple[int, ...]:
-    """``fincat.thin_generators`` of the thin ``mc``, once per category."""
-    return fincat.thin_generators(mc.cat)
 
 
 def day_tensor_mor(day_src: DayTensorResult, day_tgt: DayTensorResult,
@@ -438,6 +418,7 @@ def presheaf_subunits(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> list[S
     squared), and invertibility of the inclusion tensored with the
     sieve.
     """
+    unit_p = yoneda(mc, mc.unit)
     chosen = []
     for sieve in all_sieves_on_unit(mc, caps=caps):
         p = sieve_presheaf(mc, sieve)
@@ -462,7 +443,6 @@ def presheaf_subunits(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> list[S
             if not route_a or any(count != 1 for count in wanted.values()):
                 route_a = False
                 break
-        unit_p = yoneda(mc, mc.unit)
         inclusion_parts = []
         for a in range(len(mc.objects)):
             idx = {m: i for i, m in enumerate(unit_p.values[a])}

@@ -6,17 +6,18 @@ exactly on composable pairs.  Monoidal data is a strict tensor on
 objects and morphisms plus a braiding table; the unitors and associator
 are identities throughout, so every law is an exact table equation.
 
-Law checking is exhaustive.  Thin categories (every hom-set has at most
-one element) take a fast path: any equation between parallel morphisms
-holds automatically, so only typing and existence are checked, and the
-tensor's typing only along a generating set of the preorder
-(``thin_generators``), whose composites give every other morphism.  The
-fast path is cross-checked against the generic one in the test suite.
+Law checking is exhaustive.  A thin category (every hom-set has at most
+one element) is its preorder a <= b iff hom(a, b) is nonempty: an up-
+and a down-set bitmask per object, kept at construction
+(``FinCategory.up`` and ``down``), and its isomorphism classes and a
+generating set read from the covers between them, derived once and read
+by every caller (``iso_classes``, ``generators``).  There any equation
+between parallel morphisms holds, so the law checks test typing and
+existence only, the tensor's along the generators, each fast path
+cross-checked against the generic one in the test suite.
 
 The same fact turns colimits, pullbacks, pushouts and monos of a thin
-category into order theory on the preorder a <= b iff hom(a, b) is
-nonempty, recorded once at construction as an up-set and a down-set
-bitmask per object (``FinCategory.up`` and ``down``).  ``all_cocones``,
+category into order theory on the masks.  ``all_cocones``,
 ``colimit``, ``is_colimit``, ``is_pullback``, ``is_pushout`` and
 ``is_mono`` decide from those masks, each stating its reduction, which
 takes any composition table to be typed, as ``validate`` checks; every
@@ -37,7 +38,8 @@ from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (BuildError, MalformedTableError,
                      NonCommutingSquareError)
-from .orderkit import FinMonoid, Quantale, Semilattice, _bits, ideal_quantale
+from .orderkit import (FinMonoid, Quantale, Semilattice, _bits, _computed_once,
+                       _covers, _mask, ideal_quantale)
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,41 @@ class FinCategory:
 
     def mor_label(self, f: int) -> str:
         return self.morphisms[f].label or f"m{f}"
+
+    @_computed_once
+    def iso_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The isomorphism classes as sorted tuples, by least member:
+        ``up[a] & down[a]`` if thin, else union-find on ``objects_isomorphic``."""
+        n = len(self.objects)
+        if self.up is not None:
+            iso = [self.up[a] & self.down[a] for a in range(n)]
+            return tuple(tuple(_bits(m)) for a, m in enumerate(iso) if m & -m == 1 << a)
+        uf = UnionFind(range(n))
+        for a, b in itertools.combinations(range(n), 2):
+            if objects_isomorphic(self, a, b) is not None:
+                uf.union(a, b)
+        return tuple(sorted(tuple(sorted(c)) for c in uf.classes()))
+
+    @_computed_once
+    def generators(self) -> tuple[int, ...]:
+        """The mids of a set whose closure under composition holds every
+        non-identity morphism: all of those off thin categories.  On a
+        thin one, a cycle through the members of each class, in order,
+        and a morphism from the least member of each class to that of
+        each class covering it (``orderkit._covers``): any a -> b goes
+        round a's cycle to its least member, up a finite chain of covers
+        and round b's cycle to b, and is that path.  This needs the
+        preorder reflexive and transitive (typed identities, composites)."""
+        if self.up is None:
+            return tuple(m.mid for m in self.morphisms if m.mid != self.identity[m.dom])
+        classes = self.iso_classes
+        covers = _covers(self.up, _mask(cls[0] for cls in classes))
+        out = []
+        for cls in classes:
+            cycle = zip(cls, cls[1:] + cls[:1])
+            out.extend(self.hom(x, y)[0] for x, y in cycle if x != y)
+            out.extend(self.hom(cls[0], b)[0] for b in _bits(covers[cls[0]]))
+        return tuple(sorted(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,40 +322,6 @@ def _composable_pairs(morphisms, n_obj: int):
             yield g, f.mid
 
 
-def thin_generators(cat: FinCategory) -> tuple[int, ...]:
-    """The mids of a generating set of a thin category, read from its
-    preorder, where the isomorphism class of a is ``up[a] & down[a]``: a
-    cycle through each class of two or more objects, its members in
-    increasing order, and one morphism from the least member of each
-    class to the least member of each class that covers it.  Every
-    non-identity morphism a -> b is a composite of these: along the
-    cycle within a class when a and b are isomorphic; otherwise from a
-    round its cycle to the least member of its class, up a chain of
-    covers to the class of b, which is finite, and round that cycle to
-    b.  The category is thin, so any such path is that morphism.  The
-    preorder must be reflexive and transitive (typed identities and
-    composites), so that a is a member of its own class."""
-    up, down = cat.up, cat.down
-    n = len(up)
-    iso = [up[a] & down[a] for a in range(n)]
-    strictly_up = [up[a] & ~iso[a] for a in range(n)]
-    out = []
-    for a in range(n):
-        members = list(_bits(iso[a]))
-        if members[0] != a:
-            continue  # a is not the least member of its class
-        if len(members) > 1:
-            out.extend(cat.hom(x, y)[0]
-                       for x, y in zip(members, members[1:] + members[:1]))
-        # the classes above that of a and above no other class above it
-        covers = strictly_up[a]
-        for b in _bits(strictly_up[a]):
-            covers &= ~strictly_up[b]
-        out.extend(cat.hom(a, b)[0] for b in _bits(covers)
-                   if iso[b] & -iso[b] == 1 << b)  # b least in its class
-    return tuple(sorted(out))
-
-
 def _one_variable_pairs(mc: MonoidalCategory):
     """The pairs (f, id_b) for every morphism f and object b, then
     (id_a, g) for every object a and morphism g.
@@ -384,8 +387,8 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
     are the targets of f (x) id_b and id_b (x) f; conversely f (x) g is
     the composite dom f (x) dom g -> cod f (x) dom g -> cod f (x) cod g.
     A failure is reported at (f, id_b) or (id_b, f).  Monotone along
-    ``thin_generators`` is monotone: each morphism a -> b is a composite
-    a = x_0 -> ... -> x_k = b of generators, and the morphisms
+    ``FinCategory.generators`` is monotone: each morphism a -> b is a
+    composite a = x_0 -> ... -> x_k = b of generators, and the morphisms
     x_i (x) c -> x_(i+1) (x) c compose to one a (x) c -> b (x) c, on
     either side.  That needs the preorder reflexive and transitive, so
     the generators are checked only when ``identity_typing`` and
@@ -492,7 +495,7 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
 
         untyped = set()
         if not hold("identity_typing", "compose_typing") or \
-                untyped_pairs(mors[g] for g in thin_generators(cat)):
+                untyped_pairs(mors[g] for g in cat.generators):
             untyped = untyped_pairs(mors)
         for pair in sorted(untyped):
             out.append(Violation("tensor_typing", pair,

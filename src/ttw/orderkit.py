@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, MalformedTableError
@@ -56,6 +55,23 @@ def _unions(principal, check=lambda count: None) -> list[int]:
         found |= {m | p for m in found}
         check(len(found))
     return sorted(found, key=_size_then_members)
+
+
+class _computed_once:
+    """``functools.cached_property``, but stored with ``object.__setattr__``,
+    as a frozen dataclass sets its fields: reading ``__dict__``, as
+    cached_property does, stops CPython 3.11 specialising attribute reads
+    on the instance (a tenth of perfbench complete for FinCategory)."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -126,11 +142,11 @@ class FinPoset:
     def index(self, label) -> int:
         return self.elements.index(label)
 
-    @cached_property
+    @_computed_once
     def _by_up(self) -> dict[int, int]:
         return {mask: i for i, mask in enumerate(self.up)}
 
-    @cached_property
+    @_computed_once
     def _by_down(self) -> dict[int, int]:
         return {mask: i for i, mask in enumerate(self.down)}
 
@@ -152,13 +168,13 @@ class FinPoset:
             common &= self.down[i]
         return self._by_down.get(common)
 
-    @cached_property
+    @_computed_once
     def join_table(self) -> tuple[tuple[int | None, ...], ...]:
         """``join_table[i][j]`` is the join of i and j, or None."""
         by_up, up = self._by_up, self.up
         return tuple(tuple(by_up.get(ui & uj) for uj in up) for ui in up)
 
-    @cached_property
+    @_computed_once
     def meet_table(self) -> tuple[tuple[int | None, ...], ...]:
         """``meet_table[i][j]`` is the meet of i and j, or None."""
         by_down, down = self._by_down, self.down
@@ -202,16 +218,21 @@ class FinPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j): i < j with nothing strictly between."""
-        out = []
-        n = len(self)
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if not any(k != i and k != j and self.leq[i][k] and self.leq[k][j]
-                           for k in range(n)):
-                    out.append((i, j))
-        return out
+        covers = _covers(self.up, (1 << len(self)) - 1)
+        return [(i, j) for i, mask in covers.items() for j in _bits(mask)]
+
+
+def _covers(up, among: int) -> dict[int, int]:
+    """Per member i of the mask ``among``, in order, the mask of those
+    covering it: strictly_up(i) = ``up[i] & among`` without i, minus the
+    strictly_up of each member of it.  ``among`` holds at most one member
+    of each isomorphism class of the preorder ``up``."""
+    strictly_up = {i: up[i] & among & ~(1 << i) for i in _bits(among)}
+    out = dict(strictly_up)
+    for i, above in strictly_up.items():
+        for j in _bits(above):
+            out[i] &= ~strictly_up[j]
+    return out
 
 
 def poset_isomorphism(p: FinPoset, q: FinPoset) -> tuple[int, ...] | None:

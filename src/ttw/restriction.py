@@ -6,7 +6,8 @@ Restriction to s carves out the full subcategory of objects A with
 s (x) A invertible; tensoring with S is a coreflector onto it.
 The same data appears in three equivalent guises verified here: a monad
 graded by the (unquotiented) subunit monomorphisms, idempotent comonads
-with monic counit at the unit, and monocoreflective tensor ideals.
+with monic counit at the unit, and monocoreflective tensor ideals, sought
+among unions of the category's ``FinCategory.iso_classes``.
 
 The checks here take a category that passed ``validate``, as every
 constructor of this package ensures.  Laws that are instances of the
@@ -65,7 +66,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, MonoidalCategory, ValidationReport, Violation,
@@ -509,15 +509,6 @@ class TensorIdeal:
     counit: tuple[int, ...]
 
 
-def _iso_classes(mc: MonoidalCategory) -> list[frozenset[int]]:
-    uf = UnionFind(range(len(mc.objects)))
-    for a in range(len(mc.objects)):
-        for b in range(a + 1, len(mc.objects)):
-            if objects_isomorphic(mc, a, b) is not None:
-                uf.union(a, b)
-    return sorted(uf.classes(), key=min)
-
-
 def _coreflection_into(mc: MonoidalCategory, subset: frozenset[int],
                        a: int) -> tuple[int, int] | None:
     """A pair (object, counit) universal among morphisms from the subset
@@ -563,7 +554,7 @@ def tensor_ideals(mc: MonoidalCategory, caps: Caps = DEFAULT_CAPS) -> list[Tenso
     B (x) counit_I for every member B; listed by their iso classes, read
     as binary numerals with class 0 as the leading digit."""
     subunit_semilattice(mc)  # raises BuildError unless the category is firm
-    classes = _iso_classes(mc)
+    classes = mc.cat.iso_classes
     caps.check("max_ideal_base", len(classes))
     class_of = {a: k for k, cls in enumerate(classes) for a in cls}
     # the classes of the a (x) b with b in one class absorb the tensor, as

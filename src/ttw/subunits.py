@@ -248,7 +248,10 @@ def _join_preserved(mc: MonoidalCategory, lat: SubunitSemilattice, family,
     below all of B.  Returns None when it is preserved at every X;
     otherwise the first X where it is not, with the least element of B
     there (its first bound lying below all of it, the apex ``colimit``
-    picks), or None when B has no least element.
+    picks), or None when B has no least element.  X runs over the least
+    member of each isomorphism class only: the tensor is monotone, so an
+    X' isomorphic to X gives S (x) X', j (x) X' the up-sets of S (x) X,
+    j (x) X, and repeats the bounds, test and cap check of the earlier X.
 
     The reduction: in a thin category every diagram commutes, so a
     colimit of D(U, X) is a least upper bound of its nodes whatever its
@@ -266,7 +269,7 @@ def _join_preserved(mc: MonoidalCategory, lat: SubunitSemilattice, family,
     """
     cat, tensor = mc.cat, mc.mon.tensor_obj
     rows = [tensor[lat.subunits[i].domain] for i in family]
-    for x in range(len(mc.objects)):
+    for x, *_ in cat.iso_classes:
         bounds = _common_upper_bounds(cat, [row[x] for row in rows], caps)
         if bounds & ~cat.up[tensor[j][x]]:
             return x, _least_upper_bound(cat, bounds)

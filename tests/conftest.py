@@ -417,6 +417,11 @@ def generic_hierarchy_sweeps():
     target.  Those constructions build an explicit
     composition table where the thin route builds none, so their
     results are compared through ``explicit_compose``.
+    ``FinCategory.generators`` is every non-identity morphism, as on a
+    category that is not thin, so ``day_tensor`` slides along all of
+    them and ``validate`` types the tensor of each; it is patched as a
+    property, which wins over a value an earlier read cached on the
+    instance.
     ``FinCategory.is_thin`` is untouched: the fincat kernels (colimits,
     pullbacks, ``is_mono``) still read the up- and down-set masks, and a
     thin result of either route keeps no tensor table.
@@ -429,10 +434,25 @@ def generic_hierarchy_sweeps():
     ``sweep_graded_monad`` are their oracles."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fincat.MonoidalCategory, "is_thin", lambda self: False)
+        patch.setattr(fincat.FinCategory, "generators", property(
+            lambda cat: tuple(m.mid for m in cat.morphisms
+                              if m.mid != cat.identity[m.dom])))
         patch.setattr(subunits, "is_stiff", is_stiff.__wrapped__)
         patch.setattr(restriction, "restriction_category",
                       restriction._tabulated_restriction)
         yield
+
+
+def sweep_join_preserved(mc, lat, family, j, caps=DEFAULT_CAPS):
+    """``subunits._join_preserved`` visiting every object X in turn, not
+    only the least member of each isomorphism class."""
+    cat, tensor = mc.cat, mc.mon.tensor_obj
+    rows = [tensor[lat.subunits[i].domain] for i in family]
+    for x in range(len(mc.objects)):
+        bounds = fincat._common_upper_bounds(cat, [row[x] for row in rows], caps)
+        if bounds & ~cat.up[tensor[j][x]]:
+            return x, fincat._least_upper_bound(cat, bounds)
+    return None
 
 
 def sweep_universal_directed_joins(mc, include_empty=True, caps=DEFAULT_CAPS):
@@ -783,6 +803,15 @@ def scan_is_distributive(poset):
     return True
 
 
+def scan_covers(poset):
+    """Cover pairs (i, j), i before j: i < j and no k strictly between,
+    by a scan over every triple."""
+    n, leq = len(poset), poset.leq
+    return [(i, j) for i in range(n) for j in range(n)
+            if i != j and leq[i][j]
+            and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))]
+
+
 def maximal(poset, subset):
     """The members of ``subset`` below no other member."""
     return [i for i in subset
@@ -869,9 +898,20 @@ def brute_sieves_on_unit(mc, caps=DEFAULT_CAPS):
     return out
 
 
+def brute_iso_classes(mc):
+    """The isomorphism classes by union-find over ``objects_isomorphic``
+    on every pair of objects, each in increasing order, by least member."""
+    cat = _cat_of(mc)
+    uf = UnionFind(range(len(cat.objects)))
+    for a, b in itertools.combinations(range(len(cat.objects)), 2):
+        if fincat.objects_isomorphic(cat, a, b) is not None:
+            uf.union(a, b)
+    return tuple(sorted(tuple(sorted(c)) for c in uf.classes()))
+
+
 def brute_tensor_ideals(mc, caps=DEFAULT_CAPS):
     subunit_semilattice(mc)
-    classes = restriction._iso_classes(mc)
+    classes = brute_iso_classes(mc)
     caps.check("max_ideal_base", len(classes))
     found = []
     for bits in itertools.product((False, True), repeat=len(classes)):

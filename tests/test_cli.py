@@ -122,6 +122,20 @@ def test_localise_command(capsys, emitted):
     assert all(v == 1 for v in payload["results"]["hom_sizes"].values())
 
 
+def test_localise_takes_simple_or_subunit_not_both(capsys, emitted):
+    path = emitted("c3")
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "json", "localise", "--simple", "--subunit", "0", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ttw localise")
+    assert "argument --subunit: not allowed with argument --simple" in err
+    for flags, mode in ((["--simple"], "simple"), (["--subunit", "0"], "subunit 0")):
+        code, out, _ = run_cli(capsys, "--format", "json", "localise", *flags, path)
+        assert code == 0
+        assert json.loads(out)["results"]["mode"] == mode
+
+
 def test_complete_command(capsys, emitted):
     path = emitted("b2")
     code, out, _ = run_cli(capsys, "--format", "json", "complete",

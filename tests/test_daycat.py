@@ -19,8 +19,7 @@ from ttw.daycat import (Presheaf, all_sieves_on_unit, broad_category,
                         coproduct_of_representables, day_tensor, day_tensor_mor,
                         day_unitors, extend_functor, identity_nat, is_natural,
                         make_broad_spec, nat_transformations, presheaf_subunits,
-                        presheaves_isomorphic, sieve_presheaf, thin_generators,
-                        yoneda)
+                        presheaves_isomorphic, sieve_presheaf, yoneda)
 from ttw.errors import (BuildError, CapExceededError, ConsistencyError,
                         MalformedTableError)
 from ttw.fincat import (CatFunctor, from_commutative_monoid, from_quantale,
@@ -790,7 +789,7 @@ def composition_closure(mc, mids) -> set[int]:
 
 
 def assert_generates(mc) -> tuple[int, ...]:
-    generators = thin_generators(mc)
+    generators = mc.cat.generators
     ids = {mc.identity(a) for a in range(len(mc.objects))}
     assert not ids & set(generators)
     assert composition_closure(mc, generators) - ids == \
@@ -847,6 +846,17 @@ def assert_day_matches_all_morphism_slides(mc, pairs, unitor_of=None):
     along_generators = day_outputs(mc, pairs, unitor_of)
     with generic_hierarchy_sweeps():
         assert along_generators == day_outputs(mc, pairs, unitor_of)
+
+
+def test_the_oracle_block_slides_along_every_morphism():
+    # the 14 thin generators of c3 "all" are cached on the category
+    # before the block, and the block still answers all 82 non-identities
+    cat = completion_cached("c3", "all").category.cat
+    thin = cat.generators
+    with generic_hierarchy_sweeps():
+        every = cat.generators
+    assert len(thin) == 14 and cat.generators == thin
+    assert every == tuple(m.mid for m in cat.morphisms if m.mid != cat.identity[m.dom])
 
 
 @pytest.mark.parametrize("name, flavour", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.util
 import itertools
 import pathlib
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import (OUT_OF_RANGE, brute_all_cocones, brute_colimit, brute_is_colimit,
                       brute_is_mono, brute_is_pullback, brute_is_pushout,
-                      brute_untyped_tensor_pairs, build_cached, completion_cached,
-                      explicit_compose, explicit_tensor, max_monoid, mor_by_label, obj_by_label,
-                      out_of_range_entry, outcome, quotient_cached, shuffled_posets,
-                      thin_monoidal_preorders, with_explicit_compose)
+                      brute_iso_classes, brute_untyped_tensor_pairs, build_cached,
+                      completion_cached, explicit_compose, explicit_tensor, max_monoid,
+                      mor_by_label, obj_by_label, ordered_monoid_category,
+                      out_of_range_entry, outcome, product_category, quotient_cached,
+                      shuffled_posets, thin_monoidal_preorders, with_explicit_compose)
 from ttw import fincat, gallery
 from ttw.caps import Caps
+from ttw.daycat import coproduct_of_representables, day_tensor
 from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
                         NonCommutingSquareError)
 from ttw.fincat import (CatFunctor, Cocone, DiagramSpec, FinCategory, MonoidalData,
@@ -30,8 +33,8 @@ from ttw.fincat import (CatFunctor, Cocone, DiagramSpec, FinCategory, MonoidalDa
                         thin_category_from_poset, validate)
 from ttw.gallery import idem_monoid, zero_one_monoid
 from ttw.orderkit import FinPoset, Semilattice
-from ttw.restriction import restriction_category
-from ttw.subunits import enumerate_subunits
+from ttw.restriction import restriction_category, tensor_ideals
+from ttw.subunits import enumerate_subunits, is_locale_based
 
 
 def thin_mor(mc, src, dst):
@@ -407,7 +410,7 @@ def test_a_tensor_monotone_along_covers_but_not_within_a_class_is_untyped():
     mon = with_tensor_entry(mc.mon, a, a, obj_by_label(mc, "{0}[0]"))
     violations = assert_object_laws_match_the_sweeps(cat, mon)
     witnesses = {w for v in violations if v.law == "tensor_typing" for w in v.witness}
-    generators = set(fincat.thin_generators(cat)) & witnesses
+    generators = set(cat.generators) & witnesses
     assert generators
     assert all(cat.hom(cat.cod(g), cat.dom(g)) for g in generators)
 
@@ -424,6 +427,76 @@ def test_a_thin_category_with_a_mistyped_identity_is_reported():
     assert violations[0] == fincat.Violation(
         "identity_typing", (1, 1), "identity of 1 is not an endomorphism")
     assert any(v.law == "tensor_typing" for v in violations)
+
+
+# ---------------------------------------------------------------------------
+# the preorder view: isomorphism classes and generators
+
+
+def iso_class_inputs():
+    """The gallery, the completions of each entry and the simple quotients
+    of the entries and their "directed" completions, then the products of
+    b2 with z2 and of z2 with monoid_idem, which are not thin."""
+    for name in gallery.names():
+        yield build_cached(name)
+        for flavour in ("finite", "directed", "all"):
+            yield completion_cached(name, flavour).category
+        yield quotient_cached(name)
+        yield quotient_cached(name, "directed")
+    yield product_category(build_cached("b2"), build_cached("z2"))
+    yield product_category(build_cached("z2"), build_cached("monoid_idem"))
+
+
+def test_iso_classes_match_the_union_find():
+    nontrivial = 0
+    for mc in iso_class_inputs():
+        assert mc.cat.iso_classes == brute_iso_classes(mc)
+        nontrivial += any(len(cls) > 1 for cls in mc.cat.iso_classes)
+    assert nontrivial  # the m3 "directed" quotient has a class of 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(thin_monoidal_preorders())
+def test_iso_classes_match_the_union_find_on_monoidal_preorders(mc):
+    assert mc.cat.iso_classes == brute_iso_classes(mc)
+
+
+def counted_derivation(monkeypatch, name):
+    """The categories whose ``FinCategory`` property ``name`` is derived
+    from here on, one entry per call of its function, which stays under
+    the same kind of descriptor, cached or not."""
+    derived = []
+    kept = getattr(FinCategory, name)
+    real = getattr(kept, "func", None) or kept.fget
+
+    @functools.wraps(real)
+    def derive(cat):
+        derived.append(cat)
+        return real(cat)
+    monkeypatch.setattr(FinCategory, name, type(kept)(derive))
+    return derived
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_semilattice(Semilattice.from_poset(
+        FinPoset.chain(["0", "1", "2"]))),
+    lambda: ordered_monoid_category(((0, 1), (1, 1)), 0, [(0, 1), (1, 0)]),
+    lambda: product_category(gallery.build("b2"), gallery.build("z2"))],
+    ids=["chain", "cycle", "product"])
+def test_the_preorder_view_is_derived_once_per_category(monkeypatch, build):
+    classes = counted_derivation(monkeypatch, "iso_classes")
+    generators = counted_derivation(monkeypatch, "generators")
+    mc = build()
+    unit = coproduct_of_representables(mc, [mc.unit])
+    for _ in range(2):
+        validate(mc.cat, mc.mon)
+        day_tensor(mc, unit, unit)
+        tensor_ideals(mc)
+        if mc.is_thin():
+            is_locale_based(mc)
+    for derived in (classes, generators):
+        assert derived.count(mc.cat) == 1
+        assert len(set(map(id, derived))) == len(derived)
 
 
 # ---------------------------------------------------------------------------

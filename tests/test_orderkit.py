@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (closure_lattices, filtered_directed_downsets, max_monoid,
-                      maximal, null_monoid, scan_is_directed, scan_is_preframe,
-                      scan_join, scan_meet, shuffled_posets)
+                      maximal, null_monoid, scan_covers, scan_is_directed,
+                      scan_is_preframe, scan_join, scan_meet, shuffled_posets)
 from ttw import orderkit
 from ttw.caps import Caps
 from ttw.errors import BuildError, CapExceededError
@@ -408,6 +408,12 @@ def test_is_directed_matches_pairwise_scan(poset, data):
 def test_lattice_and_distributivity_match_scan(poset):
     assert poset.is_lattice() == scan_is_lattice(poset)
     assert is_distributive(poset) == scan_is_distributive(poset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(any_posets, shuffled_posets(max_size=3).map(lambda p: downsets(p).poset)))
+def test_covers_match_the_triple_scan(poset):
+    assert poset.covers() == scan_covers(poset)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,8 +13,7 @@ import pytest
 import ttw
 from conftest import build_cached, completion_cached
 from ttw import gallery
-from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
-                        slide_generators)
+from ttw.daycat import broad_category, coproduct_of_representables, day_tensor
 from ttw.errors import BuildError, CapExceededError
 from ttw.fractions import localise, sigma, simple_quotient
 from ttw.restriction import restriction_category
@@ -115,6 +114,7 @@ def test_restriction_rows(timings, monkeypatch, capsys):
             str(len(mc.objects)), str(len(mc.morphisms)),
             f"{built}/{len(enumerate_subunits(mc))}"]
         assert all(map(seconds, (graded, comonads, restrict, ideals, composition)))
+        assert len(restrict.partition(".")[2]) == 4
 
 
 def test_day_rows(timings, monkeypatch, capsys):
@@ -131,7 +131,7 @@ def test_day_rows(timings, monkeypatch, capsys):
         objects, morphisms, slid, class_count, *day_s = printed[label]
         assert [objects, morphisms, slid, class_count] == [
             str(len(mc.objects)), str(len(mc.morphisms)),
-            str(len(slide_generators(mc))), str(classes)]
+            str(len(mc.cat.generators)), str(classes)]
         assert len(day_s) == 4 and all(map(seconds, day_s))
 
 

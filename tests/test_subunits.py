@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import weakref
 
@@ -13,9 +14,11 @@ from conftest import (brute_d_diagram, brute_is_pullback, brute_is_pushout,
                       completion_cached, generic_hierarchy_sweeps,
                       obj_by_label, ordered_monoid_category, outcome,
                       scan_is_distributive, split_monoid_category, subunit_by_domain,
-                      sweep_universal_directed_joins, thin_monoidal_preorders)
+                      sweep_join_preserved, sweep_universal_directed_joins,
+                      thin_monoidal_preorders)
 import ttw.subunits
 from ttw import gallery
+from ttw.caps import DEFAULT_CAPS, Caps
 from ttw.daycat import broad_category
 from ttw.errors import BuildError, CapExceededError, TtwError
 from ttw.fincat import (FinCategory, MonoidalCategory, MonoidalData, Morphism,
@@ -23,10 +26,10 @@ from ttw.fincat import (FinCategory, MonoidalCategory, MonoidalData, Morphism,
                         from_quantale, from_semilattice, is_iso, is_pullback,
                         is_pushout, objects_isomorphic, subobjects)
 from ttw.fractions import simple_quotient
-from ttw.orderkit import (FinPoset, Quantale, Semilattice, ideal_quantale,
+from ttw.orderkit import (FinPoset, Quantale, Semilattice, _bits, ideal_quantale,
                           is_distributive, is_preframe, poset_isomorphism,
                           quantale_subunits)
-from ttw.subunits import (_tensor_right, check_characterisation,
+from ttw.subunits import (_join_preserved, _tensor_right, check_characterisation,
                           d_diagram, enumerate_subunits,
                           has_universal_directed_joins,
                           has_universal_finite_joins, idempotent_families,
@@ -558,6 +561,53 @@ def test_a_zero_tensor_that_is_not_initial_fails_like_the_sweep():
     assert (report.witness, report.details) == (
         ("X (x) 0 is not initial at X=1",), {"stage": "initial"})
     assert_thin_hierarchy_matches_sweep(mc)
+
+
+# ---------------------------------------------------------------------------
+# the thin join test, one object per isomorphism class
+
+
+def assert_join_preserved_matches_the_sweep(mc) -> int:
+    """``_join_preserved`` against the sweep over every object, with the
+    same result, witness and cap refusal: for every meet-closed family U,
+    at every object j above all its subunit domains, under the default
+    ``max_cocones`` and limits 1 and 2.  Returns how many of these fail
+    at an object whose isomorphism class has another member."""
+    lat = subunit_semilattice(mc)
+    cat, shared = mc.cat, 0
+    in_big_class = {x for cls in cat.iso_classes if len(cls) > 1 for x in cls}
+    for family in idempotent_families(lat):
+        bounds = functools.reduce(
+            int.__and__, (cat.up[lat.subunits[i].domain] for i in family),
+            (1 << len(mc.objects)) - 1)
+        for j in _bits(bounds):
+            for caps in (DEFAULT_CAPS, Caps(max_cocones=1), Caps(max_cocones=2)):
+                found = outcome(_join_preserved, mc, lat, family, j, caps)
+                assert found == outcome(sweep_join_preserved, mc, lat, family, j, caps)
+                shared += found[0] == "value" and found[1] is not None \
+                    and found[1][0] in in_big_class
+    return shared
+
+
+def test_join_preserved_matches_the_sweep_on_gallery():
+    shared = 0
+    for name in gallery.names():
+        flavours = ("directed",) if name == "m3" else ("finite", "directed", "all")
+        for mc in (build_cached(name), simple_quotient(build_cached(name)).category,
+                   *(completion_cached(name, f).category for f in flavours)):
+            if mc.is_thin():
+                shared += assert_join_preserved_matches_the_sweep(mc)
+    assert shared
+
+
+@settings(max_examples=40, deadline=None)
+@given(thin_monoidal_preorders())
+def test_join_preserved_matches_the_sweep_on_monoidal_preorders(mc):
+    try:
+        subunit_semilattice(mc)
+    except BuildError:
+        assume(False)
+    assert_join_preserved_matches_the_sweep(mc)
 
 
 # ---------------------------------------------------------------------------
