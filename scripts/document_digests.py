@@ -29,7 +29,8 @@ of ``verify_graded_monad``, ``verify_comonad_bijection``,
 the error that stops it.  Two commits that print the same lines export
 the same tables and decide the same restrictions, supports, Day
 tensors, join hierarchies and restriction laws for every category
-listed.
+listed.  ``scripts/document_digests.txt`` holds the expected lines, and
+CI diffs the output against it.
 """
 
 from __future__ import annotations

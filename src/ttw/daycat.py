@@ -17,7 +17,8 @@ are cocones whose legs restrict into the target family.  Collecting the
 (finitely bounded, directed, all) presentations yields the three
 completion categories, again as explicit finite monoidal categories.
 The completion of a thin category is thin, with at most one cocone per
-hom-set, so it is composed and braided by typing; any other completion
+hom-set, so its hom-sets are read from the preorder's masks and it is
+composed and braided by typing; any other completion lists, checks and
 pastes its cocones (see ``broad_category``).
 """
 
@@ -512,9 +513,6 @@ class BroadCompletion:
     cocones: tuple[tuple[int, ...], ...]  # per completion morphism, source legs
     embedding: CatFunctor
 
-    def spec_index(self, spec: BroadSpec) -> int:
-        return self.specs.index(spec)
-
 
 def _flavour_families(lat: SubunitSemilattice, flavour: str,
                       caps: Caps) -> list[tuple[int, ...]]:
@@ -536,6 +534,23 @@ def _restriction_factor(mc: MonoidalCategory, lat: SubunitSemilattice,
         return t, restricts_to(mc, leg, lat.subunits[t])
     raise ConsistencyError("cocone leg does not restrict into the family",
                            details={"leg": leg, "family": family})
+
+
+def _thin_hom_masks(down, nodes) -> list[int]:
+    """The hom-sets of the completion of a thin source, as one mask of
+    target specs per source spec.  ``nodes`` lists, per spec (U, X), the
+    objects S (x) X for s in U, and ``down`` is the source's down-set
+    masks; bit b of row a is set exactly when N & ~R == 0, for N the
+    mask of the nodes of spec a and R the OR of the down-sets of the
+    nodes of spec b (see ``broad_category``)."""
+    reach = []
+    for objs in nodes:
+        below = 0
+        for obj in objs:
+            below |= down[obj]
+        reach.append(below)
+    return [_mask(b for b, below in enumerate(reach) if not mine & ~below)
+            for mine in map(_mask, nodes)]
 
 
 def broad_category(mc: MonoidalCategory, flavour: str = "all",
@@ -562,10 +577,18 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     composite of alpha: (U, X) -> (V, Y) and beta: (V, Y) -> (W, Z)
     always exists, as the construction checks: a leg of alpha factors
     as (t (x) Y) o h with t in V, and beta_t o h restricts into W
-    wherever beta_t does.  ``hom_cocones`` still lists and checks every
-    cocone, the result is validated and the embedding checked strict
-    monoidal.  Other sources paste every composite, the test oracle of
-    this path.
+    wherever beta_t does.  Its hom-sets are decided by masks, with no
+    cocone listed or checked: a leg c: S (x) X -> Y restricts to t
+    exactly when S (x) X <= T (x) Y, for c then factors through
+    t (x) Y by typing, and any two parallel composites agree.  So with
+    N(U, X) the mask of the nodes S (x) X for s in U and R(V, Y) the OR
+    over t in V of the down-sets of T (x) Y, (U, X) -> (V, Y) holds one
+    cocone exactly when N & ~R == 0 (``_thin_hom_masks``), with legs the
+    morphisms S (x) X -> Y in family order; each such test counts one
+    cocone against ``max_cocones``.  The result is validated and the
+    embedding checked strict monoidal.  Other sources list and check
+    every cocone over ``d_diagram`` and paste every composite, the test
+    oracle of this path.
     """
     stiff = is_stiff(mc)
     if not stiff.holds:
@@ -576,36 +599,49 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
              for fam in sorted(families) for x in range(len(mc.objects))]
     spec_index = {(s.family, s.obj): k for k, s in enumerate(specs)}
 
-    diagrams = {s: d_diagram(mc, lat, s.family, s.obj) for s in specs}
-    table = restriction_table(mc)
-
-    def hom_cocones(src: BroadSpec, dst: BroadSpec) -> list[tuple[int, ...]]:
-        diagram = diagrams[src]
-        fam_dst = _mask(dst.family)
-        candidate_legs = []
-        count = 1
-        for node in diagram.nodes:
-            legs = [c for c in mc.hom(node, dst.obj) if table[c] & fam_dst]
-            count *= len(legs)
-            candidate_legs.append(legs)
-            if count == 0:
-                return []
-        caps.check("max_cocones", count)
-        return [legs for legs in itertools.product(*candidate_legs)
-                if is_cocone(mc, diagram, Cocone(dst.obj, legs))]
-
     thin = mc.is_thin()
     mor_defs: list[tuple[int, int, tuple[int, ...]]] = []
     # keyed by (source, target) on a thin source, else (source, target, legs)
     mor_index: dict[tuple, int] = {}
-    for a, src in enumerate(specs):
-        for b, dst in enumerate(specs):
-            for legs in hom_cocones(src, dst):
-                mor_index[(a, b) if thin else (a, b, legs)] = len(mor_defs)
-                mor_defs.append((a, b, legs))
-                # checked as the count grows, so that an over-cap
-                # completion is refused before the rest of the sweep
-                caps.check("max_morphisms", len(mor_defs))
+
+    def add_cocone(a: int, b: int, legs: tuple[int, ...]) -> None:
+        mor_index[(a, b) if thin else (a, b, legs)] = len(mor_defs)
+        mor_defs.append((a, b, legs))
+        # checked as the count grows, so that an over-cap completion is
+        # refused before the rest of the sweep
+        caps.check("max_morphisms", len(mor_defs))
+
+    if thin:
+        nodes = [tuple(mc.tensor_obj(lat.subunits[i].domain, s.obj) for i in s.family)
+                 for s in specs]
+        for a, row in enumerate(_thin_hom_masks(mc.cat.down, nodes)):
+            for b in _bits(row):
+                caps.check("max_cocones", 1)
+                add_cocone(a, b, tuple(mc.hom(node, specs[b].obj)[0]
+                                       for node in nodes[a]))
+    else:
+        diagrams = {s: d_diagram(mc, lat, s.family, s.obj) for s in specs}
+        table = restriction_table(mc)
+
+        def hom_cocones(src: BroadSpec, dst: BroadSpec) -> list[tuple[int, ...]]:
+            diagram = diagrams[src]
+            fam_dst = _mask(dst.family)
+            candidate_legs = []
+            count = 1
+            for node in diagram.nodes:
+                legs = [c for c in mc.hom(node, dst.obj) if table[c] & fam_dst]
+                count *= len(legs)
+                candidate_legs.append(legs)
+                if count == 0:
+                    return []
+            caps.check("max_cocones", count)
+            return [legs for legs in itertools.product(*candidate_legs)
+                    if is_cocone(mc, diagram, Cocone(dst.obj, legs))]
+
+        for a, src in enumerate(specs):
+            for b, dst in enumerate(specs):
+                for legs in hom_cocones(src, dst):
+                    add_cocone(a, b, legs)
     # one object per spec: refuse before the composition and tensor tables,
     # where nearly all the work lies; checked after max_morphisms so that
     # an input over both caps still names the one it always named
@@ -668,11 +704,10 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
          for k, spec in enumerate(specs)],
         None if thin else compose_cocones)
 
-    def tensor_family(fu, fv):
-        meets = {lat.meet(i, j) for i in fu for j in fv}
-        return tuple(sorted(lat.lattice.poset.down_closure(meets)))
-
-    t_obj_idx = [[spec_index[(tensor_family(s1.family, s2.family),
+    tensor_family = {(fu, fv): tuple(sorted(lat.lattice.poset.down_closure(
+                         {lat.meet(i, j) for i in fu for j in fv})))
+                     for fu in families for fv in families}
+    t_obj_idx = [[spec_index[(tensor_family[(s1.family, s2.family)],
                               mc.tensor_obj(s1.obj, s2.obj))] for s2 in specs]
                  for s1 in specs]
 

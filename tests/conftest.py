@@ -410,7 +410,8 @@ def generic_hierarchy_sweeps():
     ``sweep_coreflector_monoidal`` sweep every law square instead of
     checking typing and existence only; ``verify_right_fractions`` walks every
     member pair and searches every Ore filler, ``localise`` builds the
-    span construction, ``broad_category`` pastes every composite cocone,
+    span construction, ``broad_category`` lists and checks every cocone
+    over ``d_diagram`` and pastes every composite,
     ``restriction_category`` tabulates its composites, and
     ``CatFunctor.check_functor`` sweeps every composable pair and
     ``check_strict_monoidal`` the one-variable tensor pairs on every

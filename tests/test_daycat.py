@@ -703,31 +703,51 @@ def test_completion_specs_are_broad_specs(name, flavour):
         assert make_broad_spec(comp.lat, spec.family, spec.obj, flavour) == spec
 
 
-def completion_tables(mc, flavour):
+def completion_tables(mc, flavour, caps=DEFAULT_CAPS):
     """A broad completion as plain data: its specs, the legs, dom and cod
     of each morphism, its identities and composition, its unit, object
     tensor and braiding rows, and the maps of its embedding."""
-    comp = broad_category(mc, flavour)
+    comp = broad_category(mc, flavour, caps)
     cat = comp.category
     return (comp.specs, comp.cocones, cat.morphisms, cat.cat.identity,
             explicit_compose(cat), cat.unit, cat.mon.tensor_obj, cat.mon.braiding,
             comp.embedding.obj_map, comp.embedding.mor_map)
 
 
-def assert_completion_matches_pasting(mc, flavour):
-    """The completion composed and braided by typing equals the one that
-    pastes every composite, raise for raise; returns the outcome."""
-    typed = outcome(completion_tables, mc, flavour)
+def assert_completion_matches_pasting(mc, flavour, caps=DEFAULT_CAPS):
+    """The completion whose hom-sets are read from masks, composed and
+    braided by typing equals the one that lists and checks every cocone
+    and pastes every composite, raise for raise; returns the outcome."""
+    typed = outcome(completion_tables, mc, flavour, caps)
     with generic_hierarchy_sweeps():
-        pasted = outcome(completion_tables, mc, flavour)
+        pasted = outcome(completion_tables, mc, flavour, caps)
     assert typed == pasted
     return typed
 
 
-@pytest.mark.parametrize("flavour", FLAVOURS)
-@pytest.mark.parametrize("name", THIN_GALLERY)
+# B3 "directed" and "finite" (72 objects and 2773 morphisms, 160 and
+# 11,724) are over the default caps, so every case runs with them raised
+B3_SIZES = {"directed": (72, 2773), "finite": (160, 11724)}
+RAISED_CAPS = DEFAULT_CAPS.with_overrides(max_objects=160, max_morphisms=11724)
+
+
+@pytest.mark.parametrize(("name", "flavour"),
+                         [(name, flavour) for name in THIN_GALLERY for flavour in FLAVOURS]
+                         + [("b3", flavour) for flavour in B3_SIZES])
 def test_thin_completion_matches_the_pasting_oracle(name, flavour):
-    assert assert_completion_matches_pasting(build_cached(name), flavour)[0] == "value"
+    mc = boolean_category(3) if name == "b3" else build_cached(name)
+    kind, tables = assert_completion_matches_pasting(mc, flavour, RAISED_CAPS)
+    assert kind == "value"
+    if name == "b3":
+        specs, cocones = tables[:2]
+        assert (len(specs), len(cocones)) == B3_SIZES[flavour]
+
+
+def test_max_cocones_0_refuses_a_thin_completion_on_both_routes(c3):
+    # each nonempty thin hom-set counts one cocone, as the listing does
+    caps = DEFAULT_CAPS.with_overrides(max_cocones=0)
+    assert assert_completion_matches_pasting(c3, "all", caps) == \
+        ("cap", "max_cocones", 0, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -747,11 +767,16 @@ def test_a_composite_outside_the_hom_sets_is_a_consistency_error(c3, pasting):
     # the composite of the embedded 0 -> m and m -> 1 names no morphism:
     # the pasting path finds no cocone for it, and the completion by
     # typing, which keeps no composition table, is refused as a preorder
-    # that is not transitive
+    # that is not transitive.  The pasting path drops them from its
+    # cocone check, the thin path from its hom-set masks.
     source = (tuple(range(len(subunit_semilattice(c3)))), obj_by_label(c3, "0"))
     apex = obj_by_label(c3, "1")
+    specs = broad_category(c3, "all").specs
+    row = next(k for k, s in enumerate(specs) if (s.family, s.obj) == source)
+    dropped = sum(1 << k for k, s in enumerate(specs) if s.obj == apex)
     spec_of = {}
     real_d_diagram, real_is_cocone = daycat.d_diagram, daycat.is_cocone
+    real_thin_hom_masks = daycat._thin_hom_masks
 
     def d_diagram(mc, lat, family, obj):
         diagram = real_d_diagram(mc, lat, family, obj)
@@ -762,9 +787,17 @@ def test_a_composite_outside_the_hom_sets_is_a_consistency_error(c3, pasting):
         return real_is_cocone(mc, diagram, cocone) and not (
             spec_of[id(diagram)][1] == source and cocone.apex == apex)
 
+    def thin_hom_masks(down, nodes):
+        rows = real_thin_hom_masks(down, nodes)
+        rows[row] &= ~dropped
+        return rows
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(daycat, "d_diagram", d_diagram)
-        patch.setattr(daycat, "is_cocone", is_cocone)
+        if pasting:
+            patch.setattr(daycat, "d_diagram", d_diagram)
+            patch.setattr(daycat, "is_cocone", is_cocone)
+        else:
+            patch.setattr(daycat, "_thin_hom_masks", thin_hom_masks)
         with generic_hierarchy_sweeps() if pasting else contextlib.nullcontext():
             with pytest.raises(ConsistencyError if pasting else MalformedTableError,
                                match="composite cocone escaped the hom sets"
