@@ -11,8 +11,9 @@
     ttw examples {list, emit NAME}
 
 Common flags: --format json|text, --cap NAME=N (repeatable).  Exit
-codes: 2 schema violation, 3 law violation while building, 4 unknown
-subunit/morphism name, 5 cap exceeded.
+codes: 2 schema violation or a file that cannot be read or written, 3
+law violation while building, 4 unknown subunit/morphism name, 5 cap
+exceeded.
 
 The argument parser is built on the first ``main`` call and reused for
 the rest of the process.  ``main(argv)`` stays re-entrant: every call
@@ -89,25 +90,29 @@ def _write_atomic(path: str, text: str) -> None:
     with the mode ``open(path, "w")`` would leave: the existing file's,
     or else 0o666 less the umask (``mkstemp`` alone gives 0o600).  A
     symlink is followed, as ``open`` follows it, so the link stays and
-    its target gets the text."""
-    path = os.path.realpath(path)
-    directory = os.path.dirname(path)
+    its target gets the text.  A failure to write, such as a missing
+    directory or a path naming a directory, is a ``DocumentError`` and
+    leaves no temporary file."""
+    real = os.path.realpath(path)
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ttw-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            os.fchmod(handle.fileno(), mode)
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        try:
+            mode = stat.S_IMODE(os.stat(real).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".ttw-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                os.fchmod(handle.fileno(), mode)
+                handle.write(text)
+            os.replace(tmp, real)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _parse_caps(entries) -> Caps:

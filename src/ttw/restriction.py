@@ -42,12 +42,27 @@ axioms ``validate`` proved are not checked again, on any category:
   ``interchange`` and ``strict_assoc_mor``: both sides move the second
   and third copies of S past the same objects, and
   (s (x) S) o (s (x) S (x) S) = (s (x) S) o (S (x) s (x) S) = s (x) s (x) S.
-  On a thin category all three are existence facts, which the thin
+- the comonad S (x) (-) that ``restriction_comonad`` builds, with
+  nothing left to check.  S (x) s = s (x) S, because s is monic and
+  s o (S (x) s) = s (x) s = s o (s (x) S) (``interchange``).  delta is
+  by construction the inverse of s (x) S (x) A, so it is invertible and
+  the left counit law holds; the right counit law and coassociativity
+  are S (x) s = s (x) S, tensored with A and with S (x) A.  The counit
+  at the unit is s, monic.  Naturality of the counit and of delta
+  follows from ``interchange``.  Coherence of phi_{A,B} =
+  sigma_{A,S} (x) B follows from ``braiding_naturality``, the hexagons
+  and sigma_{I,A} = sigma_{A,I} = id.
+  On a thin category all four are existence facts, which the thin
   ``validate`` and the subunit definition already give.
 
-The comonad laws and the Frobenius law are checked, since
-``check_restriction_comonad`` also takes comonad data from outside,
-through ``extract_subunit``.
+The inclusion of a restriction and its coreflector are functors by
+construction too (``_tabulated_restriction``).  The test suite keeps
+``check_restriction_comonad`` and ``CatFunctor.check_functor`` on every
+built comonad, inclusion and coreflector, with the full sweeps, as the
+oracle of these bullets (``test_built_restrictions_pass_the_law_checks``).
+``check_restriction_comonad`` stays for comonad data from outside,
+through ``extract_subunit``, and the Frobenius law is checked by
+``verify_comonad_bijection``, as part of its verdict.
 
 On a thin category (every hom-set has at most one element) each law
 these checks sweep (naturality, coherence, counit squares) equates two
@@ -173,6 +188,11 @@ def _tabulated_restriction(mc: MonoidalCategory, s: Subunit) -> RestrictionResul
     any table is built, and a refusal there carries those violations as
     its report; a restriction that passes it is tabulated and validated
     in full, since the unit law on morphisms can still fail.
+
+    The inclusion and the coreflector are functors by construction, and
+    neither is checked: the inclusion is the kept morphisms, composed
+    as in ``mc``, and the coreflector is S (x) (-), a functor by
+    ``interchange`` and ``tensor_identities``.
     """
     # each object A of the restriction, with the inverse of s (x) A
     inverses = {a: inv for a in range(len(mc.objects))
@@ -223,9 +243,7 @@ def _tabulated_restriction(mc: MonoidalCategory, s: Subunit) -> RestrictionResul
     cor_mor = tuple(mor_index[_tensor_left(mc, s.domain, f.mid)]
                     for f in mc.morphisms)
     inclusion = CatFunctor(sub, mc, tuple(keep), tuple(m.mid for m in mors))
-    inclusion.check_functor()
     coreflector = CatFunctor(mc, sub, cor_obj, cor_mor)
-    coreflector.check_functor()
     counit = tuple(_tensor_right(mc, s.rep, a) for a in range(len(mc.objects)))
 
     _verify_coreflection(mc, s, inverses)
@@ -319,7 +337,9 @@ class ComonadData:
 
 def restriction_comonad(mc: MonoidalCategory, s: Subunit) -> ComonadData:
     """The comonad S (x) (-) of a subunit: comultiplication inverts
-    s (x) S (x) A, counit is s (x) A, coherence is the braiding."""
+    s (x) S (x) A, counit is s (x) A, coherence is the braiding.  Every
+    comonad law holds by construction and none is checked (module
+    docstring)."""
     n_obj = len(mc.objects)
     obj_map = tuple(mc.tensor_obj(s.domain, a) for a in range(n_obj))
     mor_map = tuple(_tensor_left(mc, s.domain, f.mid) for f in mc.morphisms)
@@ -338,9 +358,7 @@ def restriction_comonad(mc: MonoidalCategory, s: Subunit) -> ComonadData:
         for b in range(n_obj):
             phi[(a, b)] = mc.tensor_mor(mc.braiding(a, s.domain),
                                         mc.identity(b))
-    data = ComonadData(mc, obj_map, mor_map, tuple(delta), tuple(counit), phi)
-    check_restriction_comonad(data)
-    return data
+    return ComonadData(mc, obj_map, mor_map, tuple(delta), tuple(counit), phi)
 
 
 def check_restriction_comonad(data: ComonadData) -> None:
@@ -453,7 +471,8 @@ def extract_subunit(mc: MonoidalCategory, data: ComonadData) -> Subunit:
 
 
 def _comonad_subunit(mc: MonoidalCategory, data: ComonadData) -> Subunit:
-    """``extract_subunit`` of data already checked as a comonad."""
+    """``extract_subunit`` of data known to be a comonad: checked, or
+    built by ``restriction_comonad``."""
     eps = data.counit[mc.unit]
     if is_iso(mc, mc.tensor_mor(mc.identity(mc.dom(eps)), eps)) is None:
         raise ConsistencyError(
@@ -479,7 +498,7 @@ def verify_comonad_bijection(mc: MonoidalCategory) -> PropertyReport:
     subs = enumerate_subunits(mc)
     seen = {}
     for s in subs:
-        data = restriction_comonad(mc, s)   # checked as a comonad there
+        data = restriction_comonad(mc, s)   # a comonad by construction
         back = _comonad_subunit(mc, data)
         if back.rep != s.rep:
             return PropertyReport("comonad_bijection", False,

@@ -213,6 +213,20 @@ def test_dot_file_writes_through_a_symlink(capsys, emitted, tmp_path):
     assert target.stat().st_mode & 0o777 == 0o640
 
 
+@pytest.mark.parametrize("command", ["subunits", "complete"])
+@pytest.mark.parametrize("target", ["missing/x.dot", "."])
+def test_dot_path_that_cannot_be_written_is_a_schema_error(capsys, emitted, tmp_path,
+                                                           command, target):
+    # a missing directory, and a path naming a directory: exit 2 as for a
+    # file that cannot be read, nothing on stdout, no temporary file left
+    path = emitted("q3")
+    dot_path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, command, "--dot", dot_path, path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"ttw: schema error: cannot write {dot_path}: ")
+    assert not list(tmp_path.parent.rglob(".ttw-*"))
+
+
 def test_render_dot_five_downsets():
     from ttw.orderkit import downsets
     poset = FinPoset.from_pairs(["a", "b", "1"], [("a", "1"), ("b", "1")])

@@ -151,6 +151,65 @@ def test_a_non_functorial_presheaf_names_the_first_failing_pair(name):
 
 
 # ---------------------------------------------------------------------------
+# every presheaf the library builds is one by construction; check_presheaf
+# is its oracle
+
+
+def built_presheaves(mc, rng) -> list:
+    """Every kind of presheaf the library builds over ``mc``, by name:
+    the representable of each object, each sieve on the unit (where
+    ``max_downset_base`` allows), the broad presheaf of each spec (where
+    the subunits form a semilattice), coproducts of representables, and
+    the Day quotients of the square of each sieve and of up to eight
+    seeded pairs of the others within ``max_presheaf_values``."""
+    n = len(mc.objects)
+    built = [(f"yoneda {a}", yoneda(mc, a)) for a in range(n)]
+    built += [("coproduct", coproduct_of_representables(mc, tags))
+              for tags in ([], list(range(n)), [mc.unit, mc.unit])]
+    try:
+        sieves = [sieve_presheaf(mc, sieve) for sieve in all_sieves_on_unit(mc)]
+    except CapExceededError:
+        sieves = []  # too many morphisms into the unit to list the sieves
+    built += [("sieve", p) for p in sieves]
+    try:
+        lat = subunit_semilattice(mc)
+        built += [("broad", broad_presheaf(mc, make_broad_spec(lat, family, x, "all")))
+                  for family in downsets(lat.lattice).sets for x in range(n)]
+    except BuildError:
+        pass  # no subunit semilattice
+    small = [p for _, p in built
+             if all(p.size(a) <= DEFAULT_CAPS.max_presheaf_values for a in range(n))]
+    pairs = list(itertools.product(small, small))
+    for left, right in [(p, p) for p in sieves if p in small] + \
+            rng.sample(pairs, min(len(pairs), 8)):
+        built.append(("day", day_tensor(mc, left, right).presheaf))
+    return built
+
+
+def assert_built_presheaves_pass(mc, rng):
+    for kind, p in built_presheaves(mc, rng):
+        assert outcome(check_presheaf, p) == ("value", None), kind
+
+
+@pytest.mark.parametrize("name, flavour", [
+    *((name, None) for name in gallery.names()),
+    ("b2", "all"), ("c3", "all"), ("q3", "all")])
+def test_built_presheaves_pass_check_presheaf(name, flavour):
+    mc = (build_cached(name) if flavour is None
+          else completion_cached(name, flavour).category)
+    assert_built_presheaves_pass(mc, random.Random(f"{name}/{flavour}"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(commutative_monoids().map(from_commutative_monoid),
+                 closure_lattices().map(
+                     lambda poset: from_semilattice(Semilattice.from_poset(poset)))),
+       st.randoms(use_true_random=False))
+def test_built_presheaves_pass_check_presheaf_on_generated_categories(mc, rng):
+    assert_built_presheaves_pass(mc, rng)
+
+
+# ---------------------------------------------------------------------------
 # the Day tensor
 
 

@@ -434,6 +434,51 @@ def test_comonad_bijection_and_frobenius(gallery_category):
         assert frobenius_law_holds(restriction_comonad(mc, s))
 
 
+def assert_built_restrictions_pass(mc) -> int:
+    """The comonad of each subunit passes ``check_restriction_comonad``,
+    and the inclusion and coreflector of each restriction pass
+    ``check_functor``, each with its full sweep, since the block makes
+    every category look not thin; returns how many restrictions were
+    strict, the others being refused before any functor is built."""
+    strict = 0
+    with generic_hierarchy_sweeps():
+        for s in enumerate_subunits(mc):
+            check_restriction_comonad(restriction_comonad(mc, s))
+            try:
+                result = ttw.restriction.restriction_category(mc, s)
+            except BuildError:
+                continue
+            result.inclusion.check_functor()
+            result.coreflector.check_functor()
+            strict += 1
+    return strict
+
+
+# the sweeps take about 6 s on each 50-object completion of m3; "all"
+# is checked, "finite" left out to keep the suite short
+SWEEPS_TOO_SLOW = {("m3", "finite")}
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_built_restrictions_pass_the_law_checks(name):
+    assert assert_built_restrictions_pass(build_cached(name))
+    for flavour in ("finite", "directed", "all"):
+        if (name, flavour) not in SWEEPS_TOO_SLOW:
+            assert assert_built_restrictions_pass(completion_cached(name, flavour).category)
+
+
+def test_built_restrictions_pass_the_law_checks_on_a_product():
+    # b2 x z2: not thin, with two morphisms between distinct objects
+    assert assert_built_restrictions_pass(
+        product_category(build_cached("b2"), build_cached("z2"))) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(commutative_monoids())
+def test_built_restrictions_pass_the_law_checks_on_monoids(monoid):
+    assert assert_built_restrictions_pass(from_commutative_monoid(monoid))
+
+
 def test_invalid_comonad_rejected(z2):
     g = mor_by_label(z2, "g")
     ident = z2.identity(0)
@@ -680,11 +725,6 @@ def assert_thin_route_matches_sweeps(mc):
     with generic_hierarchy_sweeps():
         assert not mc.is_thin()
         assert _restriction_checks(mc) == thin
-
-
-# the sweeps take about 6 s on each 50-object completion of m3; "all"
-# is compared, "finite" left out to keep the suite short
-SWEEPS_TOO_SLOW = {("m3", "finite")}
 
 
 @pytest.mark.parametrize("name", THIN_GALLERY)

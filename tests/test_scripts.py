@@ -1,4 +1,5 @@
-"""scripts/timings.py, row by row against the library."""
+"""scripts/timings.py, row by row against the library, and the pinned
+output of scripts/gallery_report.py and scripts/completion_demo.py."""
 
 from __future__ import annotations
 
@@ -20,15 +21,20 @@ from ttw.restriction import restriction_category
 from ttw.subunits import (check_characterisation, enumerate_subunits,
                           is_locale_based)
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "timings.py"
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "timings.py"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def timings():
-    spec = importlib.util.spec_from_file_location("timings", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("timings")
 
 
 def table_rows(timings, monkeypatch, capsys, name, rows, sources="sources"):
@@ -161,3 +167,49 @@ def test_unknown_table_is_a_usage_error():
                           capture_output=True, text=True)
     assert done.returncode == 2
     assert "invalid choice: 'nosuch'" in done.stderr
+
+
+GALLERY_REPORT = """\
+category       |ISub|     firm    stiff      fin      dir   locale   graded comonads   ideals     secs
+b2                  2     True     True     True     True     True     True     True     True        *
+boolean2x2          4     True     True     True     True     True     True     True     True        *
+c3                  3     True     True     True     True     True     True     True     True        *
+ideal2              3     True     True     True     True     True     True     True     True        *
+m3                  5     True     True    False     True    False     True     True     True        *
+monoid_idem         1     True     True    False    False    False     True     True     True        *
+q3                  2     True     True     True     True     True     True     True     True        *
+z2                  1     True     True    False    False    False     True     True     True        *
+"""
+
+
+def test_gallery_report_prints_the_pinned_verdicts(capsys):
+    load_script("gallery_report").main()
+    out = capsys.readouterr().out
+    # the secs column, right-aligned in 9 characters, is masked
+    masked = [line if k == 0 else f"{line[:-9]}{'*':>9}"
+              for k, line in enumerate(out.splitlines())]
+    assert all(seconds(line[-9:]) for line in out.splitlines()[1:])
+    assert "\n".join(masked) + "\n" == GALLERY_REPORT
+
+
+COMPLETION_DEMO_Q3 = """\
+q3: 3 objects, subunits ['0', '1']
+  finite  :   9 objects,   54 morphisms,  3 subunits, free completion match: True
+  directed:   9 objects,   54 morphisms,  3 subunits, free completion match: True
+  all     :   9 objects,   54 morphisms,  3 subunits, free completion match: True
+            locale based: True
+digraph "q3-subunits" {
+  rankdir=BT;
+  n0 [label="{}[0]"];
+  n1 [label="{0}[0]"];
+  n2 [label="{0,1}[1]"];
+  n0 -> n1;
+  n1 -> n2;
+}
+
+"""
+
+
+def test_completion_demo_prints_the_pinned_output(capsys):
+    load_script("completion_demo").main("q3")
+    assert capsys.readouterr().out == COMPLETION_DEMO_Q3

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import boolean_category, mor_by_label, scan_join, shuffled_posets
+from conftest import (boolean_category, build_cached, completion_cached, mor_by_label,
+                      scan_join, shuffled_posets)
+from ttw import gallery
 from ttw.errors import BuildError
 from ttw.orderkit import FinPoset, downsets
 from ttw.restriction import restricting_subunits
@@ -130,15 +132,27 @@ def test_supp_of_composites_and_tensors_bounded(gallery_category):
             assert lat.leq[supp[tens]][bound]
 
 
-def test_restriction_preorder_functoriality(q3):
-    lat = subunit_semilattice(q3)
-    datum, _ = canonical_support_datum(q3, lat=lat)
-    table = {m.mid: set(restricting_subunits(q3, m.mid))
-             for m in q3.morphisms}
-    for f in q3.morphisms:
-        for g in q3.morphisms:
-            if table[g.mid] <= table[f.mid]:
-                assert datum.target.leq[datum.value(f.mid)][datum.value(g.mid)]
+def test_restriction_preorder_functoriality():
+    # where g restricts only to subunits f restricts to, f's value is
+    # below g's, for the canonical and the collapsed-chain datum of every
+    # gallery entry and its "all" completion: every pair of morphisms,
+    # taken as every pair of their restricting sets and every value seen
+    # with each set
+    for name in gallery.names():
+        for mc in (build_cached(name), completion_cached(name, "all").category):
+            for datum in gallery_datums(mc)[1]:
+                assert_preorder_functorial(mc, datum)
+
+
+def assert_preorder_functorial(mc, datum):
+    seen = {}
+    for m in mc.morphisms:
+        seen.setdefault(frozenset(restricting_subunits(mc, m.mid)),
+                        set()).add(datum.value(m.mid))
+    for set_f, values_f in seen.items():
+        for set_g, values_g in seen.items():
+            if set_g <= set_f:
+                assert all(datum.target.leq[v][w] for v in values_f for w in values_g)
 
 
 # ---------------------------------------------------------------------------
