@@ -16,12 +16,17 @@ composition law, on each gallery entry and its three completions),
 object, the last object and the unit, and the unitors of the first, as
 ``document_digests.py`` picks them, with the morphisms slid along and
 the classes of the three tensors, on the b2, c3 and q3 "all"
-completions and the simple quotient of m3 "directed") or ``localise``
+completions and the simple quotient of m3 "directed"), ``localise``
 (``simple_quotient`` with the morphisms of the quotient, and
 ``localise`` at every subunit with the morphisms of the localisations
 summed, on each gallery entry, its "all" completion and m3
 "directed", after the size of the class the simple quotient
-inverts).  A row gives the
+inverts) or ``oneshot`` (``ttw check characterisation``, ``ttw complete
+--flavour all`` and ``ttw localise --simple`` on each gallery document,
+then ``ttw day`` of the representables of b2's first and last object,
+each in a fresh process as the console script runs it: its exit code,
+its wall time and its own peak resident memory, VmHWM on Linux, which
+the in-process benchmark cannot show).  A row of the other tables gives the
 sizes, then the seconds and result of each call, run on a freshly built
 category so that no derived fact is reused; the build is not timed.  A
 call that raises prints its error (the cap for a refused completion,
@@ -34,9 +39,16 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
 import time
 from collections import Counter
 
+import ttw
 from ttw import gallery
 from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
                         day_unitors)
@@ -209,6 +221,69 @@ def localise_row(source, flavour) -> list:
     return cells
 
 
+def oneshot_sources():
+    """Per ROADMAP command and gallery entry: label, argv with the
+    document's path as ``{doc}``, gallery entry; then ``day`` on b2."""
+    for name in gallery.names():
+        for label, argv in (("characterisation", ["check", "characterisation"]),
+                            ("complete", ["complete", "--flavour", "all"]),
+                            ("localise", ["localise", "--simple"])):
+            yield f"{label}/{name}", [*argv, "{doc}"], name
+    yield "day/b2", ["day", "--left", "{left}", "--right", "{right}", "{doc}"], "b2"
+
+
+def representable_document(mc, a: int) -> dict:
+    """The presheaf hom(-, a) as a document, acting by precomposition."""
+    label = mc.mor_label
+    return {"name": f"y{a}",
+            "values": {mc.obj_label(b): [label(m) for m in mc.hom(b, a)]
+                       for b in range(len(mc.objects))},
+            "action": {label(f.mid): {label(m): label(mc.compose(m, f.mid))
+                                      for m in mc.hom(f.cod, a)}
+                       for f in mc.morphisms}}
+
+
+# the console script ``ttw`` runs ``sys.exit(main())``; the child also
+# writes its peak resident set, VmHWM, to the file named by its first
+# argument.  ``ru_maxrss`` would not do: on Linux a spawned child's
+# starts from the peak of the process that spawned it.
+CHILD = """import sys
+from ttw.cli import main
+peak = sys.argv.pop(1)
+try:
+    sys.exit(main())
+finally:
+    with open("/proc/self/status") as status, open(peak, "w") as out:
+        out.writelines(line for line in status if line.startswith("VmHWM:"))
+"""
+
+
+def oneshot_row(argv, name) -> list:
+    """One fresh ``ttw`` process: its exit code, wall seconds and peak
+    resident megabytes."""
+    mc = gallery.build(name)
+    documents = {"doc": gallery.GALLERY[name].document,
+                 "left": representable_document(mc, 0),
+                 "right": representable_document(mc, len(mc.objects) - 1)}
+    src = str(pathlib.Path(ttw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {key: os.path.join(directory, f"{key}.json") for key in documents}
+        for key, document in documents.items():
+            with open(paths[key], "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+        peak = os.path.join(directory, "peak")
+        start = time.perf_counter()
+        code = subprocess.run(
+            [sys.executable, "-c", CHILD, peak, *(arg.format(**paths) for arg in argv)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        seconds = time.perf_counter() - start
+        with open(peak, encoding="utf-8") as handle:
+            kilobytes = int(handle.read().split()[1])
+    return [code, f"{seconds:.3f}", f"{kilobytes / 1024:.1f}"]
+
+
 # per table: its columns, its row format, its sources and its row
 TABLES = {
     "hierarchy": (
@@ -233,6 +308,9 @@ TABLES = {
         ("category", "objects", "morphisms", "subunits", "inverted", "quotient_s",
          "quotient", "localise_s", "localised"),
         "{:<20}" + "{:>11}" * 8, lambda: localise_sources(), localise_row),
+    "oneshot": (
+        ("run", "exit", "wall_s", "peak_rss_mb"),
+        "{:<28}" + "{:>12}" * 3, lambda: oneshot_sources(), oneshot_row),
 }
 
 

@@ -648,17 +648,37 @@ def factors_through(mc: MonoidalCategory | FinCategory, f: int, g: int) -> int |
 
 def subobjects(mc: MonoidalCategory | FinCategory, a: int) -> list[SubobjectClass]:
     """All monomorphisms into ``a`` partitioned by mutual factoring,
-    sorted by canonical representative."""
+    sorted by canonical representative.
+
+    On a thin category every morphism is mono, and x -> a factors
+    through y -> a exactly when hom(x, y) is nonempty, since hom(x, a)
+    has one member.  So two of them factor through each other exactly
+    when x and y are isomorphic, and they are grouped by the isomorphism
+    class ``up[x] & down[x]`` of their domain, as ``iso_classes`` reads
+    it.  Other categories go pair by pair (``_mutually_factoring``)."""
     cat = mc.cat if isinstance(mc, MonoidalCategory) else mc
+    if cat.up is not None:
+        groups: dict[int, set[int]] = {}
+        for x in _bits(cat.down[a]):
+            groups.setdefault(cat.up[x] & cat.down[x], set()).add(cat.hom(x, a)[0])
+        members = groups.values()
+    else:
+        members = _mutually_factoring(cat, a)
+    return sorted((SubobjectClass(min(group), frozenset(group)) for group in members),
+                  key=lambda c: c.representative)
+
+
+def _mutually_factoring(cat: FinCategory, a: int) -> list[frozenset[int]]:
+    """The monomorphisms into ``a``, partitioned by factoring through
+    each other, pair by pair: ``subobjects`` off thin categories, and
+    its test oracle on thin ones."""
     monos = [m.mid for m in cat.morphisms if m.cod == a and is_mono(cat, m.mid)]
     uf = UnionFind(monos)
     for s, t in itertools.combinations(monos, 2):
         if factors_through(cat, s, t) is not None and \
                 factors_through(cat, t, s) is not None:
             uf.union(s, t)
-    classes = [SubobjectClass(min(group), group) for group in uf.classes()]
-    classes.sort(key=lambda c: c.representative)
-    return classes
+    return uf.classes()
 
 
 def subobject_leq(mc: MonoidalCategory | FinCategory, s: SubobjectClass,

@@ -5,6 +5,11 @@ shorthand kinds (quantale, semilattice, monoid, monoid_ideals) expand
 through the fincat constructors so every analysis runs on one code
 path.  Multiplication and meet tables are full matrices of labels, row
 element times column element.
+
+Each schema is compiled once, at import, into a plain predicate equal to
+jsonschema's verdict (``_compile``); a document it accepts is valid.
+jsonschema is imported only to word the refusal of a document the
+predicate refuses, through ``best_match`` over the full schema.
 """
 
 from __future__ import annotations
@@ -106,50 +111,91 @@ class DocumentError(Exception):
     """Schema-level problem in an input document, with a location."""
 
 
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _check(key: str, value, schema: dict):
+    """The predicate of one keyword of ``schema``.  As in the draft, a
+    keyword about objects, arrays or strings holds of any other value."""
+    if key == "type" and isinstance(value, str) and value in _TYPES:
+        return lambda d, t=_TYPES[value]: isinstance(d, t)
+    if key == "minLength":
+        return lambda d: not isinstance(d, str) or len(d) >= value
+    if key == "minItems":
+        return lambda d: not isinstance(d, list) or len(d) >= value
+    if key == "maxItems":
+        return lambda d: not isinstance(d, list) or len(d) <= value
+    if key == "items":
+        item = _compile(value)
+        return lambda d: not isinstance(d, list) or all(map(item, d))
+    if key == "required":
+        return lambda d: not isinstance(d, dict) or all(k in d for k in value)
+    if key == "properties":
+        props = [(k, _compile(v)) for k, v in value.items()]
+        return lambda d: not isinstance(d, dict) or \
+            all(p(d[k]) for k, p in props if k in d)
+    if key == "additionalProperties":
+        known, extra = set(schema.get("properties", ())), _compile(value)
+        return lambda d: not isinstance(d, dict) or \
+            all(extra(v) for k, v in d.items() if k not in known)
+    if key in ("enum", "const"):
+        allowed = value if key == "enum" else [value]
+        if all(isinstance(v, str) for v in allowed):
+            return lambda d: isinstance(d, str) and d in allowed
+    if key == "oneOf":
+        branches = [_compile(branch) for branch in value]
+        return lambda d: sum(b(d) for b in branches) == 1
+    raise ValueError(f"no predicate for schema keyword {key!r}: {value!r}")
+
+
+def _compile(schema: dict):
+    """One predicate equal to ``Draft202012Validator(schema).is_valid`` on
+    JSON values (what ``json.load`` returns), for a schema built from the
+    keywords ``_check`` knows: ``type`` (object, array or string),
+    ``minLength``, ``minItems``, ``maxItems``, ``items``, ``required``,
+    ``properties``, ``additionalProperties``, string-valued ``enum`` and
+    ``const``, and ``oneOf`` (exactly one branch holds).
+
+    The draft validates a value against a schema by applying each
+    keyword to it and requiring that every one hold, and each of these
+    keywords is a fixed condition on the value and the verdicts of its
+    subschemas on its parts, which ``_check`` states.  A JSON value
+    equals a string only if it is that string, so ``in`` is the draft's
+    equality for ``enum`` and ``const``.  ``$schema`` only names the
+    draft.  Any other keyword raises ValueError, so a schema cannot
+    outgrow its predicate."""
+    checks = [_check(key, value, schema) for key, value in schema.items()
+              if key != "$schema"]
+
+    def holds(data) -> bool:
+        for check in checks:
+            if not check(data):
+                return False
+        return True
+    return holds
+
+
+_SCHEMAS = {"category": CATEGORY_SCHEMA, "presheaf": PRESHEAF_SCHEMA}
+_ACCEPTS = {name: _compile(schema) for name, schema in _SCHEMAS.items()}
+
+
 @cache
 def _validator(name: str):
-    """The validator of one schema, built (and the schema checked against
-    its metaschema) on first use; jsonschema is imported only then."""
-    from jsonschema.validators import validator_for
-    schema = {"category": CATEGORY_SCHEMA, "presheaf": PRESHEAF_SCHEMA}[name]
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-@cache
-def _kind_validators() -> dict:
-    """One validator per category ``kind``: the top level of
-    ``CATEGORY_SCHEMA`` without its ``oneOf``, plus the one branch whose
-    ``kind`` constraint names that kind."""
-    top = {key: value for key, value in CATEGORY_SCHEMA.items()
-           if key != "oneOf"}
-    cls = type(_validator("category"))
-    validators = {}
-    for branch in CATEGORY_SCHEMA["oneOf"]:
-        kind = branch["properties"]["kind"]
-        for value in kind.get("enum", [kind.get("const")]):
-            validators[value] = cls(dict(top, allOf=[branch]))
-    return validators
+    """The jsonschema validator of one schema, built on the first
+    refusal; jsonschema is imported only then."""
+    from jsonschema import Draft202012Validator
+    return Draft202012Validator(_SCHEMAS[name])
 
 
 def _validate(data: object, name: str) -> None:
     """Raise DocumentError for the error ``jsonschema.validate`` would raise.
 
-    A category document is first checked against the validator of the
-    kind it names.  The ``kind`` constraints of the ``oneOf`` branches
-    are pairwise disjoint, so at most one branch can match an object
-    with a string ``kind``: such a document satisfies the ``oneOf``
-    exactly when it satisfies the top level and the branch its ``kind``
-    names.  A document that passes that branch is valid.  Any other
-    document, and one whose ``kind`` is missing, not a string or
-    unknown, goes through ``best_match`` over the full schema, so the
-    verdict and every error message are those of the full schema."""
-    if name == "category" and isinstance(data, dict) \
-            and isinstance(data.get("kind"), str):
-        branch = _kind_validators().get(data["kind"])
-        if branch is not None and branch.is_valid(data):
-            return
+    A document the schema's compiled predicate accepts is valid, and
+    ``_validate`` returns at once.  A refused document goes through
+    ``best_match`` over the full schema, so every refusal message is
+    jsonschema's."""
+    if _ACCEPTS[name](data):
+        return
     from jsonschema.exceptions import best_match
     error = best_match(_validator(name).iter_errors(data))
     if error is not None:

@@ -441,3 +441,19 @@ def test_importing_the_cli_builds_no_parser_and_loads_no_jsonschema():
               "assert 'argparse' in sys.modules\n"
               "assert ttw.cli.make_parser.cache_info().currsize == 0\n")
     subprocess.run([sys.executable, "-c", script], env=_src_env(), check=True)
+
+
+def test_a_valid_document_is_checked_without_loading_jsonschema(tmp_path):
+    # jsonschema is imported only to word a refusal
+    valid, malformed = tmp_path / "b2.json", tmp_path / "bad.json"
+    valid.write_text(json.dumps(gallery.GALLERY["b2"].document))
+    malformed.write_text(json.dumps(dict(gallery.GALLERY["b2"].document, name="")))
+    script = ("import sys\n"
+              "from ttw.cli import main\n"
+              "assert main(['check', 'firm', sys.argv[1]]) == 0\n"
+              "assert 'jsonschema' not in sys.modules\n"
+              "sys.exit(main(['check', 'firm', sys.argv[2]]))\n")
+    done = subprocess.run([sys.executable, "-c", script, str(valid), str(malformed)],
+                          env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == "ttw: schema error: at name: '' should be non-empty\n"

@@ -24,8 +24,8 @@ from ttw.daycat import coproduct_of_representables, day_tensor
 from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
                         NonCommutingSquareError)
 from ttw.fincat import (CatFunctor, Cocone, DiagramSpec, FinCategory, MonoidalData,
-                        Morphism, all_cocones, check_monoidal_structure, colimit,
-                        factors_through,
+                        Morphism, SubobjectClass, all_cocones, check_monoidal_structure,
+                        colimit, factors_through,
                         from_commutative_monoid, from_semilattice,
                         initial_object, is_cocone, is_colimit, is_iso, is_mono,
                         is_pullback, is_pushout, objects_isomorphic,
@@ -459,6 +459,26 @@ def test_iso_classes_match_the_union_find():
 @given(thin_monoidal_preorders())
 def test_iso_classes_match_the_union_find_on_monoidal_preorders(mc):
     assert mc.cat.iso_classes == brute_iso_classes(mc)
+
+
+def factoring_subobjects(mc, a: int) -> list:
+    """The oracle of ``subobjects``: the monos into ``a``, pair by pair."""
+    return sorted((SubobjectClass(min(group), group)
+                   for group in fincat._mutually_factoring(mc.cat, a)),
+                  key=lambda c: c.representative)
+
+
+def test_thin_subobjects_match_mutual_factoring():
+    for mc in iso_class_inputs():
+        for a in range(len(mc.objects)):
+            assert subobjects(mc, a) == factoring_subobjects(mc, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(thin_monoidal_preorders())
+def test_thin_subobjects_match_mutual_factoring_on_monoidal_preorders(mc):
+    for a in range(len(mc.objects)):
+        assert subobjects(mc, a) == factoring_subobjects(mc, a)
 
 
 def counted_derivation(monkeypatch, name):

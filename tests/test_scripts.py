@@ -160,6 +160,28 @@ def test_localise_rows(timings, monkeypatch, capsys):
         assert seconds(quotient_s) and seconds(localise_s)
 
 
+ONESHOT_B2 = """\
+run                                 exit      wall_s peak_rss_mb
+characterisation/b2                    0           *           *
+complete/b2                            0           *           *
+localise/b2                            0           *           *
+day/b2                                 0           *           *
+"""
+
+
+def test_oneshot_rows_run_each_command_in_a_fresh_process(timings, monkeypatch, capsys):
+    every = list(timings.oneshot_sources())
+    assert len(every) == 3 * len(gallery.names()) + 1
+    monkeypatch.setattr(timings, "oneshot_sources",
+                        lambda: [row for row in every if row[2] == "b2"])
+    timings.main(["oneshot"])
+    # the wall_s and peak_rss_mb columns, right-aligned in 12 characters, are masked
+    lines = capsys.readouterr().out.splitlines()
+    assert all(float(cell) > 0 for line in lines[1:] for cell in line.split()[2:])
+    masked = [lines[0]] + [f"{line[:-24]}{'*':>12}{'*':>12}" for line in lines[1:]]
+    assert "\n".join(masked) + "\n" == ONESHOT_B2
+
+
 def test_unknown_table_is_a_usage_error():
     src = str(pathlib.Path(ttw.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, str(SCRIPT), "nosuch"],
