@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._unionfind import UnionFind
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, Cocone, MonoidalCategory, _composable_pairs,
@@ -241,8 +240,15 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
     (f', id), and likewise in the second variable.  A set of morphisms
     whose closure under composition holds every non-identity morphism
     therefore gives the same classes (Mac Lane, *CWM* II.7-8), and
-    ``FinCategory.generators`` is such a set.  The classes are sorted, so
-    no output depends on the order of the unions or on the set slid along.
+    ``FinCategory.generators`` is such a set.
+
+    The triples are numbered in sorted order, so the classes come out
+    sorted with no sort: one pass over the numbers, bucketing each by its
+    union-find root, opens a class's bucket at its least member and
+    appends the rest in increasing order.  The buckets are therefore
+    ordered by least member, each sorted, whatever the roots and the
+    order of the unions, so no output depends on either or on the set
+    slid along.
 
     The action of the quotient, precomposition on h, is read from each
     class's first member, and neither it nor the quotient is checked:
@@ -260,9 +266,11 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
     """
     presheaf_cap_check(left, caps)
     presheaf_cap_check(right, caps)
+    cat = mc.cat
+    hom_table, compose = cat.hom_table, cat.compose
     n_obj = len(mc.objects)
-    ids = [mc.identity(b) for b in range(n_obj)]
-    outgoing = _outgoing([mc.morphisms[f] for f in mc.cat.generators], n_obj)
+    ids = cat.identity
+    outgoing = _outgoing([cat.morphisms[f] for f in cat.generators], n_obj)
     l_size = [left.size(b) for b in range(n_obj)]
     r_size = [right.size(c) for c in range(n_obj)]
     # per (B, C) holding triples, its slides (B', C', f (x) g, F f, G g)
@@ -278,37 +286,57 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
                 (mc.cod(f), mc.cod(g), mc.tensor_mor(f, g), left.action[f],
                  right.action[g])
                 for f, g in moves if l_size[mc.cod(f)] and r_size[mc.cod(g)]]
+    pairs = [(b, c, mc.tensor_obj(b, c), l_size[b] * r_size[c]) for b, c in slides]
     # each morphism's position in its hom-set, to number the triples
-    pos = {h: k for hs in mc.cat.hom_table.values() for k, h in enumerate(hs)}
+    pos = {h: k for hs in hom_table.values() for k, h in enumerate(hs)}
     all_triples: list[tuple[Triple, ...]] = []
     all_class_of: list[dict[Triple, int]] = []
     all_classes: list[tuple[tuple[Triple, ...], ...]] = []
 
     for a in range(n_obj):
-        sources = [(b, c, mc.hom(a, mc.tensor_obj(b, c))) for b, c in slides]
-        caps.check("max_cocones", sum(len(hs) * l_size[b] * r_size[c]
-                                      for b, c, hs in sources))
+        # every slide out of a triple at A lands in a nonempty hom-set, so
+        # the (B, C) with none into B (x) C are never named
+        sources, start, count = [], {}, 0
+        for b, c, bc, block in pairs:
+            hs = hom_table.get((a, bc))
+            if hs:
+                sources.append((b, c, hs))
+                start[(b, c)] = count
+                count += len(hs) * block
+        caps.check("max_cocones", count)
         # the triples in sorted order: (B, C, h, x, y) is number
         # start[B, C] + (pos[h] * |F B| + x) * |G C| + y
-        triples: list[Triple] = []
-        start = {}
+        triples: list[Triple] = [(b, c, h, x, y) for b, c, hs in sources for h in hs
+                                 for x in range(l_size[b]) for y in range(r_size[c])]
+        parent = list(range(count))
         for b, c, hs in sources:
-            start[(b, c)] = len(triples)
-            triples.extend((b, c, h, x, y) for h in hs
-                           for x in range(l_size[b]) for y in range(r_size[c]))
-        uf = UnionFind(range(len(triples)))
-        for b, c, hs in sources:
+            n_c = r_size[c]
             for h in hs:
-                here = start[(b, c)] + pos[h] * l_size[b] * r_size[c]
+                here = start[(b, c)] + pos[h] * l_size[b] * n_c
                 for b2, c2, k, x_map, y_map in slides[(b, c)]:
                     n2 = r_size[c2]
-                    there = start[(b2, c2)] + pos[mc.compose(k, h)] * l_size[b2] * n2
-                    for x2 in range(l_size[b2]):
-                        row = here + x_map[x2] * r_size[c]
-                        for y2 in range(n2):
-                            uf.union(row + y_map[y2], there + x2 * n2 + y2)
-        groups = tuple(tuple(triples[i] for i in grp)
-                       for grp in sorted(sorted(grp) for grp in uf.classes()))
+                    there = start[(b2, c2)] + pos[compose(k, h)] * l_size[b2] * n2
+                    # the triple (x2, y2) there is slid onto (F f x2, G g y2)
+                    # here: the union of their numbers, by path halving
+                    for x in x_map:
+                        row = here + x * n_c
+                        for j, y in enumerate(y_map, there):
+                            i = row + y
+                            while parent[i] != i:
+                                parent[i] = i = parent[parent[i]]
+                            while parent[j] != j:
+                                parent[j] = j = parent[parent[j]]
+                            if i != j:
+                                parent[i] = j
+                        there += n2
+        # in number order, a root's bucket opens at its class's least member
+        buckets: dict[int, list[Triple]] = {}
+        for i, triple in enumerate(triples):
+            root = i
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            buckets.setdefault(root, []).append(triple)
+        groups = tuple(map(tuple, buckets.values()))
         all_triples.append(tuple(triples))
         all_classes.append(groups)
         all_class_of.append({t: k for k, grp in enumerate(groups) for t in grp})
@@ -316,7 +344,7 @@ def day_tensor(mc: MonoidalCategory, left: Presheaf, right: Presheaf,
     # each class by its first member, which the action precomposes
     values = tuple(tuple(grp[0] for grp in all_classes[a]) for a in range(n_obj))
     quotient = Presheaf(mc, values, {
-        m.mid: tuple(all_class_of[m.dom][(b, c, mc.compose(h, m.mid), x, y)]
+        m.mid: tuple(all_class_of[m.dom][(b, c, compose(h, m.mid), x, y)]
                      for b, c, h, x, y in values[m.cod])
         for m in mc.morphisms})
     return DayTensorResult(mc, left, right, tuple(all_triples),
@@ -556,15 +584,25 @@ def _thin_hom_masks(down, nodes) -> list[int]:
     objects S (x) X for s in U, and ``down`` is the source's down-set
     masks; bit b of row a is set exactly when N & ~R == 0, for N the
     mask of the nodes of spec a and R the OR of the down-sets of the
-    nodes of spec b (see ``broad_category``)."""
-    reach = []
-    for objs in nodes:
+    nodes of spec b (see ``broad_category``).  N & ~R == 0 says that each
+    node of spec a lies in R, so row a is the AND, over the nodes of
+    spec a, of the mask of specs b whose R holds that node (every spec
+    when spec a has no nodes)."""
+    holding = [0] * len(down)
+    for b, objs in enumerate(nodes):
         below = 0
         for obj in objs:
             below |= down[obj]
-        reach.append(below)
-    return [_mask(b for b, below in enumerate(reach) if not mine & ~below)
-            for mine in map(_mask, nodes)]
+        for obj in _bits(below):
+            holding[obj] |= 1 << b
+    everything = (1 << len(nodes)) - 1
+    rows = []
+    for objs in nodes:
+        row = everything
+        for obj in objs:
+            row &= holding[obj]
+        rows.append(row)
+    return rows
 
 
 def broad_category(mc: MonoidalCategory, flavour: str = "all",
@@ -598,11 +636,17 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     N(U, X) the mask of the nodes S (x) X for s in U and R(V, Y) the OR
     over t in V of the down-sets of T (x) Y, (U, X) -> (V, Y) holds one
     cocone exactly when N & ~R == 0 (``_thin_hom_masks``), with legs the
-    morphisms S (x) X -> Y in family order; each such test counts one
-    cocone against ``max_cocones``.  The result is validated and the
-    embedding checked strict monoidal.  Other sources list and check
-    every cocone over ``d_diagram`` and paste every composite, the test
-    oracle of this path.
+    morphisms S (x) X -> Y in family order, built once per (source spec,
+    target object).  A nonempty row of masks counts one cocone against
+    ``max_cocones``, as its first cocone would in the listing.
+    ``max_morphisms`` is checked once per row, at min(n + k,
+    max(n, limit) + 1) for a row of k cocones after n: the listing
+    checks the running counts n + 1, ..., n + k and refuses at the first
+    above the limit, which is that same number (limit + 1 unless the
+    limit is negative), so both refuse with the same (limit, actual).
+    The result is validated and the embedding checked strict monoidal.
+    Other sources list and check every cocone over ``d_diagram`` and
+    paste every composite, the test oracle of this path.
     """
     stiff = is_stiff(mc)
     if not stiff.holds:
@@ -618,21 +662,27 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
     # keyed by (source, target) on a thin source, else (source, target, legs)
     mor_index: dict[tuple, int] = {}
 
-    def add_cocone(a: int, b: int, legs: tuple[int, ...]) -> None:
-        mor_index[(a, b) if thin else (a, b, legs)] = len(mor_defs)
-        mor_defs.append((a, b, legs))
-        # checked as the count grows, so that an over-cap completion is
-        # refused before the rest of the sweep
-        caps.check("max_morphisms", len(mor_defs))
-
     if thin:
         nodes = [tuple(mc.tensor_obj(lat.subunits[i].domain, s.obj) for i in s.family)
                  for s in specs]
+        hom_table = mc.cat.hom_table
         for a, row in enumerate(_thin_hom_masks(mc.cat.down, nodes)):
+            if not row:
+                continue
+            # once per row, refusing as the listing would (see above)
+            caps.check("max_cocones", 1)
+            count = len(mor_defs)
+            caps.check("max_morphisms", min(count + row.bit_count(),
+                                            max(count, caps.max_morphisms) + 1))
+            legs_into: dict[int, tuple[int, ...]] = {}
             for b in _bits(row):
-                caps.check("max_cocones", 1)
-                add_cocone(a, b, tuple(mc.hom(node, specs[b].obj)[0]
-                                       for node in nodes[a]))
+                y = specs[b].obj
+                legs = legs_into.get(y)
+                if legs is None:
+                    legs = legs_into[y] = tuple(hom_table[(node, y)][0]
+                                                for node in nodes[a])
+                mor_index[(a, b)] = len(mor_defs)
+                mor_defs.append((a, b, legs))
     else:
         diagrams = {s: d_diagram(mc, lat, s.family, s.obj) for s in specs}
         table = restriction_table(mc)
@@ -655,7 +705,11 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
         for a, src in enumerate(specs):
             for b, dst in enumerate(specs):
                 for legs in hom_cocones(src, dst):
-                    add_cocone(a, b, legs)
+                    mor_index[(a, b, legs)] = len(mor_defs)
+                    mor_defs.append((a, b, legs))
+                    # checked as the count grows, so that an over-cap
+                    # completion is refused before the rest of the sweep
+                    caps.check("max_morphisms", len(mor_defs))
     # one object per spec: refuse before the composition and tensor tables,
     # where nearly all the work lies; checked after max_morphisms so that
     # an input over both caps still names the one it always named

@@ -705,6 +705,8 @@ def assert_day_matches_pair_sweep(mc, left, right):
     result = day_tensor(mc, left, right)
     classes, action = brute_day_classes(mc, left, right)
     assert result.classes == classes
+    assert result.class_of == tuple({t: k for k, grp in enumerate(groups) for t in grp}
+                                    for groups in classes)
     assert result.presheaf.action == action
     assert result.triples == tuple(tuple(sorted(t for grp in cls for t in grp))
                                    for cls in classes)
@@ -730,6 +732,10 @@ def test_day_quotient_matches_the_pair_sweep(name):
         assert pairs
         for left, right in rng.sample(pairs, min(len(pairs), 6)):
             assert_day_matches_pair_sweep(mc, left, right)
+        # the empty presheaf on either side and on both: no triples at all
+        empty = coproduct_of_representables(mc, [])
+        for left, right in ((empty, pool[0]), (pool[0], empty), (empty, empty)):
+            assert_day_matches_pair_sweep(mc, left, right)
 
 
 @settings(max_examples=40, deadline=None)
@@ -739,8 +745,9 @@ def test_day_quotient_matches_the_pair_sweep(name):
        st.randoms(use_true_random=False))
 def test_day_quotient_matches_the_pair_sweep_on_generated_categories(mc, rng):
     # one-object categories of commutative monoids (not thin) and thin
-    # categories of closure lattices
-    pool = _day_pool(mc, rng)
+    # categories of closure lattices, and the empty presheaf, which leaves
+    # a pair with no triples
+    pool = [*_day_pool(mc, rng), coproduct_of_representables(mc, [])]
     for left in pool:
         for right in pool:
             assert_day_matches_pair_sweep(mc, left, right)
@@ -807,6 +814,51 @@ def test_max_cocones_0_refuses_a_thin_completion_on_both_routes(c3):
     caps = DEFAULT_CAPS.with_overrides(max_cocones=0)
     assert assert_completion_matches_pasting(c3, "all", caps) == \
         ("cap", "max_cocones", 0, 1)
+
+
+def row_cap_limits(mc, flavour) -> list[int]:
+    """The ``max_morphisms`` limits of the row check of a thin
+    completion: 0, one less than the morphism count, and per row of its
+    hom masks the limits that its first and its last morphism exceed.
+    The morphisms are listed row by row, so a row is a run of one
+    source spec."""
+    sources = [m.dom for m in broad_category(mc, flavour, RAISED_CAPS).category.morphisms]
+    assert sources == sorted(sources)
+    limits = {0, len(sources) - 1}
+    for _, row in itertools.groupby(enumerate(sources), key=lambda km: km[1]):
+        row = [k for k, _ in row]
+        limits.update((row[0], row[-1]))
+    return sorted(limits)
+
+
+def assert_row_caps_match_the_listing(mc, flavour):
+    """At each limit of ``row_cap_limits``, and at ``max_cocones`` 0, the
+    thin route and the listing route refuse with the same cap, limit and
+    count, the count being the limit plus one."""
+    assert assert_completion_matches_pasting(
+        mc, flavour, RAISED_CAPS.with_overrides(max_cocones=0)) == \
+        ("cap", "max_cocones", 0, 1)
+    for limit in row_cap_limits(mc, flavour):
+        caps = RAISED_CAPS.with_overrides(max_morphisms=limit)
+        assert assert_completion_matches_pasting(mc, flavour, caps) == \
+            ("cap", "max_morphisms", limit, limit + 1)
+
+
+def test_row_cap_check_matches_the_listing_on_c3(c3):
+    # 94 morphisms in 12 rows, one per object of c3 "all": 0 and 93 are
+    # the first limit of the first row and the last of the last
+    assert len(row_cap_limits(c3, "all")) == 2 * 12 - 1
+    assert_row_caps_match_the_listing(c3, "all")
+
+
+@settings(max_examples=25, deadline=None)
+@given(thin_monoidal_preorders(), st.sampled_from(FLAVOURS))
+def test_row_cap_check_matches_the_listing_on_generated_categories(mc, flavour):
+    if outcome(broad_category, mc, flavour, RAISED_CAPS)[0] != "value":
+        # not stiff, say: refused the same way by both routes at any cap
+        assert_completion_matches_pasting(mc, flavour, RAISED_CAPS)
+        return
+    assert_row_caps_match_the_listing(mc, flavour)
 
 
 @settings(max_examples=30, deadline=None)
