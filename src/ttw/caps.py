@@ -18,7 +18,8 @@ from .errors import CapExceededError
 class Caps:
     max_objects: int = 64
     max_morphisms: int = 4096
-    # guards the 2^n subset loops over ISub(C) of idempotent_families and
+    # bounds the subunit count n of idempotent_families, whose meet-closed
+    # families of ISub(C) may number 2^n, and the 2^n subset loop of
     # is_frame_exhaustive
     max_subunit_family_base: int = 12
     # guards the object-subset search for tensor ideals

@@ -793,14 +793,18 @@ def broad_category(mc: MonoidalCategory, flavour: str = "all",
                       "tensor of cocones")
 
     def braiding_cocone(k1: int, k2: int) -> int:
+        src_idx, dst_idx = t_obj_idx[k1][k2], t_obj_idx[k2][k1]
+        if thin:
+            # the one cocone of its hom-set, which ``cocone`` names
+            # without reading legs
+            return cocone(src_idx, dst_idx, (), "braiding cocone")
         s1, s2 = specs[k1], specs[k2]
-        src_idx = t_obj_idx[k1][k2]
         legs = (mc.compose(_tensor_right(mc, lat.subunits[r].rep,
                                          mc.tensor_obj(s2.obj, s1.obj)),
                            _tensor_left(mc, lat.subunits[r].domain,
                                         mc.braiding(s1.obj, s2.obj)))
                 for r in specs[src_idx].family)
-        return cocone(src_idx, t_obj_idx[k2][k1], legs, "braiding cocone")
+        return cocone(src_idx, dst_idx, legs, "braiding cocone")
 
     full_family = tuple(range(len(lat)))
     completion = assert_valid(_tabulate_monoidal(

@@ -280,7 +280,10 @@ class Semilattice:
     """Finite meet-semilattice with a top element.
 
     ``meet`` is a full binary table of indices; it must agree with the
-    order (x <= y iff x meet y = x).
+    order (x <= y iff x meet y = x).  A table equal to the poset's
+    ``meet_table`` of greatest lower bounds, with no entry missing and
+    with ``top`` the poset's top, is accepted at once: it passes every
+    law the constructor checks otherwise, one by one.
     """
 
     poset: FinPoset
@@ -292,6 +295,9 @@ class Semilattice:
         if len(self.meet_table) != n or any(len(r) != n for r in self.meet_table):
             raise MalformedTableError("meet table shape mismatch")
         m = self.meet_table
+        if self.top == self.poset.top() and m == self.poset.meet_table and \
+                all(None not in row for row in m):
+            return
         for i in range(n):
             if m[i][self.top] != i or m[self.top][i] != i:
                 raise BuildError("top is not a unit for meet")

@@ -1,7 +1,8 @@
 """Restriction along subunits.
 
 A morphism f: A -> B restricts to a subunit s when it factors through
-s (x) B, a relation ``restriction_table`` decides once per category.
+s (x) B, a relation ``restriction_table`` decides once per category,
+from the up-set masks on a thin category (``_restriction_row``).
 Restriction to s carves out the full subcategory of objects A with
 s (x) A invertible; tensoring with S is a coreflector onto it.
 The same data appears in three equivalent guises verified here: a monad
@@ -100,7 +101,14 @@ def restricts_to(mc: MonoidalCategory, f: int, s: Subunit) -> int | None:
 
 
 def _restriction_row(mc: MonoidalCategory, f: int, subs) -> int:
-    """The bitmask of the subunits among ``subs`` that f restricts to."""
+    """The bitmask of the subunits among ``subs`` that f restricts to.
+
+    On a thin category f: A -> B restricts to s exactly when hom(A,
+    S (x) B) is nonempty, bit S (x) B of up[A]: its member h has
+    (s (x) B) o h = f, as both sides are parallel."""
+    if mc.is_thin():
+        up_a, b, tensor = mc.cat.up[mc.dom(f)], mc.cod(f), mc.mon.tensor_obj
+        return _mask(k for k, s in enumerate(subs) if up_a >> tensor[s.domain][b] & 1)
     return _mask(k for k, s in enumerate(subs) if restricts_to(mc, f, s) is not None)
 
 

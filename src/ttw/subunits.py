@@ -9,7 +9,17 @@ characterisation of the same properties.  Every check is exhaustive and
 every negative verdict carries a witness replayable through the fincat
 checkers.
 
-On a thin category a colimit is a least upper bound, so the join
+On a thin category the facts of the subunits are read from the up-set
+masks of ``FinCategory.up``, with no ``factors_through``, ``is_iso`` or
+``is_mono``: the inverse of s (x) S is the hom entry S -> S (x) S
+(``enumerate_subunits``), firmness holds at once, as every morphism is
+monic (``is_firm``), the meet of s and t is the hom entry S (x) T -> I,
+and both routes of the order (``subunit_leq``) are bits of up[S]: T for
+factoring, S (x) T for invertibility.  The meet-closed families are
+listed once per subunit semilattice, as a closure system
+(``SubunitSemilattice.meet_closed_families``).
+
+A colimit in a thin category is a least upper bound, so the join
 hierarchy needs no diagram.  ``_characterisation_conditions`` and
 ``_locale_based_direct`` decide it from the up-set masks of
 ``FinCategory.up`` through one helper, ``_join_preserved`` ("X (x) -
@@ -32,7 +42,6 @@ must not be mutated after construction.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 from .caps import DEFAULT_CAPS, Caps
@@ -42,7 +51,8 @@ from .fincat import (Cocone, DiagramSpec, MonoidalCategory, SubobjectClass,
                      colimit, factors_through, initial_object, is_cocone,
                      is_colimit, is_iso, is_mono, is_pullback, is_pushout,
                      mediating_morphisms, subobjects)
-from .orderkit import FinPoset, Semilattice, is_distributive, is_frame
+from .orderkit import (FinPoset, Semilattice, _computed_once,
+                       _size_then_members, is_distributive, is_frame)
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,37 @@ class SubunitSemilattice:
     def bottom(self) -> int | None:
         return self.lattice.poset.bottom()
 
+    @_computed_once
+    def meet_closed_families(self) -> tuple[tuple[int, ...], ...]:
+        """Every meet-closed set of subunit positions, by size and then
+        by members, the order of ``itertools.combinations``.
+
+        Listed as a closure system, from the empty set: a closed F and
+        an x outside it give F u {x} u (x /\\ F), where x /\\ F is
+        {x /\\ f : f in F}; that set is closed, since the meet is
+        associative, commutative and idempotent.  Every closed C is
+        reached: with m a maximal member of C, C \\ {m} is closed (were
+        m = a /\\ b for a, b in it, a would lie above m), and growing it
+        by m gives C back.  So no subset is tested for closure.  Each
+        family F found carries the masks of y /\\ F for every y, so that
+        a step is one OR; the grown family's are
+        (y /\\ F) u {y /\\ x} u ((y /\\ x) /\\ F)."""
+        meet = self.meet_table
+        found = {0}
+        layer = [(0, [0] * len(meet))]
+        while layer:
+            grown = []
+            for family, meets in layer:
+                for x, row in enumerate(meet):
+                    bigger = family | 1 << x | meets[x]
+                    if bigger not in found:
+                        found.add(bigger)
+                        grown.append((bigger, [m | 1 << xy | meets[xy]
+                                               for m, xy in zip(meets, row)]))
+            layer = grown
+        return tuple(tuple(members)
+                     for _, members in sorted(map(_size_then_members, found)))
+
 
 # ---------------------------------------------------------------------------
 # enumeration and order
@@ -116,12 +157,19 @@ def _per_category(fact):
 
 @_per_category
 def enumerate_subunits(mc: MonoidalCategory) -> tuple[Subunit, ...]:
-    """All subunits in canonical (representative id) order."""
+    """All subunits in canonical (representative id) order.  On a thin
+    category the inverse of s (x) S: S (x) S -> S is the hom entry
+    S -> S (x) S, when there is one."""
+    thin = mc.is_thin()
     out = []
     for cls in subobjects(mc, mc.unit):
         rep = cls.representative
         dom = mc.dom(rep)
-        inv = is_iso(mc, _tensor_right(mc, rep, dom))
+        if thin:
+            back = mc.hom(dom, mc.tensor_obj(dom, dom))
+            inv = back[0] if back else None
+        else:
+            inv = is_iso(mc, _tensor_right(mc, rep, dom))
         if inv is not None:
             out.append(Subunit(cls, dom, inv))
     return tuple(out)
@@ -138,9 +186,16 @@ def subunit_leq_invertibility(mc: MonoidalCategory, s: Subunit, t: Subunit) -> b
 def subunit_leq(mc: MonoidalCategory, s: Subunit, t: Subunit) -> bool:
     """The subunit order, by both routes: factoring of representatives,
     and invertibility of S (x) t.  Disagreement means the category is
-    broken and raises ConsistencyError."""
-    by_factoring = subunit_leq_factoring(mc, s, t)
-    by_inverse = subunit_leq_invertibility(mc, s, t)
+    broken and raises ConsistencyError.  On a thin category both are
+    read from the up-set of S: s factors through t exactly when S <= T,
+    and S (x) t: S (x) T -> S is invertible exactly when S <= S (x) T."""
+    if mc.is_thin():
+        up_s = mc.cat.up[s.domain]
+        by_factoring = bool(up_s >> t.domain & 1)
+        by_inverse = bool(up_s >> mc.tensor_obj(s.domain, t.domain) & 1)
+    else:
+        by_factoring = subunit_leq_factoring(mc, s, t)
+        by_inverse = subunit_leq_invertibility(mc, s, t)
     if by_factoring != by_inverse:
         raise ConsistencyError(
             "subunit order routes disagree",
@@ -151,9 +206,10 @@ def subunit_leq(mc: MonoidalCategory, s: Subunit, t: Subunit) -> bool:
 
 @_per_category
 def is_firm(mc: MonoidalCategory) -> PropertyReport:
-    """s (x) T monic for every pair of subunits."""
+    """s (x) T monic for every pair of subunits: on a thin category at
+    once, as every morphism is."""
     subs = enumerate_subunits(mc)
-    for s in subs:
+    for s in () if mc.is_thin() else subs:
         for t in subs:
             cand = _tensor_right(mc, s.rep, t.domain)
             if not is_mono(mc, cand):
@@ -167,7 +223,8 @@ def is_firm(mc: MonoidalCategory) -> PropertyReport:
 def subunit_semilattice(mc: MonoidalCategory) -> SubunitSemilattice:
     """The meet-semilattice of subunits: meet of s and t is the class of
     s (x) t, top is the identity class.  Refuses non-firm input, since
-    the meet need not be a subunit there."""
+    the meet need not be a subunit there.  On a thin category s (x) t is
+    the hom entry S (x) T -> I."""
     firm = is_firm(mc)
     if not firm.holds:
         raise BuildError(f"category is not firm, witness pair {firm.witness}", firm)
@@ -176,12 +233,13 @@ def subunit_semilattice(mc: MonoidalCategory) -> SubunitSemilattice:
     for k, s in enumerate(subs):
         for member in s.cls.members:
             index_by_member[member] = k
-    n = len(subs)
+    thin = mc.is_thin()
     meet_table = []
     for s in subs:
         row = []
         for t in subs:
-            m = mc.tensor_mor(s.rep, t.rep)
+            m = (mc.hom(mc.tensor_obj(s.domain, t.domain), mc.unit)[0] if thin
+                 else mc.tensor_mor(s.rep, t.rep))
             if m not in index_by_member:
                 raise ConsistencyError(
                     "meet of subunits is not a subunit",
@@ -227,14 +285,11 @@ def d_diagram(mc: MonoidalCategory, lat: SubunitSemilattice, family,
 
 def idempotent_families(lat: SubunitSemilattice, caps: Caps = DEFAULT_CAPS):
     """All meet-closed subsets of the subunit semilattice, the empty one
-    first."""
-    n = len(lat)
-    caps.check("max_subunit_family_base", n)
-    for size in range(n + 1):
-        for family in itertools.combinations(range(n), size):
-            fam = set(family)
-            if all(lat.meet(i, j) in fam for i in fam for j in fam):
-                yield tuple(sorted(fam))
+    first: ``SubunitSemilattice.meet_closed_families``, listed once per
+    semilattice, after the ``max_subunit_family_base`` check that each
+    call makes before its first family."""
+    caps.check("max_subunit_family_base", len(lat))
+    yield from lat.meet_closed_families
 
 
 def _join_preserved(mc: MonoidalCategory, lat: SubunitSemilattice, family,
@@ -264,14 +319,23 @@ def _join_preserved(mc: MonoidalCategory, lat: SubunitSemilattice, family,
     j (x) X is invertible, exactly when j (x) X lies below all of B.
     The sweeps' ConsistencyError guards (unique mediating arrows,
     canonical legs forming cocones) can therefore never fire on a thin
-    input.  The ``max_cocones`` cap is checked on B at each X, as
-    ``fincat.colimit`` and ``fincat.is_colimit`` check it.
+    input.  B is the AND of the masks up[S (x) X].  The ``max_cocones``
+    cap is checked on B at each X, as ``fincat.colimit`` and
+    ``fincat.is_colimit`` check it: a count above the limit is handed to
+    ``_common_upper_bounds``, whose check gives the same
+    (cap, limit, actual).
     """
     cat, tensor = mc.cat, mc.mon.tensor_obj
+    up, limit = cat.up, caps.max_cocones
+    everything = (1 << len(cat.objects)) - 1
     rows = [tensor[lat.subunits[i].domain] for i in family]
     for x, *_ in cat.iso_classes:
-        bounds = _common_upper_bounds(cat, [row[x] for row in rows], caps)
-        if bounds & ~cat.up[tensor[j][x]]:
+        bounds = everything
+        for row in rows:
+            bounds &= up[row[x]]
+        if bounds.bit_count() > limit:
+            _common_upper_bounds(cat, [row[x] for row in rows], caps)
+        if bounds & ~up[tensor[j][x]]:
             return x, _least_upper_bound(cat, bounds)
     return None
 

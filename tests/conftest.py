@@ -13,8 +13,8 @@ from ttw import fincat, gallery, restriction, subunits
 from ttw.caps import DEFAULT_CAPS
 from ttw._unionfind import UnionFind
 from ttw.daycat import Sieve, broad_category, presheaf_cap_check
-from ttw.errors import (CapExceededError, ConsistencyError, NonCommutingSquareError,
-                        TtwError)
+from ttw.errors import (BuildError, CapExceededError, ConsistencyError,
+                        NonCommutingSquareError, TtwError)
 from ttw.fincat import from_semilattice
 from ttw.fractions import simple_quotient
 from ttw.orderkit import DownsetLattice, FinMonoid, FinPoset, Semilattice, downsets
@@ -85,14 +85,19 @@ def z2():
     return build_cached("z2")
 
 
-def boolean_category(atoms: int):
-    """The thin category of the Boolean lattice on ``atoms`` atoms."""
+def boolean_poset(atoms: int) -> FinPoset:
+    """The Boolean lattice on ``atoms`` atoms: its subsets by inclusion."""
     subsets = [frozenset(s) for r in range(atoms + 1)
                for s in itertools.combinations(range(atoms), r)]
     labels = ["{" + ",".join(map(str, sorted(s))) + "}" for s in subsets]
     pairs = [(labels[i], labels[j]) for i, a in enumerate(subsets)
              for j, b in enumerate(subsets) if a < b]
-    return from_semilattice(Semilattice.from_poset(FinPoset.from_pairs(labels, pairs)))
+    return FinPoset.from_pairs(labels, pairs)
+
+
+def boolean_category(atoms: int):
+    """The thin category of the Boolean lattice on ``atoms`` atoms."""
+    return from_semilattice(Semilattice.from_poset(boolean_poset(atoms)))
 
 
 def explicit_tensor(mc) -> dict[tuple[int, int], int]:
@@ -811,6 +816,43 @@ def scan_covers(poset):
     return [(i, j) for i in range(n) for j in range(n)
             if i != j and leq[i][j]
             and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))]
+
+
+def scan_meet_closed_families(lat, caps=DEFAULT_CAPS):
+    """The meet-closed subsets of a subunit semilattice, by testing every
+    subset in ``itertools.combinations`` order after the
+    ``max_subunit_family_base`` check: the oracle of
+    ``SubunitSemilattice.meet_closed_families`` and
+    ``idempotent_families``."""
+    n = len(lat)
+    caps.check("max_subunit_family_base", n)
+    out = []
+    for size in range(n + 1):
+        for family in itertools.combinations(range(n), size):
+            fam = set(family)
+            if all(lat.meet(i, j) in fam for i in fam for j in fam):
+                out.append(tuple(sorted(fam)))
+    return out
+
+
+def scan_semilattice_laws(poset, meet_table, top):
+    """Each law ``Semilattice`` checks, entry by entry, on any table,
+    raising its ``BuildError`` for the first that fails: the oracle of
+    its accepting a table of greatest lower bounds at once."""
+    n, m = len(poset), meet_table
+    for i in range(n):
+        if m[i][top] != i or m[top][i] != i:
+            raise BuildError("top is not a unit for meet")
+        if m[i][i] != i:
+            raise BuildError("meet not idempotent")
+        for j in range(n):
+            if m[i][j] != m[j][i]:
+                raise BuildError("meet not commutative")
+            if (m[i][j] == i) != poset.leq[i][j]:
+                raise BuildError("meet disagrees with the order")
+            for k in range(n):
+                if m[m[i][j]][k] != m[i][m[j][k]]:
+                    raise BuildError("meet not associative")
 
 
 def maximal(poset, subset):

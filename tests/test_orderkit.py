@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (closure_lattices, filtered_directed_downsets, max_monoid,
-                      maximal, null_monoid, scan_covers, scan_is_directed,
-                      scan_is_preframe, scan_join, scan_meet, shuffled_posets)
+from conftest import (boolean_poset, closure_lattices, filtered_directed_downsets,
+                      max_monoid, maximal, null_monoid, outcome, scan_covers,
+                      scan_is_directed, scan_is_preframe, scan_join, scan_meet,
+                      scan_semilattice_laws, shuffled_posets)
 from ttw import orderkit
 from ttw.caps import Caps
 from ttw.errors import BuildError, CapExceededError
@@ -253,6 +254,40 @@ def test_quantale_law_rejection():
     with pytest.raises(BuildError):
         Quantale(poset, worse, 2)
     Quantale(poset, bad, 2)  # lawful: a chain with idempotent eps
+
+
+def pentagon() -> FinPoset:
+    """N5: 0 < a < b < 1 and 0 < c < 1, the least non-modular lattice."""
+    return FinPoset.from_pairs(["0", "a", "b", "c", "1"],
+                               [("0", "a"), ("a", "b"), ("b", "1"),
+                                ("0", "c"), ("c", "1")])
+
+
+def semilattice_verdict(call, *args):
+    found = outcome(call, *args)
+    return found[:1] if found[0] == "value" else found
+
+
+@pytest.mark.parametrize("poset", [boolean_poset(3), m3_semilattice().poset,
+                                   pentagon()], ids=["b3", "m3", "n5"])
+def test_semilattice_constructor_matches_the_law_scan(poset):
+    """Accepted at once on its table of greatest lower bounds, and every
+    single-entry corruption of that table, and every wrong top, refused
+    with the text of the first law the scan finds broken."""
+    table, top, n = poset.meet_table, poset.top(), len(poset)
+    assert semilattice_verdict(Semilattice, poset, table, top) == \
+        semilattice_verdict(scan_semilattice_laws, poset, table, top) == ("value",)
+    cases = [(table, wrong) for wrong in range(n) if wrong != top]
+    for i, j in itertools.product(range(n), repeat=2):
+        for wrong in range(n):
+            if wrong != table[i][j]:
+                rows = [list(row) for row in table]
+                rows[i][j] = wrong
+                cases.append((tuple(map(tuple, rows)), top))
+    for meets, unit in cases:
+        found = semilattice_verdict(Semilattice, poset, meets, unit)
+        assert found[0] == "BuildError"
+        assert found == semilattice_verdict(scan_semilattice_laws, poset, meets, unit)
 
 
 @st.composite

@@ -101,18 +101,22 @@ def test_restriction_table_on_commutative_monoids(monoid):
     assert_table_matches_restricts_to(from_commutative_monoid(monoid))
 
 
-def test_restriction_table_is_computed_once_per_category(monkeypatch):
+def count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every call of ``ttw.restriction.<name>``
+    from now on."""
     calls = []
-    real = ttw.restriction.restricts_to
+    real = getattr(ttw.restriction, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(ttw.restriction, "restricts_to", counting)
-    mc = gallery.build("q3")
+    monkeypatch.setattr(ttw.restriction, name, counting)
+    return calls
+
+
+def assert_restriction_table_is_computed_once(mc, calls: list, once: int):
     table = restriction_table(mc)
-    once = len(mc.morphisms) * len(enumerate_subunits(mc))
     assert len(calls) == once
     # the second call and every reader of the relation use the same table
     assert restriction_table(mc) is table
@@ -124,6 +128,19 @@ def test_restriction_table_is_computed_once_per_category(monkeypatch):
     clone = MonoidalCategory(mc.cat, mc.mon)
     assert restriction_table(clone) == table
     assert len(calls) == 2 * once
+
+
+def test_restriction_table_is_computed_once_per_category(monkeypatch):
+    # a thin category reads one row of masks per morphism
+    rows = count_calls(monkeypatch, "_restriction_row")
+    mc = gallery.build("q3")
+    assert_restriction_table_is_computed_once(mc, rows, len(mc.morphisms))
+    # elsewhere each row tests every subunit through restricts_to
+    tests = count_calls(monkeypatch, "restricts_to")
+    mc = product_category(build_cached("b2"), build_cached("z2"))
+    assert not mc.is_thin()
+    assert_restriction_table_is_computed_once(
+        mc, tests, len(mc.morphisms) * len(enumerate_subunits(mc)))
 
 
 def test_object_restriction_equivalences(q3):

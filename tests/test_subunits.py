@@ -9,11 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_d_diagram, brute_is_pullback, brute_is_pushout,
-                      build_cached, closure_lattices, commutative_monoids,
-                      completion_cached, generic_hierarchy_sweeps,
-                      obj_by_label, ordered_monoid_category, outcome,
-                      scan_is_distributive, split_monoid_category, subunit_by_domain,
+from conftest import (boolean_category, brute_d_diagram, brute_is_pullback,
+                      brute_is_pushout, build_cached, closure_lattices,
+                      commutative_monoids, completion_cached,
+                      generic_hierarchy_sweeps, obj_by_label,
+                      ordered_monoid_category, outcome, quotient_cached,
+                      scan_is_distributive, scan_meet_closed_families,
+                      split_monoid_category, subunit_by_domain,
                       sweep_join_preserved, sweep_universal_directed_joins,
                       thin_monoidal_preorders)
 import ttw.subunits
@@ -29,6 +31,7 @@ from ttw.fractions import simple_quotient
 from ttw.orderkit import (FinPoset, Quantale, Semilattice, _bits, ideal_quantale,
                           is_distributive, is_preframe, poset_isomorphism,
                           quantale_subunits)
+from ttw.restriction import restriction_table
 from ttw.subunits import (_join_preserved, _tensor_right, check_characterisation,
                           d_diagram, enumerate_subunits,
                           has_universal_directed_joins,
@@ -571,7 +574,7 @@ def assert_join_preserved_matches_the_sweep(mc) -> int:
     """``_join_preserved`` against the sweep over every object, with the
     same result, witness and cap refusal: for every meet-closed family U,
     at every object j above all its subunit domains, under the default
-    ``max_cocones`` and limits 1 and 2.  Returns how many of these fail
+    ``max_cocones`` and limits 0, 1 and 2.  Returns how many of these fail
     at an object whose isomorphism class has another member."""
     lat = subunit_semilattice(mc)
     cat, shared = mc.cat, 0
@@ -581,7 +584,7 @@ def assert_join_preserved_matches_the_sweep(mc) -> int:
             int.__and__, (cat.up[lat.subunits[i].domain] for i in family),
             (1 << len(mc.objects)) - 1)
         for j in _bits(bounds):
-            for caps in (DEFAULT_CAPS, Caps(max_cocones=1), Caps(max_cocones=2)):
+            for caps in (DEFAULT_CAPS, *(Caps(max_cocones=k) for k in (0, 1, 2))):
                 found = outcome(_join_preserved, mc, lat, family, j, caps)
                 assert found == outcome(sweep_join_preserved, mc, lat, family, j, caps)
                 shared += found[0] == "value" and found[1] is not None \
@@ -608,6 +611,87 @@ def test_join_preserved_matches_the_sweep_on_monoidal_preorders(mc):
     except BuildError:
         assume(False)
     assert_join_preserved_matches_the_sweep(mc)
+
+
+# ---------------------------------------------------------------------------
+# the meet-closed families against the subset scan
+
+
+def assert_families_match_the_scan(mc) -> None:
+    """The families, in the same order, and the cap refused just below
+    the subunit count, on every call, the families listed or not."""
+    lat = subunit_semilattice(mc)
+    n = len(lat)
+    below = Caps(max_subunit_family_base=n - 1)
+    assert outcome(list, idempotent_families(lat, below)) == \
+        outcome(scan_meet_closed_families, lat, below) == \
+        ("cap", "max_subunit_family_base", n - 1, n)
+    at = Caps(max_subunit_family_base=n)
+    assert list(idempotent_families(lat, at)) == scan_meet_closed_families(lat, at)
+    assert outcome(list, idempotent_families(lat, below))[0] == "cap"
+
+
+def test_meet_closed_families_match_the_scan_on_gallery_and_b3():
+    for name in gallery.names():
+        assert_families_match_the_scan(build_cached(name))
+    for name in ("c3", "q3", "boolean2x2"):
+        assert_families_match_the_scan(completion_cached(name, "all").category)
+    assert_families_match_the_scan(boolean_category(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(closure_lattices())
+def test_meet_closed_families_match_the_scan_on_closure_lattices(poset):
+    assert_families_match_the_scan(from_semilattice(Semilattice.from_poset(poset)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(thin_monoidal_preorders())
+def test_meet_closed_families_match_the_scan_on_monoidal_preorders(mc):
+    try:
+        subunit_semilattice(mc)
+    except BuildError:
+        assume(False)
+    assert_families_match_the_scan(mc)
+
+
+# ---------------------------------------------------------------------------
+# the subunit facts of a thin category against the generic route
+
+
+def subunit_facts(mc) -> tuple:
+    """The subunits, the firmness report, the order, meets and top of the
+    subunit semilattice, and the restriction table, computed on a fresh
+    object, since ``mc.derived`` keeps them per category object."""
+    fresh = MonoidalCategory(mc.cat, mc.mon)
+    lat = outcome(subunit_semilattice, fresh)
+    if lat[0] == "value":
+        lat = lat[1].subunits, lat[1].leq, lat[1].meet_table, lat[1].top
+    return (enumerate_subunits(fresh), is_firm(fresh), lat,
+            restriction_table(fresh))
+
+
+def assert_thin_subunit_facts_match_the_generic_route(mc) -> None:
+    assert mc.is_thin()
+    thin = subunit_facts(mc)
+    with generic_hierarchy_sweeps():
+        assert subunit_facts(mc) == thin
+
+
+def test_thin_subunit_facts_match_the_generic_route_on_gallery():
+    for name in gallery.names():
+        for mc in (build_cached(name), quotient_cached(name),
+                   *(completion_cached(name, f).category
+                     for f in ("finite", "directed", "all")),
+                   *(quotient_cached(name, f) for f in ("directed", "all"))):
+            if mc.is_thin():
+                assert_thin_subunit_facts_match_the_generic_route(mc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thin_monoidal_preorders())
+def test_thin_subunit_facts_match_the_generic_route_on_monoidal_preorders(mc):
+    assert_thin_subunit_facts_match_the_generic_route(mc)
 
 
 # ---------------------------------------------------------------------------
