@@ -372,8 +372,7 @@ def check_monoidal_structure(cat: FinCategory, mon: MonoidalData) -> None:
             raise MalformedTableError("tensor_mor entry out of range")
 
 
-def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
-             force_generic: bool = False) -> ValidationReport:
+def validate(cat: FinCategory, mon: MonoidalData | None = None) -> ValidationReport:
     """Exhaustive law check; the report lists every violated axiom with a
     concrete witness.  An empty report means the tables present a
     braided strict monoidal category.  The shape of the category's own
@@ -394,10 +393,6 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
     the generators are checked only when ``identity_typing`` and
     ``compose_typing`` hold; when either fails, or some generator does,
     every morphism is swept, so the report lists every untyped pair.
-    ``force_generic`` then runs the generic laws over the forced values,
-    once that typing holds.  Forced composites (no ``compose_table``)
-    are typed by construction, and ``force_generic`` tabulates them
-    likewise.
 
     Associativity on objects compares the row (a (x) b) (x) - with
     a (x) (b (x) -) in one step per (a, b), and sweeps a row entry by
@@ -410,11 +405,9 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
     if mon is not None:
         check_monoidal_structure(cat, mon)
     out: list[Violation] = []
-    thin = cat.is_thin() and not force_generic
+    thin = cat.is_thin()
     mors = cat.morphisms
     comp = cat.compose_table
-    if comp is None and not thin:
-        comp = {pair: cat.compose(*pair) for pair in _composable_pairs(mors, len(cat.objects))}
 
     for a, i in enumerate(cat.identity):
         m = mors[i]
@@ -500,12 +493,9 @@ def validate(cat: FinCategory, mon: MonoidalData | None = None, *,
         for pair in sorted(untyped):
             out.append(Violation("tensor_typing", pair,
                                  "no morphism for f (x) g: the tensor is not monotone"))
-        if not untyped and not thin:
-            t_mor = {(f.mid, g.mid): _forced_tensor(cat, t_obj, f.mid, g.mid)
-                     for f in mors for g in mors}
 
-    id_unit = cat.identity[unit]
-    if not thin and t_mor is not None:
+    if not thin:
+        id_unit = cat.identity[unit]
         for a in range(n_obj):
             for b in range(n_obj):
                 lhs = t_mor[(cat.identity[a], cat.identity[b])]
@@ -948,7 +938,8 @@ def _tabulate_monoidal(cat: FinCategory, unit: int, tensor_obj,
     braiding rows ``braiding(a, b)``, a outer.  A thin ``cat`` gets no
     tensor table, since typing forces f (x) g, and ``tensor`` is not
     called; otherwise the table holds ``tensor(f, g)`` for every pair of
-    mids, f outer.  The caller validates the result."""
+    mids, f outer.  No law is checked: the caller proves them, or hands
+    the result to ``assert_valid``."""
     n_obj, n_mor = len(cat.objects), len(cat.morphisms)
     t_mor = None
     if not cat.is_thin():
@@ -976,30 +967,56 @@ def thin_category_from_poset(poset) -> FinCategory:
 
 def _thin_monoidal(elements, leq, product, unit: int,
                    caps: Caps) -> MonoidalCategory:
-    """The thin braided monoidal category of a poset with a commutative
-    monotone product table: one morphism x -> y exactly when x <= y,
-    tensor given by the product, braiding by identities.  The caps are
-    checked before any table is built."""
+    """The thin braided monoidal category of a poset with a commutative,
+    associative, monotone product table with unit ``unit``: one morphism
+    x -> y exactly when x <= y, tensor given by the product, braiding by
+    identities.  The caps are checked before any table is built.
+
+    Those four facts are every law ``validate`` checks on a thin
+    category, so none is checked again:
+    - ``identity_typing``: the identity of a is the morphism a -> a,
+      and no composite is tabulated;
+    - ``strict_unit_obj`` <- the unit law of the product;
+    - ``strict_assoc_obj`` <- associativity;
+    - ``tensor_typing`` <- monotonicity;
+    - ``braiding_typing`` and ``braiding_invertible`` <- commutativity:
+      id of a (x) b runs from a (x) b to b (x) a and back.
+    Parallel morphisms of a thin category are equal, so the other laws
+    hold once these do.  The callers state where each fact comes from."""
     n = len(elements)
     caps.check("max_objects", n)
     caps.check("max_morphisms", sum(map(sum, leq)))
     cat = _thin_category(elements, leq)
     t_obj = [[product[a][b] for b in range(n)] for a in range(n)]
-    return assert_valid(_tabulate_monoidal(
-        cat, unit, t_obj, None, lambda a, b: cat.identity[t_obj[a][b]]),
-        caps=caps)
+    return _tabulate_monoidal(cat, unit, t_obj, None,
+                              lambda a, b: cat.identity[t_obj[a][b]])
 
 
 def from_semilattice(lat: Semilattice, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
     """The thin symmetric monoidal category of a meet-semilattice:
-    one morphism x -> y exactly when x <= y, tensor given by meet."""
+    one morphism x -> y exactly when x <= y, tensor given by meet.
+
+    The ``Semilattice`` constructor proved what ``_thin_monoidal`` needs:
+    - the unit law <- the top law, x /\\ top = x = top /\\ x;
+    - associativity and commutativity <- those of meet;
+    - monotonicity <- meet agrees with the order: x <= y gives
+      x /\\ y = x, so (x /\\ z) /\\ (y /\\ z) = x /\\ z, that is
+      x /\\ z <= y /\\ z."""
     return _thin_monoidal(lat.elements, lat.poset.leq, lat.meet_table, lat.top,
                           caps)
 
 
 def from_quantale(q: Quantale, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
     """The thin braided monoidal category of a commutative quantale:
-    morphisms from the order, tensor from the multiplication."""
+    morphisms from the order, tensor from the multiplication.
+
+    The ``Quantale`` constructor proved what ``_thin_monoidal`` needs,
+    and commutativity is checked here:
+    - the unit law and associativity <- the monoid laws;
+    - monotonicity <- z (x) - and - (x) z distribute over binary joins
+      and the bottom: x <= y gives y = x \\/ y, so
+      z (x) y = (z (x) x) \\/ (z (x) y) lies above z (x) x, and likewise
+      on the right."""
     if not q.commutative:
         raise BuildError("quantale is not commutative, no braiding exists")
     return _thin_monoidal(q.elements, q.poset.leq, q.mult, q.unit, caps)
@@ -1009,19 +1026,31 @@ def from_commutative_monoid(monoid: FinMonoid, mode: str = "one_object",
                             caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
     """Either the one-object category whose endomorphisms are the monoid
     elements with tensor given by multiplication, or the thin category
-    of the monoid's ideal quantale."""
+    of the monoid's ideal quantale (``from_quantale``).  The caps are
+    checked before any table is built.
+
+    The one-object category obeys every law ``validate`` checks, by the
+    ``FinMonoid`` laws and the commutativity checked here; with one
+    object every morphism is typed, and the braiding is id = 1:
+    - ``identity_law``, ``tensor_identities``, ``strict_unit_mor``,
+      ``braiding_invertible`` and the hexagons <- the unit law;
+    - ``associativity`` and ``strict_assoc_mor`` <- associativity;
+    - ``interchange``, (f2 g2)(f1 g1) = (f2 f1)(g2 g1), and
+      ``braiding_naturality``, 1 (f g) = (g f) 1 <- commutativity plus
+      associativity."""
     if mode == "ideal_quantale":
         return from_quantale(ideal_quantale(monoid, caps=caps), caps=caps)
     if mode != "one_object":
         raise ValueError(f"unknown mode {mode!r}")
     if not monoid.is_commutative():
         raise BuildError("monoid is not commutative, no braiding exists")
+    caps.check("max_objects", 1)
+    caps.check("max_morphisms", len(monoid.elements))
     mult = monoid.mult
     cat = _tabulate(("*",), [(0, 0, label) for label in monoid.elements],
                     (monoid.unit,), lambda g, f: mult[g][f])
-    return assert_valid(_tabulate_monoidal(
-        cat, 0, ((0,),), lambda f, g: mult[f][g], lambda a, b: monoid.unit),
-        caps=caps)
+    return _tabulate_monoidal(cat, 0, ((0,),), lambda f, g: mult[f][g],
+                              lambda a, b: monoid.unit)
 
 
 # ---------------------------------------------------------------------------

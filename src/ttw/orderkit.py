@@ -275,6 +275,23 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> tuple[int, ...] | None:
 # semilattices and quantales
 
 
+def _check_entries(table, unit, elements, what: str, unit_name: str) -> None:
+    """Refuse a square table over ``elements`` before its laws are read:
+    BuildError at the first missing (None) entry, row by row, and
+    MalformedTableError at the first row with an entry, or at a
+    ``unit``, that is not an index of ``elements``."""
+    n = len(elements)
+    for i, row in enumerate(table):
+        if None in row:
+            j = row.index(None)
+            raise BuildError(f"no {what} of {elements[i]} and {elements[j]}")
+        if row and (min(row) < 0 or max(row) >= n):
+            raise MalformedTableError(f"{what} table entry out of range "
+                                      f"in the row of {elements[i]}")
+    if unit not in range(n):
+        raise MalformedTableError(f"{unit_name} out of range")
+
+
 @dataclass(frozen=True)
 class Semilattice:
     """Finite meet-semilattice with a top element.
@@ -283,7 +300,9 @@ class Semilattice:
     order (x <= y iff x meet y = x).  A table equal to the poset's
     ``meet_table`` of greatest lower bounds, with no entry missing and
     with ``top`` the poset's top, is accepted at once: it passes every
-    law the constructor checks otherwise, one by one.
+    law the constructor checks otherwise, one by one.  A missing entry
+    is refused first, as a missing meet, and an index out of range as a
+    malformed table.
     """
 
     poset: FinPoset
@@ -295,8 +314,8 @@ class Semilattice:
         if len(self.meet_table) != n or any(len(r) != n for r in self.meet_table):
             raise MalformedTableError("meet table shape mismatch")
         m = self.meet_table
-        if self.top == self.poset.top() and m == self.poset.meet_table and \
-                all(None not in row for row in m):
+        _check_entries(m, self.top, self.poset.elements, "meet", "top")
+        if self.top == self.poset.top() and m == self.poset.meet_table:
             return
         for i in range(n):
             if m[i][self.top] != i or m[self.top][i] != i:
@@ -317,13 +336,7 @@ class Semilattice:
         top = poset.top()
         if top is None:
             raise BuildError("poset has no top element")
-        table = poset.meet_table
-        for i, row in enumerate(table):
-            if None in row:
-                j = row.index(None)
-                raise BuildError(
-                    f"no meet of {poset.elements[i]} and {poset.elements[j]}")
-        return Semilattice(poset, table, top)
+        return Semilattice(poset, poset.meet_table, top)
 
     @property
     def elements(self):
@@ -350,6 +363,7 @@ class Quantale:
         n = len(self.poset)
         if len(self.mult) != n or any(len(r) != n for r in self.mult):
             raise MalformedTableError("mult table shape mismatch")
+        _check_entries(self.mult, self.unit, self.poset.elements, "product", "unit")
         if not self.poset.is_lattice():
             raise BuildError("carrier is not a complete lattice")
         m = self.mult
@@ -402,6 +416,7 @@ class FinMonoid:
         n = len(self.elements)
         if len(self.mult) != n or any(len(r) != n for r in self.mult):
             raise MalformedTableError("mult table shape mismatch")
+        _check_entries(self.mult, self.unit, self.elements, "product", "unit")
         m = self.mult
         for i in range(n):
             if m[i][self.unit] != i or m[self.unit][i] != i:

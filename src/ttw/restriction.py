@@ -10,9 +10,11 @@ graded by the (unquotiented) subunit monomorphisms, idempotent comonads
 with monic counit at the unit, and monocoreflective tensor ideals, sought
 among unions of the category's ``FinCategory.iso_classes``.
 
-The checks here take a category that passed ``validate``, as every
-constructor of this package ensures.  Laws that are instances of the
-axioms ``validate`` proved are not checked again, on any category:
+The checks here take a category whose laws hold: one built by a
+constructor of this package, whose docstring states the proof, or one
+that passed ``validate`` in ``assert_valid``.  Laws that are instances
+of the axioms ``validate`` checks are not checked again, on any
+category:
 
 - the graded monad.  Grade s acts by (-) (x) S, with identity unit and
   multiplication in the strict model.  Naturality of the action,
@@ -87,7 +89,7 @@ from .errors import BuildError, ConsistencyError
 from .fincat import (CatFunctor, MonoidalCategory, ValidationReport, Violation,
                      _one_variable_pairs, _tabulate, _tabulate_monoidal,
                      factors_through, identity_functor, is_iso, is_mono,
-                     objects_isomorphic, validate)
+                     objects_isomorphic)
 from .orderkit import _bits, _mask, _unions
 from .subunits import (PropertyReport, Subunit, _per_category, _tensor_left,
                        _tensor_right, enumerate_subunits, retract_pairs,
@@ -183,19 +185,27 @@ def restriction_category(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
 
 
 def _tabulated_restriction(mc: MonoidalCategory, s: Subunit) -> RestrictionResult:
-    """The restriction to s, tabulated and validated.
+    """The restriction to s, tabulated once its unit is known strict.
 
     The coreflection bijection C(A, B) = C|s(A, S (x) B) is verified
     hom-set by hom-set; the coreflector is strong monoidal by the laws
-    ``validate`` proved (module docstring).  Inputs whose restriction
-    is not strictly unital are rejected.  That cannot happen when the
-    ambient category has one object, but it is common on thin ones: the
-    "all" completions of c3, q3, boolean2x2 and m3 refuse 3, 2, 5 and 9
-    of their subunits.  Unitality on objects, S (x) A = A = A (x) S for
-    every A of the restriction, is read from the object tensor before
-    any table is built, and a refusal there carries those violations as
-    its report; a restriction that passes it is tabulated and validated
-    in full, since the unit law on morphisms can still fail.
+    of ``mc`` (module docstring).  Inputs whose restriction is not
+    strictly unital are rejected.  That cannot happen when the ambient
+    category has one object, but it is common on thin ones: the "all"
+    completions of c3, q3, boolean2x2 and m3 refuse 3, 2, 5 and 9 of
+    their subunits.  Unitality is read from the tables of ``mc`` before
+    any table is built: on objects, S (x) A = A = A (x) S for every A of
+    the restriction, and then on morphisms, f (x) id_S = f = id_S (x) f
+    for every f of it, off thin categories, where typing forces it.  A
+    refusal carries the violations ``validate`` would list on the
+    restriction's tables, strict_unit_obj or else strict_unit_mor.
+
+    Nothing else can fail.  The restriction is a full subcategory of
+    ``mc``, closed under the tensor (checked below), that holds the
+    braiding components between its objects.  So each other law
+    ``validate`` checks, composition, tensor, braiding and hexagons
+    alike, is a law of ``mc`` read on the kept objects and morphisms.
+    Only the unit changes, from I to S.
 
     The inclusion and the coreflector are functors by construction, and
     neither is checked: the inclusion is the kept morphisms, composed
@@ -222,9 +232,17 @@ def _tabulated_restriction(mc: MonoidalCategory, s: Subunit) -> RestrictionResul
         Violation("strict_unit_obj", (k,), "unit is not strict on objects")
         for k, a in enumerate(keep)
         if mc.tensor_obj(s.domain, a) != a or mc.tensor_obj(a, s.domain) != a]
+    mors = [m for m in mc.morphisms if m.dom in obj_index and m.cod in obj_index]
+    if not unit_violations and not mc.is_thin():
+        id_s = mc.identity(s.domain)
+        unit_violations = [
+            Violation("strict_unit_mor", (k,),
+                      "tensoring with the unit identity is not strict")
+            for k, m in enumerate(mors)
+            if mc.tensor_mor(m.mid, id_s) != m.mid
+            or mc.tensor_mor(id_s, m.mid) != m.mid]
     if unit_violations:
         raise BuildError(not_unital, ValidationReport(unit_violations))
-    mors = [m for m in mc.morphisms if m.dom in obj_index and m.cod in obj_index]
     mor_index = {m.mid: k for k, m in enumerate(mors)}
     cat = _tabulate(
         [mc.obj_label(a) for a in keep],
@@ -241,9 +259,6 @@ def _tabulated_restriction(mc: MonoidalCategory, s: Subunit) -> RestrictionResul
     except KeyError as exc:
         raise ConsistencyError("restriction subcategory tensor escapes it",
                                details={"missing": exc.args}) from exc
-    report = validate(sub.cat, sub.mon)
-    if not report.ok():
-        raise BuildError(not_unital, report)
 
     # coreflector on ambient objects and morphisms
     cor_obj = tuple(obj_index[mc.tensor_obj(s.domain, a)]

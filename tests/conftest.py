@@ -139,6 +139,19 @@ def with_explicit_compose(mc):
     return fincat.MonoidalCategory(cat, mc.mon)
 
 
+def generic_copy(mc):
+    """A copy of ``mc`` that carries ``explicit_compose`` and
+    ``explicit_tensor`` and has ``up`` and ``down`` cleared, so that
+    ``validate`` runs its generic sweep of every law on it, thin or not.
+    The tensor must be typed: on a thin category, monotone."""
+    cat = fincat.FinCategory(mc.cat.objects, mc.cat.morphisms, mc.cat.identity,
+                             dict(explicit_compose(mc)))
+    object.__setattr__(cat, "up", None)
+    object.__setattr__(cat, "down", None)
+    return fincat.MonoidalCategory(
+        cat, dataclasses.replace(mc.mon, tensor_mor=explicit_tensor(mc)))
+
+
 def brute_untyped_tensor_pairs(cat, tensor_obj) -> list[tuple[int, int]]:
     """Every pair (f, g) of mids with no morphism
     dom f (x) dom g -> cod f (x) cod g, by a sweep over all pairs."""

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import (OUT_OF_RANGE, brute_all_cocones, brute_colimit, brute_is_colimit,
                       brute_is_mono, brute_is_pullback, brute_is_pushout,
                       brute_iso_classes, brute_untyped_tensor_pairs, build_cached,
-                      completion_cached, explicit_compose, explicit_tensor, max_monoid,
+                      closure_lattices, commutative_monoids, completion_cached,
+                      explicit_compose, explicit_tensor, generic_copy, max_monoid,
                       mor_by_label, obj_by_label, ordered_monoid_category,
                       out_of_range_entry, outcome, product_category, quotient_cached,
                       shuffled_posets, thin_monoidal_preorders, with_explicit_compose)
@@ -26,13 +27,13 @@ from ttw.errors import (BuildError, CapExceededError, MalformedTableError,
 from ttw.fincat import (CatFunctor, Cocone, DiagramSpec, FinCategory, MonoidalData,
                         Morphism, SubobjectClass, all_cocones, check_monoidal_structure,
                         colimit, factors_through,
-                        from_commutative_monoid, from_semilattice,
+                        from_commutative_monoid, from_quantale, from_semilattice,
                         initial_object, is_cocone, is_colimit, is_iso, is_mono,
                         is_pullback, is_pushout, objects_isomorphic,
                         subobject_leq, subobjects, terminal_object,
                         thin_category_from_poset, validate)
 from ttw.gallery import idem_monoid, zero_one_monoid
-from ttw.orderkit import FinPoset, Semilattice
+from ttw.orderkit import FinPoset, Quantale, Semilattice, is_frame
 from ttw.restriction import restriction_category, tensor_ideals
 from ttw.subunits import enumerate_subunits, is_locale_based
 
@@ -47,7 +48,8 @@ def thin_mor(mc, src, dst):
 
 def test_validate_b2_clean(b2):
     assert validate(b2.cat, b2.mon).ok()
-    assert validate(b2.cat, b2.mon, force_generic=True).ok()
+    generic = generic_copy(b2)
+    assert validate(generic.cat, generic.mon).ok()
 
 
 def test_validate_reports_corrupted_compose(b2):
@@ -66,7 +68,8 @@ def test_validate_reports_corrupted_compose(b2):
 def test_validate_idempotent_monoid_generic():
     # one object, two morphisms: all eight composition triples checked
     mc = from_commutative_monoid(idem_monoid())
-    report = validate(mc.cat, mc.mon, force_generic=True)
+    assert not mc.is_thin()
+    report = validate(mc.cat, mc.mon)
     assert report.ok()
 
 
@@ -227,7 +230,8 @@ def test_composable_sweeps_match_the_pair_scan(mc, data):
     cat, t_mor = mc.cat, mc.mon.tensor_mor
     comp = explicit_compose(cat)
     pairs = scan_composable(cat.morphisms)
-    report = validate(cat, mc.mon, force_generic=True)
+    generic = generic_copy(mc)
+    report = validate(generic.cat, generic.mon)
     assert [v.witness for v in report.violations if v.law == "associativity"] == [
         (h, g, f) for g, f in pairs for h, g2 in pairs
         if g2 == g and comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]]
@@ -254,8 +258,9 @@ def test_composable_sweeps_match_the_pair_scan(mc, data):
 def test_thin_fast_path_agrees_with_generic():
     for name in ("b2", "c3", "q3", "boolean2x2", "m3", "ideal2"):
         mc = build_cached(name)
+        generic = generic_copy(mc)
         fast = validate(mc.cat, mc.mon)
-        slow = validate(mc.cat, mc.mon, force_generic=True)
+        slow = validate(generic.cat, generic.mon)
         assert fast.ok() and slow.ok()
 
 
@@ -308,7 +313,8 @@ def test_non_associative_object_tensor_is_reported_not_raised(explicit):
     t_mor = {(f, g): t_obj[f][g] for f in range(3) for g in range(3)}
     mon = fincat.MonoidalData(0, t_obj, t_mor if explicit else None, t_obj)
     assert validate(cat, mon).laws() == {"strict_assoc_obj"}
-    assert validate(cat, mon, force_generic=True).laws() == {
+    generic = generic_copy(fincat.MonoidalCategory(cat, mon))
+    assert validate(generic.cat, generic.mon).laws() == {
         "strict_assoc_obj", "strict_assoc_mor"}
 
 
@@ -344,7 +350,8 @@ def test_thin_tensor_reduction_matches_the_pair_sweep(mc):
     assert set(witnesses) <= set(untyped)
     if untyped:
         return
-    slow = validate(cat, mon, force_generic=True)
+    generic = generic_copy(mc)
+    slow = validate(generic.cat, generic.mon)
     assert fast.ok() == slow.ok()
     objects_only = ("strict_unit_obj", "strict_assoc_obj", "braiding_typing")
     assert [v for v in fast.violations if v.law in objects_only] == \
@@ -884,9 +891,42 @@ def test_thin_constructors_check_caps_before_building_tables(monkeypatch):
     assert (exc.value.cap_name, exc.value.actual) == ("max_morphisms", 325)
 
 
+def test_one_object_category_checks_caps_before_building_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tables built before the caps were checked")
+    monkeypatch.setattr(fincat, "_tabulate", refuse)
+    for caps, refusal in [(Caps(max_morphisms=23), ("max_morphisms", 23, 24)),
+                          (Caps(max_objects=0), ("max_objects", 0, 1))]:
+        with pytest.raises(CapExceededError) as exc:
+            from_commutative_monoid(max_monoid(24), caps=caps)
+        assert (exc.value.cap_name, exc.value.limit, exc.value.actual) == refusal
+        name, limit, actual = refusal
+        assert str(exc.value) == f"cap {name} exceeded: {actual} > {limit}"
+
+
 def test_gallery_categories_all_validate(gallery_category):
     name, mc = gallery_category
     assert validate(mc.cat, mc.mon).ok()
+
+
+@settings(max_examples=40, deadline=None)
+@given(closure_lattices(), commutative_monoids(), thin_monoidal_preorders())
+def test_constructor_outputs_validate(poset, monoid, preorder):
+    # no constructor runs validate: each docstring proves the laws from
+    # those its input was checked for.  This is the oracle of those
+    # proofs, with the gallery test above: thin categories of
+    # semilattices, of their frames and of ideal quantales, one-object
+    # categories and thin monoidal preorders
+    lat = Semilattice.from_poset(poset)
+    built = [from_semilattice(lat), from_commutative_monoid(monoid), preorder]
+    if is_frame(lat):
+        built.append(from_quantale(Quantale.from_semilattice(lat)))
+    try:
+        built.append(from_commutative_monoid(monoid, mode="ideal_quantale"))
+    except CapExceededError:
+        pass  # more ideals than max_objects
+    for mc in built:
+        assert validate(mc.cat, mc.mon).ok()
 
 
 # ---------------------------------------------------------------------------
@@ -1055,8 +1095,9 @@ def thin_family(name):
 
 def assert_forced_composition_matches_the_table(mc, rng, generic=True):
     """``mc`` keeps no composition table, and a copy carrying
-    ``explicit_compose`` gets the same ``validate`` reports (the generic
-    one when ``generic``) and the same answers from the fincat kernels:
+    ``explicit_compose`` gets the same ``validate`` report, as does the
+    generic sweep of ``generic_copy`` when ``generic``, and the same
+    answers from the fincat kernels:
     ``is_iso`` on every morphism, and ``factors_through``, squares as
     pullbacks and pushouts, and colimits of diagrams on up to three
     objects, drawn from ``rng``."""
@@ -1064,8 +1105,8 @@ def assert_forced_composition_matches_the_table(mc, rng, generic=True):
     copy = with_explicit_compose(mc)
     assert validate(copy.cat, copy.mon) == validate(mc.cat, mc.mon)
     if generic:
-        assert validate(copy.cat, copy.mon, force_generic=True) == \
-            validate(mc.cat, mc.mon, force_generic=True)
+        swept = generic_copy(mc)
+        assert validate(swept.cat, swept.mon) == validate(mc.cat, mc.mon)
     n, mids = len(mc.objects), range(len(mc.morphisms))
     assert [is_iso(copy, f) for f in mids] == [is_iso(mc, f) for f in mids]
     for _ in range(100):

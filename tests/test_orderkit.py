@@ -12,7 +12,7 @@ from conftest import (boolean_poset, closure_lattices, filtered_directed_downset
                       scan_semilattice_laws, shuffled_posets)
 from ttw import orderkit
 from ttw.caps import Caps
-from ttw.errors import BuildError, CapExceededError
+from ttw.errors import BuildError, CapExceededError, MalformedTableError
 from ttw.gallery import (b2_semilattice, boolean2x2_semilattice, c3_semilattice,
                          m3_semilattice, q3_quantale, zero_one_monoid)
 from ttw.orderkit import (FinMonoid, FinPoset, Quantale, Semilattice,
@@ -254,6 +254,51 @@ def test_quantale_law_rejection():
     with pytest.raises(BuildError):
         Quantale(poset, worse, 2)
     Quantale(poset, bad, 2)  # lawful: a chain with idempotent eps
+
+
+_CHAIN2 = FinPoset.chain(["0", "1"])
+_TABLE_CONSTRUCTORS = {
+    # the constructor on a square table and a unit, and a lawful pair
+    "Semilattice": (lambda table, unit: Semilattice(_CHAIN2, table, unit),
+                    ((0, 0), (0, 1)), 1),
+    "Quantale": (lambda table, unit: Quantale(_CHAIN2, table, unit),
+                 ((0, 0), (0, 1)), 1),
+    "FinMonoid": (lambda table, unit: FinMonoid(("1", "g"), table, unit),
+                  ((0, 1), (1, 0)), 0)}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_CONSTRUCTORS))
+@pytest.mark.parametrize("entry, unit, error, message", [
+    (None, None, BuildError, "no (meet|product) of 0 and 1$|no product of 1 and g$"),
+    (5, None, MalformedTableError, "table entry out of range in the row of (0|1)$"),
+    (7, None, MalformedTableError, "table entry out of range in the row of (0|1)$"),
+    (-1, None, MalformedTableError, "table entry out of range in the row of (0|1)$"),
+    ("keep", 7, MalformedTableError, "^(top|unit) out of range$"),
+    ("keep", -1, MalformedTableError, "^(top|unit) out of range$")],
+    ids=["missing", "past_end", "far_past_end", "negative", "unit_past_end",
+         "negative_unit"])
+def test_malformed_tables_map_to_their_errors(name, entry, unit, error, message):
+    # an entry of None, one outside the carrier, or a unit outside it, is
+    # refused before any law reads the table as indices: a bare TypeError
+    # or IndexError, or a negative index read from the end, otherwise
+    build, table, lawful_unit = _TABLE_CONSTRUCTORS[name]
+    build(table, lawful_unit)
+    rows = [list(row) for row in table]
+    if entry != "keep":
+        rows[0][1] = entry
+    with pytest.raises(error, match=message):
+        build(tuple(map(tuple, rows)), lawful_unit if unit is None else unit)
+
+
+def test_a_missing_meet_is_refused_alike_by_both_routes():
+    # a, b < 1 with no meet of a and b: the table of greatest lower bounds
+    # has a None entry, which the constructor refuses with the text of
+    # ``from_poset``
+    poset = antichain_with_top()
+    for build in (lambda: Semilattice(poset, poset.meet_table, poset.top()),
+                  lambda: Semilattice.from_poset(poset)):
+        with pytest.raises(BuildError, match="^no meet of a and b$"):
+            build()
 
 
 def pentagon() -> FinPoset:

@@ -860,3 +860,61 @@ def test_unitality_refusal_reports_what_validate_reports(name, refused):
         else:
             assert full.ok()
     assert seen == refused
+
+
+def assert_refusals_match_the_full_report(mc):
+    """At every subunit of ``mc``, ``restriction_category`` refuses
+    exactly where ``validate`` on the fully tabulated restriction does,
+    with the same text, and that report lists unit laws only.  The
+    refusal's report equals validate's violations of the first unit law
+    that fails: strict_unit_obj, read before any table is built, and
+    otherwise strict_unit_mor.  Returns the number of refusals."""
+    refused = 0
+    for s in enumerate_subunits(mc):
+        full = tabulated_restriction_report(mc, s)
+        assert full.laws() <= {"strict_unit_obj", "strict_unit_mor"}
+        try:
+            restriction_category(mc, s)
+        except BuildError as exc:
+            assert str(exc) == (
+                "restriction of this category is not strictly unital at "
+                f"{mc.obj_label(s.domain)}; only strict restrictions are supported")
+            law = min(full.laws(), key=["strict_unit_obj", "strict_unit_mor"].index)
+            assert exc.report.violations == [v for v in full.violations if v.law == law]
+            refused += 1
+        else:
+            assert full.ok()
+    return refused
+
+
+@pytest.mark.parametrize("name, flavour", [(name, None) for name in THIN_GALLERY] + [
+    ("b2", "finite"), ("b2", "directed"), ("b2", "all")])
+def test_unit_checks_match_validate_on_products_with_z2(name, flavour):
+    # off thin categories the refusal checks the unit on objects, then on
+    # morphisms, and validates nothing; the products of the b2
+    # completions with z2 refuse two subunits each, on objects
+    left = build_cached(name) if flavour is None \
+        else completion_cached(name, flavour).category
+    mc = product_category(left, build_cached("z2"))
+    assert not mc.is_thin()
+    assert assert_refusals_match_the_full_report(mc) == (0 if flavour is None else 2)
+
+
+def test_unit_check_on_morphisms_reports_what_validate_reports():
+    # z2 x b2 restricted to s = (1, 0 -> 1) keeps the object (*, 0) and
+    # its two automorphisms, mids 0 and 3 there and 0 and 1 in the
+    # restriction; redirecting id_S (x) (g, id_0) to id_S leaves every
+    # table typed and unital on objects but not on morphisms.  The
+    # ambient is no longer lawful, so validate on the restriction lists
+    # more than the unit law; the refusal lists its strict_unit_mor part
+    mc = product_category(build_cached("z2"), build_cached("b2"))
+    s = next(s for s in enumerate_subunits(mc) if s.rep != mc.identity(mc.unit))
+    id_s = mc.identity(s.domain)
+    twist = next(f for f in mc.hom(s.domain, s.domain) if f != id_s)
+    bad = MonoidalCategory(mc.cat, dataclasses.replace(
+        mc.mon, tensor_mor=mc.mon.tensor_mor | {(id_s, twist): id_s}))
+    full = tabulated_restriction_report(bad, s)
+    with pytest.raises(BuildError, match="not strictly unital") as exc:
+        restriction_category(bad, s)
+    assert exc.value.report.violations == [
+        v for v in full.violations if v.law == "strict_unit_mor"] != []
