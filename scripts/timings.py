@@ -10,8 +10,10 @@ each gallery entry and its "all" completion),
 flavour, and of B3 "finite" and "directed", then ``validate`` on the
 built completion), ``restriction`` (the
 graded monad, the comonad bijection, ``restriction_category`` at every
-subunit with how many are strict, the ideal bijection and the
-composition law, on each gallery entry and its three completions),
+subunit with how many are strict, the ideal bijection, the
+composition law, and ``canonical_support_datum`` with
+``verify_support_laws``, on each gallery entry and its three
+completions),
 ``day`` (three Day tensors among the representables of the first
 object, the last object and the unit, and the unitors of the first, as
 ``document_digests.py`` picks them, with the morphisms slid along and
@@ -61,6 +63,7 @@ from ttw.restriction import (restriction_category, restriction_composition_law,
                              verify_ideal_bijection)
 from ttw.subunits import (check_characterisation, enumerate_subunits,
                           has_universal_finite_joins, is_locale_based, is_stiff)
+from ttw.support import canonical_support_datum, verify_support_laws
 
 
 def b3():
@@ -148,14 +151,19 @@ def restrict_all(mc) -> str:
     return f"{built}/{len(subs)}"
 
 
+def support_laws(mc):
+    """``verify_support_laws`` of the canonical support datum."""
+    return verify_support_laws(mc, canonical_support_datum(mc)[0])
+
+
 def restriction_row(source, flavour) -> list:
     build = under_test(source, flavour)
     mc = build()
     cells = [len(mc.objects), len(mc.morphisms)]
+    digits = {restrict_all: 4, restriction_composition_law: 3, support_laws: 3}
     for check in (verify_graded_monad, verify_comonad_bijection, restrict_all,
-                  verify_ideal_bijection, restriction_composition_law):
-        seconds, result, error = timed(check, build,
-                                       digits=4 if check is restrict_all else 2)
+                  verify_ideal_bijection, restriction_composition_law, support_laws):
+        seconds, result, error = timed(check, build, digits=digits.get(check, 2))
         cells.append(error or seconds)
         if check is restrict_all:
             cells.append(error or result)
@@ -297,8 +305,8 @@ TABLES = {
         completion_row),
     "restriction": (
         ("category", "objects", "morphisms", "graded_s", "comonads_s",
-         "restrict_s", "restricted", "ideals_s", "composition_s"),
-        "{:<20}" + "{:>14}" * 8,
+         "restrict_s", "restricted", "ideals_s", "composition_s", "support_s"),
+        "{:<20}" + "{:>14}" * 9,
         lambda: sources((None, "finite", "directed", "all")), restriction_row),
     "day": (
         ("category", "objects", "morphisms", "slid", "classes", "day01_s",

@@ -443,7 +443,11 @@ class DownsetLattice:
     embedding: tuple[int, ...]
 
     def index_of(self, downset: frozenset[int]) -> int:
-        return self.sets.index(downset)
+        return self._position[downset]
+
+    @_computed_once
+    def _position(self) -> dict[frozenset[int], int]:
+        return {s: k for k, s in enumerate(self.sets)}
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +472,26 @@ def _downset_lattice(base: FinPoset, masks: list[int]) -> DownsetLattice:
 def downsets(lat: Semilattice | FinPoset, caps: Caps = DEFAULT_CAPS) -> DownsetLattice:
     """All downsets of the carrier poset under inclusion.
 
-    This is the free completion of a finite semilattice to a frame; the
-    result is checked to be a frame and the embedding to preserve finite
-    meets and the top.
+    This is the free completion of a finite semilattice to a frame.  A
+    family of sets closed under union and intersection, ordered by
+    inclusion, is a distributive lattice, since union and intersection
+    distribute over each other; finite, it is a frame.  So the result is
+    checked in one pass over the pairs of downsets: the empty set is a
+    member, and the table join and meet of every pair are their union and
+    intersection.
     """
     base = lat.poset if isinstance(lat, Semilattice) else lat
     caps.check("max_downset_base", len(base))
     # a union of downsets is a downset, and a downset is the union of
     # the principal downsets of its elements
-    result = _downset_lattice(base, _unions(base.down))
-    if not is_frame(result.poset):
+    masks = _unions(base.down)
+    result = _downset_lattice(base, masks)
+    index = {m: k for k, m in enumerate(masks)}.get
+    join, meet = result.poset.join_table, result.poset.meet_table
+    if masks[0] != 0 or any(
+            tuple(map(index, [a | b for b in masks])) != join[k]
+            or tuple(map(index, [a & b for b in masks])) != meet[k]
+            for k, a in enumerate(masks)):
         raise BuildError("downset lattice failed the frame laws")
     return result
 

@@ -10,24 +10,32 @@ is the meet of the restricting set, equivalently the join of the
 canonical downset.  A ``lat`` argument, where given, must be
 ``subunit_semilattice(mc)``.
 
-A support datum extended from a monotone map is functorial for the
-restriction preorder on morphisms by construction, and is not checked:
-each value is the meet over the morphism's restriction mask, and a meet
-over a larger set is lower (``support_datum_from_monotone``).
-``test_restriction_preorder_functoriality`` keeps the sweep over every
-pair of morphisms as its oracle.
+A ``SupportDatum`` extends its monotone map by construction: each value
+is the meet over the morphism's restriction mask.  Two of its laws follow
+from that and are not swept over pairs of morphisms:
+
+- functoriality for the restriction preorder on morphisms: a meet over a
+  larger set is lower.  ``test_restriction_preorder_functoriality``
+  keeps the sweep over every pair of morphisms as its oracle.
+- colax monoidality, supp(f (x) g) <= supp(f) /\\ supp(g).  The row of
+  f (x) g contains the rows of f and of g: the tensor law of
+  restriction, which ``restriction.restriction_meet_failure`` decides
+  on the composable and one-variable pairs, at the top subunit, which
+  is in every row.  A meet over that larger set is below the values of
+  f and of g, so below their meet.  ``tests/test_support.py`` keeps
+  the sweep over every pair as its oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import BuildError, ConsistencyError
 from .fincat import MonoidalCategory
 from .orderkit import DownsetLattice, FinPoset, _bits, downsets
-from .restriction import restricting_subunits, restriction_table
+from .restriction import restriction_meet_failure, restriction_row, restriction_table
 from .subunits import PropertyReport, SubunitSemilattice, subunit_semilattice
 
 
@@ -47,7 +55,20 @@ class SupportDatum:
     lat: SubunitSemilattice
     target: FinPoset
     on_subunits: tuple[int, ...]
-    values: dict[int, int]  # morphism id -> target element
+    values: tuple[int, ...] = field(init=False)  # per morphism id
+
+    def __post_init__(self):
+        by_row: dict[int, int] = {}
+        values = []
+        for f, row in enumerate(restriction_table(self.mc)):
+            if row not in by_row:
+                meet = self.target.meet(tuple(self.on_subunits[s] for s in _bits(row)))
+                if meet is None:
+                    raise ConsistencyError("target lacks a needed meet",
+                                           details={"morphism": f})
+                by_row[row] = meet
+            values.append(by_row[row])
+        object.__setattr__(self, "values", tuple(values))
 
     def value(self, f: int) -> int:
         return self.values[f]
@@ -56,10 +77,24 @@ class SupportDatum:
 def canonical_support(mc: MonoidalCategory, f: int,
                       lat: SubunitSemilattice | None = None) -> SupportResult:
     """The canonical downset-valued support of one morphism, plus the
-    single subunit supp(f); the two descriptions are cross-checked."""
+    single subunit supp(f); the two descriptions are cross-checked.
+
+    Both depend on f only through its restriction row, so each row's pair
+    is kept in ``mc.derived`` once found, and a single query still costs
+    one row."""
     if lat is None:
         lat = subunit_semilattice(mc)
-    restricting = restricting_subunits(mc, f)
+    row = restriction_row(mc, f)
+    by_row = mc.derived.setdefault(canonical_support.__name__, {})
+    if row not in by_row:
+        by_row[row] = _canonical_support_of_row(lat, row, f)
+    return SupportResult(f, *by_row[row])
+
+
+def _canonical_support_of_row(lat: SubunitSemilattice, row: int,
+                              f: int) -> tuple[frozenset[int], int]:
+    """The canonical downset and supp of f, whose restriction row is ``row``."""
+    restricting = list(_bits(row))
     if not restricting:
         raise ConsistencyError("morphism restricts to no subunit at all",
                                details={"morphism": f})
@@ -75,7 +110,7 @@ def canonical_support(mc: MonoidalCategory, f: int,
         raise ConsistencyError(
             "meet of restricting subunits differs from join of the downset",
             details={"morphism": f, "meet": supp, "join": join_route})
-    return SupportResult(f, canonical, supp)
+    return canonical, supp
 
 
 def support_datum_from_monotone(mc: MonoidalCategory, target: FinPoset,
@@ -85,10 +120,7 @@ def support_datum_from_monotone(mc: MonoidalCategory, target: FinPoset,
 
     Rejects non-monotone input and targets that are not complete
     lattices; verifies that the extension agrees with the given map on
-    subunit representatives.  It is functorial for the restriction
-    preorder on morphisms by construction: where g restricts only to
-    subunits f restricts to, the value of f is the meet over a superset
-    of g's mask, so it lies below the value of g (module docstring).
+    subunit representatives.
     """
     if lat is None:
         lat = subunit_semilattice(mc)
@@ -102,15 +134,7 @@ def support_datum_from_monotone(mc: MonoidalCategory, target: FinPoset,
             if lat.leq[i][j] and not target.leq[on_subunits[i]][on_subunits[j]]:
                 raise BuildError(
                     f"assignment is not monotone on subunit pair ({i}, {j})")
-    table = restriction_table(mc)
-    values = {}
-    for f in mc.morphisms:
-        meet = target.meet(tuple(on_subunits[s] for s in _bits(table[f.mid])))
-        if meet is None:
-            raise ConsistencyError("target lacks a needed meet",
-                                   details={"morphism": f.mid})
-        values[f.mid] = meet
-    datum = SupportDatum(mc, lat, target, on_subunits, values)
+    datum = SupportDatum(mc, lat, target, on_subunits)
     for k, s in enumerate(lat.subunits):
         if datum.value(s.rep) != on_subunits[k]:
             raise ConsistencyError(
@@ -136,31 +160,35 @@ def verify_support_laws(mc: MonoidalCategory, datum: SupportDatum,
     canonical one.
 
     Colax monoidality: the value of a tensor is below the meet of the
-    values.  Object factoring: the value of f is the meet of the values
-    of the identities f factors through.  Initiality: mapping a downset
-    to the join of the assigned values carries the canonical datum to
-    this one, preserves all joins, and agrees on principal downsets.
+    values.  It holds by construction once the restriction table obeys
+    ``restriction_meet_failure`` (module docstring), and a table that
+    does not raises ``ConsistencyError`` with its witness.  Object
+    factoring: the value of f is the meet of the values of the
+    identities f factors through; on a thin category f: A -> B factors
+    through exactly the objects of ``up[A] & down[B]``.  Initiality:
+    mapping a downset to the join of the assigned values carries the
+    canonical datum to this one, preserves all joins, and agrees on
+    principal downsets.
 
     Preservation of all joins is checked on the empty join and on binary
     joins only; see ``_join_failure`` for why that is exact.
     """
+    failure = restriction_meet_failure(mc)
+    if failure is not None:
+        raise ConsistencyError("restriction table breaks the meet laws",
+                               details={"witness": failure})
     target = datum.target
     values = datum.values
+    thin, up, down = mc.is_thin(), mc.cat.up, mc.cat.down
+    on_identities = [values[mc.identity(a)] for a in range(len(mc.objects))]
     for f in mc.morphisms:
-        for g in mc.morphisms:
-            tens = values[mc.tensor_mor(f.mid, g.mid)]
-            bound = target.meet((values[f.mid], values[g.mid]))
-            if not target.leq[tens][bound]:
-                return PropertyReport("support_laws", False,
-                                      witness=(f.mid, g.mid),
-                                      details={"reason": "colax bound fails"})
-    for f in mc.morphisms:
-        through = []
-        for a in range(len(mc.objects)):
-            if any(mc.compose(v, u) == f.mid
-                   for u in mc.hom(f.dom, a) for v in mc.hom(a, f.cod)):
-                through.append(values[mc.identity(a)])
-        if target.meet(tuple(through)) != values[f.mid]:
+        if thin:
+            objects = _bits(up[f.dom] & down[f.cod])
+        else:
+            objects = (a for a in range(len(mc.objects))
+                       if any(mc.compose(v, u) == f.mid for u in mc.hom(f.dom, a)
+                              for v in mc.hom(a, f.cod)))
+        if target.meet(tuple(on_identities[a] for a in objects)) != values[f.mid]:
             return PropertyReport("support_laws", False, witness=(f.mid,),
                                   details={"reason": "object formula fails"})
 

@@ -620,6 +620,28 @@ def sweep_graded_monad(mc):
                           details={"grading_objects": len(grading)})
 
 
+def with_restriction_table(mc, table):
+    """A copy of ``mc`` whose restriction table is ``table``: its subunits
+    and their semilattice carry over, and every fact read from the table
+    (the meet-law failure, the canonical supports) is found anew."""
+    subunit_semilattice(mc)
+    clone = fincat.MonoidalCategory(mc.cat, mc.mon)
+    for fact in ("enumerate_subunits", "subunit_semilattice"):
+        clone.derived[fact] = mc.derived[fact]
+    clone.derived["restriction_table"] = tuple(table)
+    return clone
+
+
+def restriction_flips(mc):
+    """Per morphism f and subunit position k other than the top, the
+    restriction table of ``mc`` with bit k of row f flipped: (f, table)."""
+    lat, table = subunit_semilattice(mc), restriction.restriction_table(mc)
+    for f, row in enumerate(table):
+        for k in range(len(lat)):
+            if k != lat.top:
+                yield f, table[:f] + (row ^ 1 << k,) + table[f + 1:]
+
+
 def sweep_coreflection(mc, s, inverses):
     """``restriction._verify_coreflection`` on a category that is not
     thin, with the loops its reduction leaves out: per pair, the

@@ -119,6 +119,19 @@ def test_directed_downsets_skip_the_full_downset_lattice(monkeypatch):
     assert dl.sets[0] == frozenset() and dl.sets[-1] == frozenset(range(9))
 
 
+def test_downsets_check_their_lattice_without_the_cubic_frame_check(monkeypatch):
+    # 2^8 + 1 downsets: their lattice is checked pair by pair against
+    # union and intersection, and no distributivity sweep over triples runs
+    def no_triples(*args, **kwargs):
+        raise AssertionError("the cubic frame check ran")
+
+    monkeypatch.setattr(orderkit, "is_frame", no_triples)
+    monkeypatch.setattr(orderkit, "is_distributive", no_triples)
+    dl = downsets(antichain_with_top(8))
+    assert len(dl.sets) == 257
+    assert all(dl.index_of(s) == k for k, s in enumerate(dl.sets))
+
+
 def test_directed_downsets_of_a_chain_beyond_the_downset_cap():
     # 17 elements pass no max_downset_base (16) check, and only the 17
     # principal downsets and the empty one are built; the downsets of

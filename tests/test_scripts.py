@@ -115,12 +115,15 @@ def test_restriction_rows(timings, monkeypatch, capsys):
             except BuildError:
                 pass
         objects, morphisms, graded, comonads, restrict, restricted, ideals, \
-            composition = printed[label]
+            composition, support = printed[label]
         assert [objects, morphisms, restricted] == [
             str(len(mc.objects)), str(len(mc.morphisms)),
             f"{built}/{len(enumerate_subunits(mc))}"]
-        assert all(map(seconds, (graded, comonads, restrict, ideals, composition)))
+        assert all(map(seconds, (graded, comonads, restrict, ideals, composition,
+                                 support)))
         assert len(restrict.partition(".")[2]) == 4
+        assert len(composition.partition(".")[2]) == 3
+        assert len(support.partition(".")[2]) == 3
 
 
 def test_day_rows(timings, monkeypatch, capsys):

@@ -7,11 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (boolean_category, build_cached, completion_cached, mor_by_label,
-                      scan_join, shuffled_posets)
+                      restriction_flips, scan_join, shuffled_posets,
+                      with_restriction_table)
 from ttw import gallery
-from ttw.errors import BuildError
+from ttw.errors import BuildError, ConsistencyError
 from ttw.orderkit import FinPoset, downsets
-from ttw.restriction import restricting_subunits
+from ttw.restriction import restricting_subunits, restriction_meet_failure
 from ttw.subunits import subunit_semilattice
 from ttw.support import (_join_failure, canonical_support, canonical_support_datum,
                          support_datum_from_monotone, verify_support_laws)
@@ -130,6 +131,46 @@ def test_supp_of_composites_and_tensors_bounded(gallery_category):
                 assert lat.leq[supp[comp]][bound]
             tens = mc.tensor_mor(f.mid, g.mid)
             assert lat.leq[supp[tens]][bound]
+
+
+def sweep_colax_failure(mc, datum):
+    """The first pair (f, g), over every pair of morphisms, whose tensor's
+    value is not below the meet of their values, or None: the oracle of
+    the colax bound, which ``verify_support_laws`` reads off the
+    restriction table."""
+    target, values = datum.target, datum.values
+    for f in mc.morphisms:
+        for g in mc.morphisms:
+            bound = target.meet((values[f.mid], values[g.mid]))
+            if not target.leq[values[mc.tensor_mor(f.mid, g.mid)]][bound]:
+                return f.mid, g.mid
+    return None
+
+
+@pytest.mark.parametrize("name, flavour", [
+    *((name, None) for name in gallery.names()),
+    ("c3", "all"), ("q3", "all"), ("boolean2x2", "all")])
+def test_colax_bound_holds_wherever_the_support_laws_hold(name, flavour):
+    mc = build_cached(name) if flavour is None else completion_cached(name, flavour).category
+    for datum in gallery_datums(mc)[1]:
+        assert verify_support_laws(mc, datum).holds
+        assert sweep_colax_failure(mc, datum) is None
+
+
+def test_a_table_breaking_the_meet_laws_raises_and_returns_no_verdict():
+    mc = completion_cached("q3", "all").category
+    reps = {s.rep for s in subunit_semilattice(mc).subunits}
+    raised = 0
+    for f, table in restriction_flips(mc):
+        flipped = with_restriction_table(mc, table)
+        if f in reps or restriction_meet_failure(flipped) is None:
+            continue
+        datum, _ = canonical_support_datum(flipped)
+        with pytest.raises(ConsistencyError, match="meet laws") as err:
+            verify_support_laws(flipped, datum)
+        assert err.value.details == {"witness": restriction_meet_failure(flipped)}
+        raised += 1
+    assert raised
 
 
 def test_restriction_preorder_functoriality():
