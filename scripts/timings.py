@@ -23,12 +23,16 @@ completions and the simple quotient of m3 "directed"), ``localise``
 ``localise`` at every subunit with the morphisms of the localisations
 summed, on each gallery entry, its "all" completion and m3
 "directed", after the size of the class the simple quotient
-inverts) or ``oneshot`` (``ttw check characterisation``, ``ttw complete
+inverts), ``oneshot`` (``ttw check characterisation``, ``ttw complete
 --flavour all`` and ``ttw localise --simple`` on each gallery document,
 then ``ttw day`` of the representables of b2's first and last object,
 each in a fresh process as the console script runs it: its exit code,
 its wall time and its own peak resident memory, VmHWM on Linux, which
-the in-process benchmark cannot show).  A row of the other tables gives the
+the in-process benchmark cannot show) or ``order`` (``FinPoset.from_pairs``,
+``downsets`` with the count of downsets, and ``is_frame`` of the downset
+lattice, on antichains of 6, 8 and 9 elements, chains of 16 and 64 and
+the Boolean lattices B3 and B4; ``max_downset_base`` refuses the
+64-chain's downsets).  A row of the other tables gives the
 sizes, then the seconds and result of each call, run on a freshly built
 category so that no derived fact is reused; the build is not timed.  A
 call that raises prints its error (the cap for a refused completion,
@@ -57,7 +61,7 @@ from ttw.daycat import (broad_category, coproduct_of_representables, day_tensor,
 from ttw.errors import BuildError, TtwError
 from ttw.fincat import from_semilattice, validate
 from ttw.fractions import localise, sigma, simple_quotient
-from ttw.orderkit import FinPoset, Semilattice
+from ttw.orderkit import FinPoset, Semilattice, downsets, is_frame
 from ttw.restriction import (restriction_category, restriction_composition_law,
                              verify_comonad_bijection, verify_graded_monad,
                              verify_ideal_bijection)
@@ -66,13 +70,18 @@ from ttw.subunits import (check_characterisation, enumerate_subunits,
 from ttw.support import canonical_support_datum, verify_support_laws
 
 
-def b3():
-    """The thin category of the Boolean lattice on three atoms."""
-    subsets = [s for r in range(4) for s in itertools.combinations(range(3), r)]
+def boolean_order(atoms: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """The subsets of ``atoms`` atoms and the pairs of their strict inclusions."""
+    subsets = [s for r in range(atoms + 1)
+               for s in itertools.combinations(range(atoms), r)]
     label = {s: "{" + ",".join(map(str, s)) + "}" for s in subsets}
     pairs = [(label[a], label[b]) for a in subsets for b in subsets if set(a) < set(b)]
-    return from_semilattice(Semilattice.from_poset(
-        FinPoset.from_pairs(list(label.values()), pairs)))
+    return list(label.values()), pairs
+
+
+def b3():
+    """The thin category of the Boolean lattice on three atoms."""
+    return from_semilattice(Semilattice.from_poset(FinPoset.from_pairs(*boolean_order(3))))
 
 
 def sources(flavours, b3_flavours=()):
@@ -229,6 +238,33 @@ def localise_row(source, flavour) -> list:
     return cells
 
 
+def order_sources():
+    """Antichains of 6, 8 and 9 elements, chains of 16 and 64, then the
+    Boolean lattices B3 and B4: label, a builder of (elements, pairs), None."""
+    for n in (6, 8, 9):
+        yield f"antichain{n}", lambda n=n: ([f"a{i}" for i in range(n)], []), None
+    for n in (16, 64):
+        labels = [f"c{i}" for i in range(n)]
+        yield f"chain{n}", lambda labels=labels: (labels, list(zip(labels, labels[1:]))), None
+    for atoms in (3, 4):
+        yield f"b{atoms}", lambda atoms=atoms: boolean_order(atoms), None
+
+
+def order_row(source, flavour) -> list:
+    """``FinPoset.from_pairs`` on the pairs, ``downsets`` of the poset,
+    then ``is_frame`` of the downset lattice, each on a fresh poset."""
+    elements, pairs = source()
+    pairs_s, poset, _ = timed(lambda args: FinPoset.from_pairs(*args),
+                              lambda: (elements, pairs), digits=4)
+    downsets_s, lattice, error = timed(
+        downsets, lambda: FinPoset(poset.elements, poset.up), digits=4)
+    if error:
+        return [len(poset), error, pairs_s, downsets_s]
+    frame_s, _, _ = timed(
+        is_frame, lambda: FinPoset(lattice.poset.elements, lattice.poset.up), digits=4)
+    return [len(poset), len(lattice.sets), pairs_s, downsets_s, frame_s]
+
+
 def oneshot_sources():
     """Per ROADMAP command and gallery entry: label, argv with the
     document's path as ``{doc}``, gallery entry; then ``day`` on b2."""
@@ -319,6 +355,9 @@ TABLES = {
     "oneshot": (
         ("run", "exit", "wall_s", "peak_rss_mb"),
         "{:<28}" + "{:>12}" * 3, lambda: oneshot_sources(), oneshot_row),
+    "order": (
+        ("poset", "elements", "downsets", "from_pairs_s", "downsets_s", "is_frame_s"),
+        "{:<12}" + "{:>18}" * 5, lambda: order_sources(), order_row),
 }
 
 

@@ -182,7 +182,7 @@ def cmd_subunits(args, caps: Caps) -> Report:
         "top": names[lat.top],
         "order": [[names[i], names[j]]
                   for i in range(len(lat)) for j in range(len(lat))
-                  if i != j and lat.leq[i][j]],
+                  if i != j and lat.leq(i, j)],
     }
     if args.dot:
         _write_atomic(args.dot, render_dot(lat.lattice.poset, name))

@@ -842,7 +842,7 @@ def _tensor_leg_prefixes(mc: MonoidalCategory, lat: SubunitSemilattice,
         chosen = None
         for ui, i in enumerate(su.family):
             for vj, j in enumerate(sv.family):
-                if not lat.leq[r][lat.meet(i, j)]:
+                if not lat.leq(r, lat.meet(i, j)):
                     continue
                 meet_mono = mc.tensor_mor(lat.subunits[i].rep,
                                           lat.subunits[j].rep)

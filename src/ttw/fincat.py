@@ -949,28 +949,29 @@ def _tabulate_monoidal(cat: FinCategory, unit: int, tensor_obj,
                                               t_mor, rows))
 
 
-def _thin_category(poset_elements, leq):
+def _thin_category(poset_elements, up):
     objects = tuple(poset_elements)
-    n = len(objects)
-    pairs = [(a, b) for a in range(n) for b in range(n) if leq[a][b]]
+    pairs = [(a, b) for a, mask in enumerate(up) for b in _bits(mask)]
     mor_index = {pair: k for k, pair in enumerate(pairs)}
     return _tabulate(objects,
                      [(a, b, f"{objects[a]}->{objects[b]}") for a, b in pairs],
-                     [mor_index[(a, a)] for a in range(n)], None)
+                     [mor_index[(a, a)] for a in range(len(objects))], None)
 
 
 def thin_category_from_poset(poset) -> FinCategory:
     """The thin category of a bare poset, without monoidal data; handy
     for (co)limit questions that need no tensor."""
-    return _thin_category(poset.elements, poset.leq)
+    return _thin_category(poset.elements, poset.up)
 
 
-def _thin_monoidal(elements, leq, product, unit: int,
+def _thin_monoidal(elements, up, product, unit: int,
                    caps: Caps) -> MonoidalCategory:
-    """The thin braided monoidal category of a poset with a commutative,
-    associative, monotone product table with unit ``unit``: one morphism
-    x -> y exactly when x <= y, tensor given by the product, braiding by
-    identities.  The caps are checked before any table is built.
+    """The thin braided monoidal category of a preorder, given by its
+    up-set masks ``up``, with a commutative, associative, monotone
+    product table with unit ``unit``: one morphism x -> y exactly when
+    bit y of up[x] is set, numbered a-outer and b in bit order, tensor
+    given by the product, braiding by identities.  The caps are checked
+    before any table is built.
 
     Those four facts are every law ``validate`` checks on a thin
     category, so none is checked again:
@@ -985,8 +986,8 @@ def _thin_monoidal(elements, leq, product, unit: int,
     hold once these do.  The callers state where each fact comes from."""
     n = len(elements)
     caps.check("max_objects", n)
-    caps.check("max_morphisms", sum(map(sum, leq)))
-    cat = _thin_category(elements, leq)
+    caps.check("max_morphisms", sum(mask.bit_count() for mask in up))
+    cat = _thin_category(elements, up)
     t_obj = [[product[a][b] for b in range(n)] for a in range(n)]
     return _tabulate_monoidal(cat, unit, t_obj, None,
                               lambda a, b: cat.identity[t_obj[a][b]])
@@ -1002,7 +1003,7 @@ def from_semilattice(lat: Semilattice, caps: Caps = DEFAULT_CAPS) -> MonoidalCat
     - monotonicity <- meet agrees with the order: x <= y gives
       x /\\ y = x, so (x /\\ z) /\\ (y /\\ z) = x /\\ z, that is
       x /\\ z <= y /\\ z."""
-    return _thin_monoidal(lat.elements, lat.poset.leq, lat.meet_table, lat.top,
+    return _thin_monoidal(lat.elements, lat.poset.up, lat.meet_table, lat.top,
                           caps)
 
 
@@ -1019,7 +1020,7 @@ def from_quantale(q: Quantale, caps: Caps = DEFAULT_CAPS) -> MonoidalCategory:
       on the right."""
     if not q.commutative:
         raise BuildError("quantale is not commutative, no braiding exists")
-    return _thin_monoidal(q.elements, q.poset.leq, q.mult, q.unit, caps)
+    return _thin_monoidal(q.elements, q.poset.up, q.mult, q.unit, caps)
 
 
 def from_commutative_monoid(monoid: FinMonoid, mode: str = "one_object",

@@ -1,11 +1,12 @@
 """Finite posets, semilattices, quantales and their downset completions.
 
 Everything here is index-based: a poset holds a tuple of element labels
-and a boolean matrix ``leq``, from which the constructor derives each
-element's up-set and down-set as an int bitmask.  A join is the element
-whose up-mask is the AND of the up-masks of its arguments, a meet the
-dual; each poset caches its binary ``join_table`` and ``meet_table``.
-Absence of a bound is a first-class result (``None``), not an error.
+and, per element, its up-set as an int bitmask, the one representation
+of the order; the constructor derives each down-set from these.  A join
+is the element whose up-mask is the AND of the up-masks of its
+arguments, a meet the dual; each poset caches its binary ``join_table``
+and ``meet_table``.  Absence of a bound is a first-class result
+(``None``), not an error.
 """
 
 from __future__ import annotations
@@ -76,29 +77,28 @@ class _computed_once:
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset on indices ``0..n-1``.
+    """A finite poset on indices ``0..n-1``, given by the bitmasks
+    ``up[i]`` (bit ``j`` set iff ``i <= j``).
 
-    The constructor derives, for each element ``i``, the bitmasks ``up[i]``
-    (bit ``j`` set iff ``i <= j``) and ``down[i]`` (bit ``j`` set iff
-    ``j <= i``); the order laws, joins and meets are read off these.
+    The constructor refuses a mask that is not a subset of the indices,
+    then checks the order laws on the masks, and derives ``down[i]``
+    (bit ``j`` set iff ``j <= i``); joins and meets are read off both.
     """
 
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
-    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    up: tuple[int, ...]
     down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.elements)
-        if len(self.leq) != n or any(len(row) != n for row in self.leq):
-            raise MalformedTableError("leq matrix shape does not match elements")
-        up = [sum(1 << j for j, v in enumerate(row) if v) for row in self.leq]
-        down = [sum(1 << i for i in range(n) if self.leq[i][j]) for j in range(n)]
+        n, up = len(self.elements), self.up
+        if len(up) != n or any(mask < 0 or mask >> n for mask in up):
+            raise MalformedTableError("up masks do not match the elements")
         for i in range(n):
             if not up[i] >> i & 1:
                 raise BuildError(f"leq not reflexive at {self.elements[i]}")
         # the first offender in (i, j) order, as a scan over (i, j, k) finds it:
         # for each j above i, i is not above j and everything above j is above i
+        down = [0] * n
         for i in range(n):
             for j in _bits(up[i]):
                 if i != j and up[j] >> i & 1:
@@ -106,35 +106,32 @@ class FinPoset:
                         f"leq not antisymmetric on {self.elements[i]}, {self.elements[j]}")
                 if up[j] & ~up[i]:
                     raise BuildError(f"leq not transitive via {self.elements[j]}")
-        object.__setattr__(self, "up", tuple(up))
+                down[j] |= 1 << i
         object.__setattr__(self, "down", tuple(down))
+
+    def leq(self, i: int, j: int) -> bool:
+        return bool(self.up[i] >> j & 1)
 
     @staticmethod
     def from_pairs(elements, pairs) -> "FinPoset":
-        """Build from strict-or-not `x <= y` pairs; reflexive-transitive closure
-        is taken, antisymmetry is verified by the constructor."""
+        """Build from strict-or-not `x <= y` pairs; the reflexive-transitive
+        closure is taken on the masks by Warshall's algorithm (for each k
+        in turn, every element below k gets up[k]), and antisymmetry is
+        verified by the constructor."""
         index = {x: i for i, x in enumerate(elements)}
-        n = len(elements)
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        up = [1 << i for i in range(len(elements))]
         for x, y in pairs:
             if x not in index or y not in index:
                 raise MalformedTableError(f"unknown element in pair ({x}, {y})")
-            leq[index[x]][index[y]] = True
-        for k in range(n):
-            for i in range(n):
-                if leq[i][k]:
-                    row_k = leq[k]
-                    row_i = leq[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        return FinPoset(tuple(elements), tuple(tuple(row) for row in leq))
+            up[index[x]] |= 1 << index[y]
+        for k in range(len(up)):
+            up = [u | up[k] if u >> k & 1 else u for u in up]
+        return FinPoset(tuple(elements), tuple(up))
 
     @staticmethod
     def chain(labels) -> "FinPoset":
         labels = list(labels)
-        return FinPoset.from_pairs(labels, [(labels[i], labels[i + 1])
-                                            for i in range(len(labels) - 1)])
+        return FinPoset.from_pairs(labels, list(zip(labels, labels[1:])))
 
     def __len__(self):
         return len(self.elements)
@@ -245,11 +242,8 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> tuple[int, ...] | None:
     if n != len(q):
         return None
 
-    def profile(poset, i):
-        return (poset.down[i].bit_count(), poset.up[i].bit_count())
-
-    p_prof = [profile(p, i) for i in range(n)]
-    q_prof = [profile(q, i) for i in range(n)]
+    p_prof, q_prof = ([(d.bit_count(), u.bit_count()) for d, u in zip(x.down, x.up)]
+                      for x in (p, q))
     assignment: list[int] = []
 
     def extend(i: int) -> bool:
@@ -258,8 +252,8 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> tuple[int, ...] | None:
         for cand in range(n):
             if cand in assignment or p_prof[i] != q_prof[cand]:
                 continue
-            ok = all((p.leq[j][i] == q.leq[assignment[j]][cand])
-                     and (p.leq[i][j] == q.leq[cand][assignment[j]])
+            ok = all((p.leq(j, i) == q.leq(assignment[j], cand))
+                     and (p.leq(i, j) == q.leq(cand, assignment[j]))
                      for j in range(i))
             if ok:
                 assignment.append(cand)
@@ -325,7 +319,7 @@ class Semilattice:
             for j in range(n):
                 if m[i][j] != m[j][i]:
                     raise BuildError("meet not commutative")
-                if (m[i][j] == i) != self.poset.leq[i][j]:
+                if (m[i][j] == i) != self.poset.leq(i, j):
                     raise BuildError("meet disagrees with the order")
                 for k in range(n):
                     if m[m[i][j]][k] != m[i][m[j][k]]:
@@ -458,15 +452,29 @@ def _downset_label(base: FinPoset, s: frozenset[int]) -> str:
     return "{" + ",".join(base.elements[i] for i in sorted(s)) + "}"
 
 
+def _inclusion_up(masks) -> tuple[int, ...]:
+    """The up-masks of the distinct sets ``masks`` under inclusion: the
+    sets above a are those that hold every member of a, the AND over
+    the members x of a of the mask of sets holding x."""
+    holding = [_mask(k for k, m in enumerate(masks) if m >> x & 1)
+               for x in range(max(masks, default=0).bit_length())]
+    up = []
+    for m in masks:
+        above = (1 << len(masks)) - 1
+        for x in _bits(m):
+            above &= holding[x]
+        up.append(above)
+    return tuple(up)
+
+
 def _downset_lattice(base: FinPoset, masks: list[int]) -> DownsetLattice:
     """The downsets ``masks`` of ``base`` ordered by inclusion; the
     principal downsets must be among them."""
     sets = tuple(frozenset(_bits(m)) for m in masks)
     labels = tuple(_downset_label(base, s) for s in sets)
-    leq = tuple(tuple(a & b == a for b in masks) for a in masks)
-    position = {m: k for k, m in enumerate(masks)}
-    embedding = tuple(position[base.down[i]] for i in range(len(base)))
-    return DownsetLattice(base, sets, FinPoset(labels, leq), embedding)
+    embedding = tuple(map(masks.index, base.down))
+    return DownsetLattice(base, sets, FinPoset(labels, _inclusion_up(masks)),
+                          embedding)
 
 
 def downsets(lat: Semilattice | FinPoset, caps: Caps = DEFAULT_CAPS) -> DownsetLattice:
@@ -527,12 +535,11 @@ def quantale_subunits(q: Quantale) -> Semilattice:
     quantale; meets are given by the multiplication.  Always a frame."""
     if not q.commutative:
         raise BuildError("quantale is not commutative")
-    members = [i for i in range(len(q))
-               if q.mult[i][i] == i and q.poset.leq[i][q.unit]]
+    members = [i for i in _bits(q.poset.down[q.unit]) if q.mult[i][i] == i]
     labels = tuple(q.elements[i] for i in members)
-    leq = tuple(tuple(q.poset.leq[a][b] for b in members) for a in members)
-    poset = FinPoset(labels, leq)
     pos = {element: k for k, element in enumerate(members)}
+    poset = FinPoset(labels, tuple(_mask(pos[b] for b in _bits(q.poset.up[a])
+                                         if b in pos) for a in members))
     meet_table = tuple(tuple(pos[q.mult[a][b]] for b in members) for a in members)
     lat = Semilattice(poset, meet_table, pos[q.unit])
     if not is_frame(poset):
@@ -550,24 +557,19 @@ def ideal_quantale(monoid: FinMonoid, caps: Caps = DEFAULT_CAPS) -> Quantale:
     """
     if not monoid.is_commutative():
         raise BuildError("monoid is not commutative")
-    n = len(monoid.elements)
     # xM is an ideal, since (xm)m' = x(mm'), and an ideal is the union of
     # the xM of its elements x = x1; unions of ideals are ideals
     masks = _unions(map(_mask, monoid.mult),
                     lambda count: caps.check("max_objects", count))
-    ideals = [frozenset(_bits(m)) for m in masks]
-    labels = tuple("{" + ",".join(sorted(monoid.elements[i] for i in s)) + "}"
-                   for s in ideals)
-    leq = tuple(tuple(a <= b for b in ideals) for a in ideals)
-    poset = FinPoset(labels, leq)
-    def product(a, b):
-        # the elementwise product of ideals of a commutative monoid is
-        # itself an ideal, so no generation step is needed
-        return frozenset(monoid.mult[x][y] for x in a for y in b)
-    mult = tuple(tuple(ideals.index(product(a, b)) for b in ideals)
-                 for a in ideals)
-    everything = ideals.index(frozenset(range(n)))
-    return Quantale(poset, mult, everything)
+    labels = tuple("{" + ",".join(sorted(monoid.elements[i] for i in _bits(m))) + "}"
+                   for m in masks)
+    position = {m: k for k, m in enumerate(masks)}
+    # the elementwise product of ideals of a commutative monoid is itself
+    # an ideal, so no generation step is needed
+    mult = tuple(tuple(position[_mask(monoid.mult[x][y] for x in _bits(a) for y in _bits(b))]
+                       for b in masks) for a in masks)
+    return Quantale(FinPoset(labels, _inclusion_up(masks)), mult,
+                    position[(1 << len(monoid.elements)) - 1])
 
 
 def is_distributive(lat: Semilattice | FinPoset) -> bool:

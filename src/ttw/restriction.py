@@ -81,11 +81,12 @@ sweeps, which the test suite keeps as the oracle of these branches.
 
 The composite and tensor laws of restriction (where f restricts to s and
 g to t, g o f and f (x) g restrict to s /\\ t) are decided by
-``restriction_meet_failure`` over the composable pairs and
-``fincat._one_variable_pairs`` instead of all pairs of morphisms: by
-interchange f (x) g = (f (x) id_D) o (id_A (x) g) (Mac Lane, *CWM*
-II.3), so the composite law at that pair, with the tensor law at the two
-one-variable pairs, gives the tensor law at (f, g).
+``restriction_meet_failure`` over the composable pairs and the pairs
+(f, id_b) instead of all pairs of morphisms: by braiding naturality
+id_a (x) g is g (x) id_a between two braidings, and by interchange
+f (x) g = (f (x) id_D) o (id_A (x) g) (Mac Lane, *CWM* II.3), so the
+composite law, with the tensor law at the one-variable pairs, gives the
+tensor law at (f, g).
 """
 
 from __future__ import annotations
@@ -679,16 +680,26 @@ def restriction_meet_failure(mc: MonoidalCategory) -> tuple | None:
     Only these are checked, and that is exact given the top subunit in
     every row (f = (id_I (x) B) o f, a ``ConsistencyError`` otherwise):
 
-    - every composable pair (f, g): the row of f o g contains the meets of
-      the rows of f and g, a mask tabulated once per pair of rows;
-    - the pairs of ``fincat._one_variable_pairs``: the row of f (x) g
-      contains the rows of f and of g.  That is the tensor law at
-      j = top and at i = top, since s /\\ top = s.
+    - every composable pair (f, g), first: the row of f o g contains the
+      meets of the rows of f and g, a mask tabulated once per pair of
+      rows;
+    - the pairs (f, id_b), the first half of
+      ``fincat._one_variable_pairs``: the row of f (x) id_b contains the
+      rows of f and of id_b.  That is the tensor law at j = top and at
+      i = top, since s /\\ top = s.
 
-    The one-variable facts give the tensor law at any pair f: A -> B,
-    g: C -> D, for f (x) g = (f (x) id_D) o (id_A (x) g) by interchange,
-    and the composite law at that pair asks for the meets of two rows that
-    contain those of f and of g.
+    The other half follows.  For g: A -> B, braiding naturality gives
+    id_a (x) g = sigma_{a,B}^-1 o (g (x) id_a) o sigma_{a,A}, the
+    inverse existing by ``braiding_invertible``.  Both braidings restrict
+    to the top, so by the composite law the row of id_a (x) g contains
+    every top /\\ s /\\ top = s of the row of g (x) id_a, which contains
+    the rows of g and of id_a.  The one-variable facts give the tensor
+    law at any pair f: A -> B, g: C -> D, for f (x) g =
+    (f (x) id_D) o (id_A (x) g) by interchange, and the composite law at
+    that pair asks for the meets of two rows that contain those of f and
+    of g.  The witness is the one the sweep of every one-variable pair
+    finds: the (id_a, g) half came last there, and it holds whenever
+    everything before it does.
     """
     lat, table = subunit_semilattice(mc), restriction_table(mc)
     top = lat.top
@@ -708,12 +719,13 @@ def restriction_meet_failure(mc: MonoidalCategory) -> tuple | None:
             i, j = next((i, j) for i in _bits(pair[0]) for j in _bits(pair[1])
                         if not row >> lat.meet(i, j) & 1)
             return f, g, i, j, "compose"
-    for f, g in _one_variable_pairs(mc):
-        missing = (table[f] | table[g]) & ~table[mc.tensor_mor(f, g)]
-        if missing:
-            s = (missing & -missing).bit_length() - 1
-            return (f, g, s, top, "tensor") if table[f] >> s & 1 else \
-                (f, g, top, s, "tensor")
+    for f, row in enumerate(table):
+        for g in mc.cat.identity:
+            missing = (row | table[g]) & ~table[mc.tensor_mor(f, g)]
+            if missing:
+                s = (missing & -missing).bit_length() - 1
+                return (f, g, s, top, "tensor") if row >> s & 1 else \
+                    (f, g, top, s, "tensor")
     return None
 
 

@@ -51,7 +51,7 @@ from .fincat import (Cocone, DiagramSpec, MonoidalCategory, SubobjectClass,
                      colimit, factors_through, initial_object, is_cocone,
                      is_colimit, is_iso, is_mono, is_pullback, is_pushout,
                      mediating_morphisms, subobjects)
-from .orderkit import (FinPoset, Semilattice, _computed_once,
+from .orderkit import (FinPoset, Semilattice, _computed_once, _mask,
                        _size_then_members, is_distributive, is_frame)
 
 
@@ -76,10 +76,11 @@ class PropertyReport:
 
 @dataclass(frozen=True, eq=False)
 class SubunitSemilattice:
+    """The subunits, in canonical order, and the semilattice of their
+    domains at the same positions, which holds their order, meets and
+    top."""
+
     subunits: tuple[Subunit, ...]
-    leq: tuple[tuple[bool, ...], ...]
-    meet_table: tuple[tuple[int, ...], ...]
-    top: int
     lattice: Semilattice
 
     def __len__(self):
@@ -90,8 +91,15 @@ class SubunitSemilattice:
             raise KeyError(label)
         return self.lattice.elements.index(label)
 
+    @property
+    def top(self) -> int:
+        return self.lattice.top
+
+    def leq(self, i: int, j: int) -> bool:
+        return self.lattice.poset.leq(i, j)
+
     def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
+        return self.lattice.meet_table[i][j]
 
     def join(self, subset) -> int | None:
         return self.lattice.poset.join(tuple(subset))
@@ -114,7 +122,7 @@ class SubunitSemilattice:
         family F found carries the masks of y /\\ F for every y, so that
         a step is one OR; the grown family's are
         (y /\\ F) u {y /\\ x} u ((y /\\ x) /\\ F)."""
-        meet = self.meet_table
+        meet = self.lattice.meet_table
         found = {0}
         layer = [(0, [0] * len(meet))]
         while layer:
@@ -246,12 +254,11 @@ def subunit_semilattice(mc: MonoidalCategory) -> SubunitSemilattice:
                     details={"s": s.rep, "t": t.rep, "tensor": m})
             row.append(index_by_member[m])
         meet_table.append(tuple(row))
-    leq = tuple(tuple(subunit_leq(mc, s, t) for t in subs) for s in subs)
-    top = index_by_member[mc.identity(mc.unit)]
     labels = tuple(mc.obj_label(s.domain) for s in subs)
-    poset = FinPoset(labels, leq)
-    lattice = Semilattice(poset, tuple(meet_table), top)
-    return SubunitSemilattice(subs, leq, tuple(meet_table), top, lattice)
+    up = tuple(_mask(k for k, t in enumerate(subs) if subunit_leq(mc, s, t)) for s in subs)
+    lattice = Semilattice(FinPoset(labels, up), tuple(meet_table),
+                          index_by_member[mc.identity(mc.unit)])
+    return SubunitSemilattice(subs, lattice)
 
 
 # ---------------------------------------------------------------------------

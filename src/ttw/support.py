@@ -93,14 +93,17 @@ def canonical_support(mc: MonoidalCategory, f: int,
 
 def _canonical_support_of_row(lat: SubunitSemilattice, row: int,
                               f: int) -> tuple[frozenset[int], int]:
-    """The canonical downset and supp of f, whose restriction row is ``row``."""
+    """The canonical downset and supp of f, whose restriction row is
+    ``row``: the downset is the AND of the down-masks of the restricting
+    subunits."""
     restricting = list(_bits(row))
     if not restricting:
         raise ConsistencyError("morphism restricts to no subunit at all",
                                details={"morphism": f})
-    canonical = frozenset(
-        s for s in range(len(lat))
-        if all(lat.leq[s][t] for t in restricting))
+    below = (1 << len(lat)) - 1
+    for t in restricting:
+        below &= lat.lattice.poset.down[t]
+    canonical = frozenset(_bits(below))
     supp = lat.lattice.poset.meet(tuple(restricting))
     if supp is None:
         raise ConsistencyError("restricting set has no meet",
@@ -129,11 +132,9 @@ def support_datum_from_monotone(mc: MonoidalCategory, target: FinPoset,
         raise BuildError("assignment length does not match the subunits")
     if not target.is_lattice():
         raise BuildError("support target is not a complete lattice")
-    for i in range(len(lat)):
-        for j in range(len(lat)):
-            if lat.leq[i][j] and not target.leq[on_subunits[i]][on_subunits[j]]:
-                raise BuildError(
-                    f"assignment is not monotone on subunit pair ({i}, {j})")
+    for i, j in itertools.product(range(len(lat)), repeat=2):
+        if lat.leq(i, j) and not target.leq(on_subunits[i], on_subunits[j]):
+            raise BuildError(f"assignment is not monotone on subunit pair ({i}, {j})")
     datum = SupportDatum(mc, lat, target, on_subunits)
     for k, s in enumerate(lat.subunits):
         if datum.value(s.rep) != on_subunits[k]:

@@ -781,21 +781,67 @@ def subunit_by_domain(mc, subs, label):
 
 
 # ---------------------------------------------------------------------------
+# orders given as boolean matrices, and the matrix route of ``from_pairs``
+
+
+def up_masks(leq) -> tuple[int, ...]:
+    """The up-set masks of a square boolean matrix: bit j of mask i is
+    ``leq[i][j]``.  The one way the tests hand an order built as a
+    matrix to ``FinPoset`` or ``fincat._thin_monoidal``."""
+    return tuple(sum(1 << j for j, v in enumerate(row) if v) for row in leq)
+
+
+def warshall_closure(elements, pairs) -> tuple[tuple[bool, ...], ...]:
+    """The reflexive-transitive closure of ``pairs`` as a boolean matrix,
+    by Warshall's algorithm entry by entry: ``FinPoset.from_pairs`` as it
+    was before the closure moved to masks, kept as its oracle."""
+    index = {x: i for i, x in enumerate(elements)}
+    n = len(elements)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for x, y in pairs:
+        leq[index[x]][index[y]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    return tuple(map(tuple, leq))
+
+
+def scan_order_error(elements, leq):
+    """The message of the first order law broken, checked in (i, j, k)
+    order, or None for a lawful matrix."""
+    n = len(elements)
+    for i in range(n):
+        if not leq[i][i]:
+            return f"leq not reflexive at {elements[i]}"
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return f"leq not antisymmetric on {elements[i]}, {elements[j]}"
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    return f"leq not transitive via {elements[j]}"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # scan oracles for the order kernel: bounds by a scan over every element,
-# using nothing of a FinPoset but its ``leq`` matrix
+# using nothing of a FinPoset but ``leq(i, j)``
 
 
 def scan_join(poset, subset):
     n = len(poset)
-    ubs = [u for u in range(n) if all(poset.leq[i][u] for i in subset)]
-    least = [u for u in ubs if all(poset.leq[u][v] for v in ubs)]
+    ubs = [u for u in range(n) if all(poset.leq(i, u) for i in subset)]
+    least = [u for u in ubs if all(poset.leq(u, v) for v in ubs)]
     return least[0] if least else None
 
 
 def scan_meet(poset, subset):
     n = len(poset)
-    lbs = [u for u in range(n) if all(poset.leq[u][i] for i in subset)]
-    greatest = [u for u in lbs if all(poset.leq[v][u] for v in lbs)]
+    lbs = [u for u in range(n) if all(poset.leq(u, i) for i in subset)]
+    greatest = [u for u in lbs if all(poset.leq(v, u) for v in lbs)]
     return greatest[0] if greatest else None
 
 
@@ -803,7 +849,7 @@ def scan_is_directed(poset, subset, include_empty=True):
     """Every two members have an upper bound among the members."""
     if not subset:
         return include_empty
-    return all(any(poset.leq[a][c] and poset.leq[b][c] for c in subset)
+    return all(any(poset.leq(a, c) and poset.leq(b, c) for c in subset)
                for a in subset for b in subset)
 
 
@@ -849,8 +895,8 @@ def scan_covers(poset):
     by a scan over every triple."""
     n, leq = len(poset), poset.leq
     return [(i, j) for i in range(n) for j in range(n)
-            if i != j and leq[i][j]
-            and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))]
+            if i != j and leq(i, j)
+            and not any(k not in (i, j) and leq(i, k) and leq(k, j) for k in range(n))]
 
 
 def scan_meet_closed_families(lat, caps=DEFAULT_CAPS):
@@ -883,7 +929,7 @@ def scan_semilattice_laws(poset, meet_table, top):
         for j in range(n):
             if m[i][j] != m[j][i]:
                 raise BuildError("meet not commutative")
-            if (m[i][j] == i) != poset.leq[i][j]:
+            if (m[i][j] == i) != poset.leq(i, j):
                 raise BuildError("meet disagrees with the order")
             for k in range(n):
                 if m[m[i][j]][k] != m[i][m[j][k]]:
@@ -893,7 +939,7 @@ def scan_semilattice_laws(poset, meet_table, top):
 def maximal(poset, subset):
     """The members of ``subset`` below no other member."""
     return [i for i in subset
-            if not any(j != i and poset.leq[i][j] for j in subset)]
+            if not any(j != i and poset.leq(i, j) for j in subset)]
 
 
 def filtered_directed_downsets(lat, include_empty=True):
@@ -908,7 +954,7 @@ def filtered_directed_downsets(lat, include_empty=True):
     leq = tuple(tuple(a <= b for b in sets) for a in sets)
     embedding = tuple(sets.index(full.base.down_closure((i,)))
                       for i in range(len(full.base)))
-    return DownsetLattice(full.base, sets, FinPoset(labels, leq), embedding)
+    return DownsetLattice(full.base, sets, FinPoset(labels, up_masks(leq)), embedding)
 
 
 @st.composite
@@ -916,7 +962,7 @@ def closure_lattices(draw, max_size=9, ground=4):
     """The lattice of closed sets of a random closure operator on
     ``ground`` points: random subsets closed under intersection, with the
     whole set, ordered by inclusion and listed in a shuffled order; at
-    most ``max_size`` elements.  Its ``leq`` is the inclusion matrix."""
+    most ``max_size`` elements.  Its order is the inclusion matrix."""
     closed = {frozenset(range(ground))}
     for bits in draw(st.lists(st.integers(0, 2 ** ground - 1), max_size=12)):
         s = frozenset(i for i in range(ground) if bits >> i & 1)
@@ -930,7 +976,8 @@ def closure_lattices(draw, max_size=9, ground=4):
             closed = grown
     members = draw(st.permutations(sorted(closed, key=sorted)))
     labels = tuple("{" + ",".join(map(str, sorted(m))) + "}" for m in members)
-    return FinPoset(labels, tuple(tuple(a <= b for b in members) for a in members))
+    return FinPoset(labels, up_masks(tuple(tuple(a <= b for b in members)
+                                           for a in members)))
 
 
 @st.composite
@@ -1110,7 +1157,7 @@ def ordered_monoid_category(mult, unit, pairs, divisibility=False):
             if leq[a][b] and leq[b][w] and not leq[a][w]:
                 leq[a][w] = changed = True
     return fincat._thin_monoidal(tuple(f"e{i}" for i in range(n)),
-                                 tuple(map(tuple, leq)), mult, unit, DEFAULT_CAPS)
+                                 up_masks(leq), mult, unit, DEFAULT_CAPS)
 
 
 def null_monoid(zeros: int):

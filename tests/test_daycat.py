@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (boolean_category, brute_day_classes, build_cached,
                       closure_lattices, commutative_monoids, completion_cached,
                       explicit_compose, generic_hierarchy_sweeps, obj_by_label,
-                      outcome, quotient_cached, thin_monoidal_preorders)
+                      outcome, quotient_cached, thin_monoidal_preorders, up_masks)
 from ttw import daycat, gallery
 from ttw.caps import DEFAULT_CAPS
 from ttw.daycat import (Presheaf, all_sieves_on_unit, broad_category,
@@ -317,19 +317,19 @@ def quantale_sieve_oracle(name):
     q = gallery.GALLERY[name].quantale()
     poset = q.poset
     unit = q.unit
-    below = [x for x in range(len(poset)) if poset.leq[x][unit]]
+    below = [x for x in range(len(poset)) if poset.leq(x, unit)]
     good = []
     for size in range(len(below) + 1):
         for subset in itertools.combinations(below, size):
             s = set(subset)
-            if not all(poset.leq[y][x] or y not in s
+            if not all(poset.leq(y, x) or y not in s
                        for x in s for y in range(len(poset))):
                 pass
             if not all(y in s
                        for x in s for y in range(len(poset))
-                       if poset.leq[y][x]):
+                       if poset.leq(y, x)):
                 continue
-            if all(any(poset.leq[x][q.mult[y][z]] for y in s for z in s)
+            if all(any(poset.leq(x, q.mult[y][z]) for y in s for z in s)
                    for x in s):
                 good.append(frozenset(s))
     return sorted(good, key=lambda s: (len(s), sorted(s)))
@@ -359,7 +359,7 @@ def test_presheaf_subunit_lattice(gallery_category):
     sieves = presheaf_subunits(mc)
     from ttw.orderkit import FinPoset
     leq = tuple(tuple(a.members <= b.members for b in sieves) for a in sieves)
-    poset = FinPoset(tuple(str(i) for i in range(len(sieves))), leq)
+    poset = FinPoset(tuple(str(i) for i in range(len(sieves))), up_masks(leq))
     assert poset.is_lattice()
 
 
@@ -431,7 +431,7 @@ def test_broad_tensor_lemma():
                     meets = {lat.meet(i, j) for i in fu for j in fv}
                     closed = frozenset(
                         i for i in range(len(lat))
-                        if any(lat.leq[i][j] for j in meets))
+                        if any(lat.leq(i, j) for j in meets))
                     rhs = broad_presheaf(mc, make_broad_spec(
                         lat, closed, mc.tensor_obj(x, y), "all"))
                     for a in range(len(mc.objects)):

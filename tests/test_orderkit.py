@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import (boolean_poset, closure_lattices, filtered_directed_downsets,
                       max_monoid, maximal, null_monoid, outcome, scan_covers,
                       scan_is_directed, scan_is_preframe, scan_join, scan_meet,
-                      scan_semilattice_laws, shuffled_posets)
+                      scan_order_error, scan_semilattice_laws, shuffled_posets,
+                      up_masks, warshall_closure)
 from ttw import orderkit
 from ttw.caps import Caps
 from ttw.errors import BuildError, CapExceededError, MalformedTableError
@@ -30,7 +31,7 @@ def antichain_with_top(width=2):
 
 def test_poset_laws_rejected():
     with pytest.raises(BuildError):
-        FinPoset(("x", "y"), ((True, True), (True, True)))  # not antisymmetric
+        FinPoset(("x", "y"), up_masks(((True, True), (True, True))))  # not antisymmetric
 
 
 def test_downsets_b2():
@@ -83,7 +84,7 @@ def test_directed_downsets_of_boolean2x2_drop_the_join_free_pair():
 def assert_same_downset_lattice(got, want):
     assert got.sets == want.sets
     assert got.poset.elements == want.poset.elements
-    assert got.poset.leq == want.poset.leq
+    assert got.poset.up == want.poset.up
     assert got.embedding == want.embedding
 
 
@@ -426,25 +427,8 @@ def brute_downsets(poset):
     n = len(poset)
     subsets = [frozenset(i for i in range(n) if bits >> i & 1) for bits in range(1 << n)]
     found = [s for s in subsets
-             if all(i in s for j in s for i in range(n) if poset.leq[i][j])]
+             if all(i in s for j in s for i in range(n) if poset.leq(i, j))]
     return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def scan_order_error(elements, leq):
-    """The message of the first order law broken, checked in (i, j, k)
-    order, or None for a lawful matrix."""
-    n = len(elements)
-    for i in range(n):
-        if not leq[i][i]:
-            return f"leq not reflexive at {elements[i]}"
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                return f"leq not antisymmetric on {elements[i]}, {elements[j]}"
-            for k in range(n):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    return f"leq not transitive via {elements[j]}"
-    return None
 
 
 @st.composite
@@ -525,10 +509,10 @@ def test_downsets_match_brute_force(poset):
     assert dl.poset.elements == tuple(
         "{" + ",".join(poset.elements[i] for i in sorted(s)) + "}" if s else "{}"
         for s in want)
-    assert dl.poset.leq == tuple(tuple(a <= b for b in want) for a in want)
+    assert dl.poset.up == up_masks(tuple(tuple(a <= b for b in want) for a in want))
     n = len(poset)
     assert dl.embedding == tuple(
-        want.index(frozenset(i for i in range(n) if poset.leq[i][j])) for j in range(n))
+        want.index(frozenset(i for i in range(n) if poset.leq(i, j))) for j in range(n))
 
 
 @st.composite
@@ -551,8 +535,55 @@ def test_malformed_leq_raises_the_scan_order_message(case):
     elements, leq = case
     want = scan_order_error(elements, leq)
     if want is None:
-        FinPoset(elements, leq)
+        FinPoset(elements, up_masks(leq))
     else:
         with pytest.raises(BuildError) as exc:
-            FinPoset(elements, leq)
+            FinPoset(elements, up_masks(leq))
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("up", [
+    (0b00,), (0b00, 0b10, 0b00),       # one mask too few, one too many
+    (0b00, -1), (-2, 0b10),             # a negative mask
+    (0b00, 0b110), (0b100, 0b10),       # a bit past the last element
+], ids=["short", "long", "negative-last", "negative-first",
+        "past-end-last", "past-end-first"])
+def test_malformed_masks_are_refused_before_any_order_law(up):
+    # no case sets bit 0 of x's mask, so reflexivity, read first, would
+    # refuse each with BuildError instead
+    with pytest.raises(MalformedTableError, match="^up masks do not match the elements$"):
+        FinPoset(("x", "y"), up)
+
+
+@st.composite
+def pair_lists(draw):
+    """Pair lists over up to six labels: random pairs, with a cycle
+    through a random set of labels added to half of them."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    labels = tuple(f"p{i}" for i in range(n))
+    if not n:
+        return labels, []
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=8))
+    if draw(st.booleans()):
+        cycle = draw(st.lists(index, unique=True, min_size=1, max_size=n))
+        pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    order = draw(st.permutations(pairs))
+    return labels, [(labels[a], labels[b]) for a, b in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists())
+def test_from_pairs_matches_the_warshall_closure(case):
+    elements, pairs = case
+    leq = warshall_closure(elements, pairs)
+    want = scan_order_error(elements, leq)
+    if want is None:
+        poset = FinPoset.from_pairs(elements, pairs)
+        assert poset.elements == elements and poset.up == up_masks(leq)
+        assert [[poset.leq(i, j) for j in range(len(leq))]
+                for i in range(len(leq))] == list(map(list, leq))
+    else:
+        with pytest.raises(BuildError) as exc:
+            FinPoset.from_pairs(elements, pairs)
         assert str(exc.value) == want

@@ -17,6 +17,7 @@ from ttw import gallery
 from ttw.daycat import broad_category, coproduct_of_representables, day_tensor
 from ttw.errors import BuildError, CapExceededError
 from ttw.fractions import localise, sigma, simple_quotient
+from ttw.orderkit import FinPoset, downsets
 from ttw.restriction import restriction_category
 from ttw.subunits import (check_characterisation, enumerate_subunits,
                           is_locale_based)
@@ -161,6 +162,29 @@ def test_localise_rows(timings, monkeypatch, capsys):
             str(len(sigma(mc).members)),
             str(len(simple_quotient(mc).category.morphisms)), str(localised)]
         assert seconds(quotient_s) and seconds(localise_s)
+
+
+def test_order_rows(timings, monkeypatch, capsys):
+    every = list(timings.order_sources())
+    assert [label for label, _, _ in every] == [
+        "antichain6", "antichain8", "antichain9", "chain16", "chain64", "b3", "b4"]
+    chosen = ("antichain6", "chain16", "chain64", "b3")
+    monkeypatch.setattr(timings, "order_sources",
+                        lambda: [row for row in every if row[0] in chosen])
+    timings.main(["order"])
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == list(timings.TABLES["order"][0])
+    printed = {line.split()[0]: line.split()[1:] for line in lines}
+    assert list(printed) == list(chosen)
+    for label, source, _ in every:
+        if label in ("antichain6", "chain16", "b3"):
+            poset = FinPoset.from_pairs(*source())
+            elements, count, *seconds_cells = printed[label]
+            assert [elements, count] == [str(len(poset)), str(len(downsets(poset).sets))]
+            assert len(seconds_cells) == 3 and all(map(seconds, seconds_cells))
+    elements, refused, *seconds_cells = printed["chain64"]
+    assert [elements, refused] == ["64", "max_downset_base"]
+    assert len(seconds_cells) == 2 and all(map(seconds, seconds_cells))
 
 
 ONESHOT_B2 = """\

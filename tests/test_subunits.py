@@ -174,7 +174,7 @@ def assert_quantale_subunits_match(q) -> None:
     at = [lattice.elements.index(label) for label in formula.elements]
     for i in range(len(formula)):
         for j in range(len(formula)):
-            assert formula.poset.leq[i][j] == lattice.poset.leq[at[i]][at[j]]
+            assert formula.poset.leq(i, j) == lattice.poset.leq(at[i], at[j])
             assert at[formula.meet(i, j)] == lattice.meet(at[i], at[j])
 
 
@@ -206,7 +206,7 @@ def test_subunit_semilattice_laws_hold(gallery_category):
         assert lat.meet(i, lat.top) == i
         for j in range(n):
             assert lat.meet(i, j) == lat.meet(j, i)
-            assert (lat.meet(i, j) == i) == lat.leq[i][j]
+            assert (lat.meet(i, j) == i) == lat.leq(i, j)
             for k in range(n):
                 assert lat.meet(lat.meet(i, j), k) == lat.meet(i, lat.meet(j, k))
 
@@ -666,7 +666,8 @@ def subunit_facts(mc) -> tuple:
     fresh = MonoidalCategory(mc.cat, mc.mon)
     lat = outcome(subunit_semilattice, fresh)
     if lat[0] == "value":
-        lat = lat[1].subunits, lat[1].leq, lat[1].meet_table, lat[1].top
+        lat = (lat[1].subunits, lat[1].lattice.poset.up, lat[1].lattice.meet_table,
+               lat[1].top)
     return (enumerate_subunits(fresh), is_firm(fresh), lat,
             restriction_table(fresh))
 

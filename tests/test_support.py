@@ -59,7 +59,7 @@ def test_canonical_downset_is_downward_closed(gallery_category):
         result = canonical_support(mc, m.mid, lat=lat)
         for s in result.canonical:
             for t in range(len(lat)):
-                if lat.leq[t][s]:
+                if lat.leq(t, s):
                     assert t in result.canonical
 
 
@@ -85,7 +85,7 @@ def test_downset_datum_recovers_canonical(q3):
 def test_non_monotone_assignment_rejected(q3):
     lat = subunit_semilattice(q3)
     two = FinPoset.chain(["lo", "hi"])
-    bad = [1, 0] if lat.leq[0][1] else [0, 1]
+    bad = [1, 0] if lat.leq(0, 1) else [0, 1]
     with pytest.raises(BuildError):
         support_datum_from_monotone(q3, two, bad, lat=lat)
 
@@ -128,9 +128,9 @@ def test_supp_of_composites_and_tensors_bounded(gallery_category):
             bound = lat.meet(supp[f.mid], supp[g.mid])
             if g.cod == f.dom:
                 comp = mc.compose(f.mid, g.mid)
-                assert lat.leq[supp[comp]][bound]
+                assert lat.leq(supp[comp], bound)
             tens = mc.tensor_mor(f.mid, g.mid)
-            assert lat.leq[supp[tens]][bound]
+            assert lat.leq(supp[tens], bound)
 
 
 def sweep_colax_failure(mc, datum):
@@ -142,7 +142,7 @@ def sweep_colax_failure(mc, datum):
     for f in mc.morphisms:
         for g in mc.morphisms:
             bound = target.meet((values[f.mid], values[g.mid]))
-            if not target.leq[values[mc.tensor_mor(f.mid, g.mid)]][bound]:
+            if not target.leq(values[mc.tensor_mor(f.mid, g.mid)], bound):
                 return f.mid, g.mid
     return None
 
@@ -193,7 +193,7 @@ def assert_preorder_functorial(mc, datum):
     for set_f, values_f in seen.items():
         for set_g, values_g in seen.items():
             if set_g <= set_f:
-                assert all(datum.target.leq[v][w] for v in values_f for w in values_g)
+                assert all(datum.target.leq(v, w) for v in values_f for w in values_g)
 
 
 # ---------------------------------------------------------------------------
